@@ -257,9 +257,12 @@ def cmd_eq5(args) -> int:
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
+    if not all(np.isfinite(values)):
+        raise argparse.ArgumentTypeError(f"float list {text!r} has a non-finite value")
+    return values
 
 
 def _add_common(sub):

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
 from . import operators as ops
@@ -54,14 +55,19 @@ def numeric_spectrum(h: ops.LinearOperator, parity: ops.LinearOperator,
                      n_levels: int) -> Spectrum:
     """Lowest n_levels eigenpairs with definite-parity eigenvectors.
 
-    Within degenerate clusters the raw eigenvectors are re-mixed to
-    diagonalize the parity operator before labeling.
+    A real symmetric tridiagonal h goes to the tridiagonal solver; any
+    other h is densified for a full Hermitian eigensolve. Within
+    degenerate clusters the raw eigenvectors are re-mixed to diagonalize
+    the parity operator before labeling.
     """
     n = h.dimension
+    if n_levels < 1:
+        raise ParameterError(f"n_levels must be at least 1, got {n_levels}")
     if n_levels > n:
         raise ParameterError(f"n_levels {n_levels} exceeds dimension {n}")
-    if h.storage == "tridiag":
-        d, e = h.tridiag_bands
+    bands = h.tridiag_bands
+    if bands is not None:
+        d, e = bands
         vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, n_levels - 1))
     else:
         m = h.to_dense()
@@ -70,7 +76,7 @@ def numeric_spectrum(h: ops.LinearOperator, parity: ops.LinearOperator,
             raise NumericalContractError("numeric_spectrum requires a Hermitian matrix")
         vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
         vals, vecs = vals[:n_levels], vecs[:, :n_levels]
-    vecs = np.ascontiguousarray(vecs, dtype=complex)
+    vecs = np.asfortranarray(vecs, dtype=complex)  # columns are read one at a time
     _remix_degenerate(vals, vecs, parity)
     labels = [_parity_label(vecs[:, i], parity) for i in range(len(vals))]
     return Spectrum(eigenvalues=vals, eigenvectors=vecs, parity_labels=labels,
@@ -215,22 +221,24 @@ def _closure_residual(h: ops.LinearOperator, charge_action) -> float:
 
     {Q, Q} = -2H for the parity/time-reversal charges and 0 for the
     nilpotent pairs; either way the anticommutator must not leave the
-    algebra generated by H.
+    algebra generated by H. The projection uses sparse Frobenius inner
+    products, so it costs O(nnz).
     """
-    square = ops.compose(charge_action, charge_action)
-    a, b = ops._parts(ops.scale(square, 2.0))
-    hm = h.to_dense()
-    n = hm.shape[0]
+    anti = ops.scale(ops.compose(charge_action, charge_action), 2.0)
+    a, b = anti.linear_matrix, anti.antilinear_matrix
+    hm = h.linear_matrix
     resid_sq = 0.0
     if b is not None:
-        resid_sq += float(np.sum(np.abs(b) ** 2))
+        resid_sq += float(np.sum(np.abs(b.data) ** 2))
     if a is not None:
-        basis = [hm, np.eye(n)]
-        g = np.array([[np.vdot(u, v) for v in basis] for u in basis])
-        rhs = np.array([np.vdot(u, a) for u in basis])
+        # Gram matrix and right-hand side of <u, v> = sum(conj(u) * v) on {H, 1}
+        n = hm.shape[0]
+        tr_h = hm.diagonal().sum()
+        g = np.array([[np.sum(np.abs(hm.data) ** 2), np.conj(tr_h)], [tr_h, n]])
+        rhs = np.array([hm.conj().multiply(a).sum(), a.diagonal().sum()])
         coef = np.linalg.solve(g, rhs)
-        proj = coef[0] * basis[0] + coef[1] * basis[1]
-        resid_sq += float(np.sum(np.abs(a - proj) ** 2))
+        resid = a - coef[0] * hm - coef[1] * sp.eye_array(n, format="csr")
+        resid_sq += float(np.sum(np.abs(resid.data) ** 2))
     return float(np.sqrt(resid_sq) / ops.frobenius_norm(h))
 
 

@@ -11,6 +11,7 @@ point set onto itself exactly:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,15 +69,21 @@ def build_grid(half_width: float, n_points: int, boundary: str) -> Grid1D:
     """Validate parameters and construct a Grid1D."""
     if boundary not in (DIRICHLET, PERIODIC):
         raise ParameterError(f"unknown boundary {boundary!r}; use 'dirichlet' or 'periodic'")
-    if not half_width > 0:
-        raise ParameterError(f"half_width must be positive, got {half_width!r}")
+    if not 0 < half_width < math.inf:
+        raise ParameterError(f"half_width must be positive and finite, got {half_width!r}")
     if n_points < 3:
         raise ParameterError(f"n_points must be at least 3, got {n_points}")
     if boundary == PERIODIC and n_points % 2 != 0:
         raise ParameterError(
             f"periodic grids need an even point count so parity closes exactly, got {n_points}"
         )
-    return Grid1D(half_width=float(half_width), n_points=int(n_points), boundary=boundary)
+    grid = Grid1D(half_width=float(half_width), n_points=int(n_points), boundary=boundary)
+    # the stencils divide by h^2: keep 1/h^2 a finite, nonzero float
+    inv_h = 1.0 / grid.spacing if grid.spacing > 0 else math.inf
+    if not 0 < inv_h * inv_h < math.inf:
+        raise ParameterError(
+            f"grid spacing {grid.spacing!r} is out of range: 1/h^2 overflows or vanishes")
+    return grid
 
 
 def parity_permutation(grid: Grid1D) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Discrete operators and the supercharge constructions.
 
-Linear operators carry one of three storages: a dense matrix, a real
-symmetric tridiagonal band pair (Dirichlet Hamiltonians stay banded for
-the eigensolver), or an index permutation (parity, basis reversal).
-Antilinear operators are never materialized over the complex field;
-they are stored as a linear part applied after complex conjugation.
+Every operator is one real-linear map v -> A v + B conj(v), with A and B
+held as scipy.sparse CSR matrices, or None when a part is absent.
+Complex-linear operators (LinearOperator) have B = None; antilinear ones
+(AntilinearOperator, such as time reversal) have A = None; sums of the
+two (MixedOperator) carry both. Stencils, parity and the rotor basis are
+built directly in CSR, so composing and applying them costs O(nnz), and
+nothing is densified unless an eigensolver needs a full matrix.
 
 Supercharges built here:
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import NumericalContractError, ParameterError, PotentialEvaluationError
 from .grid import DIRICHLET, PERIODIC, Grid1D, parity_permutation
@@ -30,177 +33,141 @@ MIXED = "mixed"
 _HERMITIAN_TOL = 1e-12
 
 
-class LinearOperator:
-    """Complex-linear operator with dense, tridiagonal, or permutation storage."""
-
-    def __init__(self, *, dense=None, tridiag=None, permutation=None,
-                 hermitian_hint: bool = False):
-        storages = [s is not None for s in (dense, tridiag, permutation)]
-        if sum(storages) != 1:
-            raise ParameterError("exactly one storage kind must be given")
-        self._dense = None if dense is None else np.asarray(dense)
-        self._tridiag = None
-        if tridiag is not None:
-            d, e = tridiag
-            self._tridiag = (np.asarray(d, dtype=float), np.asarray(e, dtype=float))
-        self._perm = None if permutation is None else np.asarray(permutation, dtype=int)
-        self.hermitian_hint = hermitian_hint
-        if hermitian_hint and self._dense is not None:
-            a = self._dense
-            scale = np.max(np.abs(a))
-            if scale > 0 and np.max(np.abs(a - a.conj().T)) > _HERMITIAN_TOL * scale:
-                raise NumericalContractError("hermitian_hint set on a non-Hermitian matrix")
-
-    @classmethod
-    def from_dense(cls, matrix, hermitian_hint: bool = False) -> "LinearOperator":
-        return cls(dense=matrix, hermitian_hint=hermitian_hint)
-
-    @classmethod
-    def from_tridiag(cls, diag, offdiag) -> "LinearOperator":
-        return cls(tridiag=(diag, offdiag), hermitian_hint=True)
-
-    @classmethod
-    def from_permutation(cls, perm) -> "LinearOperator":
-        return cls(permutation=perm)
-
-    @property
-    def dimension(self) -> int:
-        if self._dense is not None:
-            return self._dense.shape[0]
-        if self._tridiag is not None:
-            return len(self._tridiag[0])
-        return len(self._perm)
-
-    @property
-    def storage(self) -> str:
-        if self._dense is not None:
-            return "dense"
-        if self._tridiag is not None:
-            return "tridiag"
-        return "permutation"
-
-    @property
-    def tridiag_bands(self):
-        return self._tridiag
-
-    @property
-    def permutation(self):
-        return self._perm
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v)
-        if self._dense is not None:
-            return self._dense @ v
-        if self._perm is not None:
-            return v[self._perm]
-        d, e = self._tridiag
-        out = d * v.astype(np.result_type(v, d))
-        out[:-1] += e * v[1:]
-        out[1:] += e * v[:-1]
-        return out
-
-    def to_dense(self) -> np.ndarray:
-        if self._dense is not None:
-            return self._dense
-        n = self.dimension
-        if self._perm is not None:
-            m = np.zeros((n, n))
-            m[np.arange(n), self._perm] = 1.0
-            return m
-        d, e = self._tridiag
-        m = np.diag(d)
-        m += np.diag(e, 1) + np.diag(e, -1)
-        return m
-
-    def adjoint(self) -> "LinearOperator":
-        if self._dense is not None:
-            return LinearOperator.from_dense(self._dense.conj().T,
-                                             hermitian_hint=self.hermitian_hint)
-        if self._perm is not None:
-            return LinearOperator.from_permutation(np.argsort(self._perm))
-        return self  # real symmetric tridiagonal
-
-    def __call__(self, v):
-        return self.apply(v)
+def _csr(m):
+    if m is None:
+        return None
+    return m.tocsr() if sp.issparse(m) else sp.csr_array(np.asarray(m))
 
 
-@dataclass(frozen=True)
-class AntilinearOperator:
-    """Action v -> linear_part(conj(v)); A(alpha v) = conj(alpha) A(v) by construction."""
-
-    linear_part: LinearOperator
-
-    @property
-    def dimension(self) -> int:
-        return self.linear_part.dimension
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.linear_part.apply(np.conj(v))
-
-    def adjoint(self) -> "AntilinearOperator":
-        # <A^+ w, v> = <A v, w> forces the transpose (not conjugate transpose).
-        return AntilinearOperator(LinearOperator.from_dense(self.linear_part.to_dense().T))
-
-    def __call__(self, v):
-        return self.apply(v)
+def _matvec(m: sp.csr_array, v: np.ndarray) -> np.ndarray:
+    if np.iscomplexobj(v) and not np.iscomplexobj(m.data):
+        # a real matrix maps real and imaginary parts separately; as one real
+        # product on the interleaved parts this runs several times faster than
+        # scipy's mixed real/complex product
+        x = np.ascontiguousarray(v, dtype=complex)
+        return (m @ x.view(float).reshape(len(x), -1)).view(complex).reshape(x.shape)
+    return m @ v
 
 
 class MixedOperator:
-    """Real-linear operator v -> A v + B conj(v).
+    """Real-linear operator v -> A v + B conj(v) with sparse CSR parts.
 
     Arises from sums of linear and antilinear operators (the rotor's
     nilpotent charge pair) and from closing the algebra under
-    composition; linear and antilinear operators are the B = 0 and
-    A = 0 special cases.
+    composition; linear and antilinear operators are the B = None and
+    A = None special cases.
     """
 
     def __init__(self, linear_matrix=None, antilinear_matrix=None):
         if linear_matrix is None and antilinear_matrix is None:
-            raise ParameterError("mixed operator needs at least one part")
-        self.linear_matrix = None if linear_matrix is None else np.asarray(linear_matrix)
-        self.antilinear_matrix = (None if antilinear_matrix is None
-                                  else np.asarray(antilinear_matrix))
+            raise ParameterError("an operator needs at least one part")
+        self.linear_matrix = _csr(linear_matrix)
+        self.antilinear_matrix = _csr(antilinear_matrix)
 
     @property
     def dimension(self) -> int:
         part = self.linear_matrix if self.linear_matrix is not None else self.antilinear_matrix
         return part.shape[0]
 
+    @property
+    def tridiag_bands(self):
+        """(diagonal, off-diagonal) of a real symmetric tridiagonal operator, else None.
+
+        O(nnz): the operator must be linear with real entries, every
+        nonzero within one diagonal of the main one, and equal
+        sub- and super-diagonals.
+        """
+        a = self.linear_matrix
+        if a is None or self.antilinear_matrix is not None:
+            return None
+        if np.iscomplexobj(a.data) and np.any(a.data.imag):
+            return None
+        rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+        if np.any(np.abs(a.indices - rows) > 1):
+            return None
+        e = a.diagonal(1).real
+        if not np.array_equal(e, a.diagonal(-1).real):
+            return None
+        return a.diagonal().real, e
+
+    @property
+    def storage(self) -> str:
+        return "tridiag" if self.tridiag_bands is not None else "csr"
+
     def apply(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v)
         out = 0
         if self.linear_matrix is not None:
-            out = out + self.linear_matrix @ v
+            out = _matvec(self.linear_matrix, v)
         if self.antilinear_matrix is not None:
-            out = out + self.antilinear_matrix @ np.conj(v)
+            out = out + _matvec(self.antilinear_matrix, np.conj(v))
         return out
 
+    def to_dense(self) -> np.ndarray:
+        """Dense matrix of a complex-linear operator."""
+        if self.antilinear_matrix is not None:
+            raise ParameterError("an operator with an antilinear part has no complex matrix")
+        return self.linear_matrix.toarray()
+
     def adjoint(self) -> "MixedOperator":
-        a = None if self.linear_matrix is None else self.linear_matrix.conj().T
-        b = None if self.antilinear_matrix is None else self.antilinear_matrix.T
-        return MixedOperator(a, b)
+        # <A^+ w, v> = <A v, w> forces the transpose (not conjugate transpose)
+        # on the antilinear part.
+        a, b = self.linear_matrix, self.antilinear_matrix
+        return _wrap(None if a is None else a.conj().T, None if b is None else b.T)
 
     def __call__(self, v):
         return self.apply(v)
 
 
-Operator = LinearOperator | AntilinearOperator | MixedOperator
+class LinearOperator(MixedOperator):
+    """Complex-linear operator: the B = None case."""
+
+    def __init__(self, matrix):
+        super().__init__(matrix, None)
+
+    @classmethod
+    def from_dense(cls, matrix, hermitian_hint: bool = False) -> "LinearOperator":
+        a = np.asarray(matrix)
+        if hermitian_hint:
+            scale_ = np.max(np.abs(a))
+            if scale_ > 0 and np.max(np.abs(a - a.conj().T)) > _HERMITIAN_TOL * scale_:
+                raise NumericalContractError("hermitian_hint set on a non-Hermitian matrix")
+        return cls(a)
+
+    @classmethod
+    def from_tridiag(cls, diag, offdiag) -> "LinearOperator":
+        """Real symmetric tridiagonal matrix from its diagonal and off-diagonal."""
+        # row j holds offdiag[j - 1] left of the diagonal and offdiag[j] right of it
+        e = np.append(np.asarray(offdiag, dtype=float), 0.0)
+        return cls(_stencil(len(e), np.roll(e, 1), np.asarray(diag, dtype=float), e, False))
+
+    @classmethod
+    def from_permutation(cls, perm) -> "LinearOperator":
+        """Permutation matrix acting as v -> v[perm]."""
+        perm = np.asarray(perm, dtype=int)
+        n = len(perm)
+        return cls(sp.csr_array((np.ones(n), perm, np.arange(n + 1)), shape=(n, n)))
 
 
-def _parts(op: Operator):
-    """Dense (linear_matrix, antilinear_matrix) parts, None when structurally absent."""
-    if isinstance(op, LinearOperator):
-        return op.to_dense(), None
-    if isinstance(op, AntilinearOperator):
-        return None, op.linear_part.to_dense()
-    return op.linear_matrix, op.antilinear_matrix
+class AntilinearOperator(MixedOperator):
+    """Action v -> linear_part(conj(v)); A(alpha v) = conj(alpha) A(v) by construction."""
+
+    def __init__(self, linear_part: LinearOperator):
+        super().__init__(None, linear_part.linear_matrix)
+
+    @property
+    def linear_part(self) -> LinearOperator:
+        return LinearOperator(self.antilinear_matrix)
+
+
+Operator = MixedOperator
 
 
 def _wrap(a, b) -> Operator:
     if b is None:
-        return LinearOperator.from_dense(a)
+        return LinearOperator(a)
     if a is None:
-        return AntilinearOperator(LinearOperator.from_dense(b))
+        return AntilinearOperator(LinearOperator(b))
     return MixedOperator(a, b)
 
 
@@ -217,26 +184,24 @@ def compose(x: Operator, y: Operator) -> Operator:
     antilinear . antilinear is linear, antilinear . linear stays antilinear.
     """
     _check_dims(x, y)
-    xa, xb = _parts(x)
-    ya, yb = _parts(y)
+    xa, xb = x.linear_matrix, x.antilinear_matrix
+    ya, yb = y.linear_matrix, y.antilinear_matrix
     a = b = None
     if xa is not None and ya is not None:
         a = xa @ ya
     if xb is not None and yb is not None:
-        t = xb @ np.conj(yb)
+        t = xb @ yb.conj(copy=False)
         a = t if a is None else a + t
     if xa is not None and yb is not None:
         b = xa @ yb
     if xb is not None and ya is not None:
-        t = xb @ np.conj(ya)
+        t = xb @ ya.conj(copy=False)
         b = t if b is None else b + t
     return _wrap(a, b)
 
 
 def _combine(x: Operator, y: Operator, sign: float) -> Operator:
     _check_dims(x, y)
-    xa, xb = _parts(x)
-    ya, yb = _parts(y)
 
     def merge(u, v):
         if u is None and v is None:
@@ -244,10 +209,11 @@ def _combine(x: Operator, y: Operator, sign: float) -> Operator:
         if u is None:
             return sign * v
         if v is None:
-            return u.copy()
+            return u
         return u + sign * v
 
-    return _wrap(merge(xa, ya), merge(xb, yb))
+    return _wrap(merge(x.linear_matrix, y.linear_matrix),
+                 merge(x.antilinear_matrix, y.antilinear_matrix))
 
 
 def add(x: Operator, y: Operator) -> Operator:
@@ -259,7 +225,7 @@ def subtract(x: Operator, y: Operator) -> Operator:
 
 
 def scale(x: Operator, c: float) -> Operator:
-    xa, xb = _parts(x)
+    xa, xb = x.linear_matrix, x.antilinear_matrix
     return _wrap(None if xa is None else c * xa, None if xb is None else c * xb)
 
 
@@ -272,17 +238,35 @@ def anticommutator(x: Operator, y: Operator) -> Operator:
 
 
 def frobenius_norm(op: Operator) -> float:
-    a, b = _parts(op)
     total = 0.0
-    if a is not None:
-        total += float(np.sum(np.abs(a) ** 2))
-    if b is not None:
-        total += float(np.sum(np.abs(b) ** 2))
+    for part in (op.linear_matrix, op.antilinear_matrix):
+        if part is not None:
+            total += float(np.sum(np.abs(part.data) ** 2))
     return float(np.sqrt(total))
 
 
 # ---------------------------------------------------------------------------
 # grid operators
+
+def _stencil(n: int, lower, diag, upper, periodic: bool) -> sp.csr_array:
+    """Three-point stencil in CSR: lower, diag and upper on diagonals -1, 0 and +1.
+
+    Each band is a scalar or one value per row; diag=None leaves the main
+    diagonal empty. The first row's lower and the last row's upper entry
+    fall off a Dirichlet grid and wrap into the corners of a periodic one.
+    """
+    bands = [lower, upper] if diag is None else [lower, diag, upper]
+    width = len(bands)
+    cols = np.arange(n)[:, None] + np.array([-1, 1] if diag is None else [-1, 0, 1])
+    vals = np.column_stack([np.broadcast_to(band, (n,)) for band in bands])
+    if periodic:
+        m = sp.csr_array((vals.ravel(), (cols % n).ravel(), width * np.arange(n + 1)),
+                         shape=(n, n))
+        m.sort_indices()
+        return m
+    indptr = np.clip(width * np.arange(n + 1) - 1, 0, width * n - 2)
+    return sp.csr_array((vals.ravel()[1:-1], cols.ravel()[1:-1], indptr), shape=(n, n))
+
 
 def second_derivative(grid: Grid1D) -> LinearOperator:
     """Three-point stencil (f_{j-1} - 2 f_j + f_{j+1}) / h^2.
@@ -290,31 +274,16 @@ def second_derivative(grid: Grid1D) -> LinearOperator:
     Dirichlet drops the out-of-range neighbors (wavefunction pinned to
     zero at the walls); periodic wraps into a circulant.
     """
-    n = grid.n_points
     h2 = grid.spacing ** 2
-    if grid.boundary == DIRICHLET:
-        return LinearOperator.from_tridiag(np.full(n, -2.0 / h2), np.full(n - 1, 1.0 / h2))
-    m = np.zeros((n, n))
-    idx = np.arange(n)
-    m[idx, idx] = -2.0 / h2
-    m[idx, (idx + 1) % n] = 1.0 / h2
-    m[idx, (idx - 1) % n] = 1.0 / h2
-    return LinearOperator.from_dense(m, hermitian_hint=True)
+    return LinearOperator(_stencil(grid.n_points, 1.0 / h2, -2.0 / h2, 1.0 / h2,
+                                   grid.boundary == PERIODIC))
 
 
 def momentum(grid: Grid1D) -> LinearOperator:
     """p = -i D1 with the central difference (f_{j+1} - f_{j-1}) / 2h."""
-    n = grid.n_points
     inv2h = 1.0 / (2.0 * grid.spacing)
-    d1 = np.zeros((n, n))
-    idx = np.arange(n)
-    if grid.boundary == PERIODIC:
-        d1[idx, (idx + 1) % n] = inv2h
-        d1[idx, (idx - 1) % n] = -inv2h
-    else:
-        d1[idx[:-1], idx[1:]] = inv2h
-        d1[idx[1:], idx[:-1]] = -inv2h
-    return LinearOperator.from_dense(-1j * d1, hermitian_hint=True)
+    return LinearOperator(_stencil(grid.n_points, 1j * inv2h, None, -1j * inv2h,
+                                   grid.boundary == PERIODIC))
 
 
 def parity_operator(grid: Grid1D) -> LinearOperator:
@@ -330,13 +299,9 @@ def hamiltonian(grid: Grid1D, potential) -> LinearOperator:
     if bad.size:
         j = int(bad[0])
         raise PotentialEvaluationError(float(x[j]), float(v[j]))
-    d2 = second_derivative(grid)
-    if d2.storage == "tridiag":
-        d, e = d2.tridiag_bands
-        return LinearOperator.from_tridiag(-0.5 * d + v, -0.5 * e)
-    m = -0.5 * d2.to_dense()
-    m[np.arange(grid.n_points), np.arange(grid.n_points)] += v
-    return LinearOperator.from_dense(m, hermitian_hint=True)
+    h2 = grid.spacing ** 2
+    return LinearOperator(_stencil(grid.n_points, -0.5 / h2, 1.0 / h2 + v, -0.5 / h2,
+                                   grid.boundary == PERIODIC))
 
 
 def delta_well_hamiltonian(grid: Grid1D, lam: float) -> LinearOperator:
@@ -351,7 +316,6 @@ def delta_well_hamiltonian(grid: Grid1D, lam: float) -> LinearOperator:
             "grid has no x = 0 point; use an odd Dirichlet point count")
     h = hamiltonian(grid, lambda x: 0.0)
     d, e = h.tridiag_bands
-    d = d.copy()
     d[j0] -= lam / grid.spacing
     return LinearOperator.from_tridiag(d, e)
 
@@ -387,14 +351,6 @@ class Supercharge:
 
     def apply_adjoint(self, v):
         return self.adjoint_action.apply(v)
-
-
-def _kind_of(op: Operator) -> str:
-    if isinstance(op, LinearOperator):
-        return LINEAR
-    if isinstance(op, AntilinearOperator):
-        return ANTILINEAR
-    return MIXED
 
 
 def _assert_anti_self_adjoint(op: Operator, label: str):
@@ -435,8 +391,8 @@ def rotor_basis_operators(m_max: int, inertia: float):
     if m_max < 1:
         raise ParameterError(f"m_max must be at least 1, got {m_max}")
     m = np.arange(-m_max, m_max + 1, dtype=float)
-    lz = LinearOperator.from_dense(np.diag(m), hermitian_hint=True)
-    h = LinearOperator.from_dense(np.diag(m ** 2 / (2.0 * inertia)), hermitian_hint=True)
+    lz = LinearOperator(sp.diags_array(m, format="csr"))
+    h = LinearOperator(sp.diags_array(m ** 2 / (2.0 * inertia), format="csr"))
     reversal = np.arange(len(m))[::-1].copy()  # exp(i m phi) -> exp(-i m phi)
     t = AntilinearOperator(LinearOperator.from_permutation(reversal))
     return lz, t, h
@@ -476,5 +432,4 @@ def momentum_squared_hamiltonian(p: LinearOperator, mass: float) -> LinearOperat
     precision only against this form; the three-point stencil Hamiltonian
     differs from it at O(h^2) and is used for spectral checks instead.
     """
-    return LinearOperator.from_dense(compose(p, p).to_dense() / (2.0 * mass),
-                                     hermitian_hint=True)
+    return LinearOperator(compose(p, p).linear_matrix / (2.0 * mass))

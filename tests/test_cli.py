@@ -195,6 +195,24 @@ def test_bad_parameter_exits_with_config_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["spectrum", "--model", "box", "--points", "101", "--levels", "0"],
+    ["spectrum", "--model", "box", "--points", "101", "--levels", "-3"],
+    ["partner", "--model", "box", "--points", "101", "--levels", "0"],
+    ["scan", "--L-values", "2,4", "--points-per-length", "20", "--levels", "0"],
+    ["spectrum", "--model", "box", "--points", "101", "--L", "inf"],
+    ["check", "--model", "free", "--charge", "q", "--points", "64", "--L", "1e-300"],
+    ["eq5", "--points", "64", "--k-values", "nan"],
+])
+def test_degenerate_input_exits_with_config_code(tmp_path, capsys, argv):
+    try:
+        code = main([*argv, "--out", str(tmp_path / "x.txt")])
+    except SystemExit as exc:  # argparse rejects the value while parsing
+        code = exc.code
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
     ["spectrum", "--model", "rotor", "--m-max", "4", "--levels", "9"],
     ["check", "--model", "free", "--charge", "q"],
     ["partner", "--model", "box", "--points", "801"],

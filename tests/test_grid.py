@@ -29,6 +29,10 @@ def test_dirichlet_spacing_formula():
     (1.0, 2, "dirichlet"),
     (1.0, 5, "periodic"),  # odd periodic count
     (1.0, 5, "neumann"),
+    (np.inf, 5, "dirichlet"),
+    (np.nan, 5, "dirichlet"),
+    (5e-301, 64, "periodic"),  # 1/h^2 overflows
+    (1e300, 101, "dirichlet"),  # 1/h^2 underflows to zero
 ])
 def test_build_grid_rejects_bad_parameters(half_width, n, boundary):
     with pytest.raises(ParameterError):

@@ -267,3 +267,81 @@ def test_hermitian_hint_contract():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(NumericalContractError):
         ops.LinearOperator.from_dense(bad, hermitian_hint=True)
+
+
+# ---------------------------------------------------------------------------
+# sparse storage against a dense reference
+
+def _random_part(rng, n):
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return m * (rng.random((n, n)) < 0.5)
+
+
+def _random_operator(rng, n, kind):
+    """(operator, dense A or None, dense B or None) for v -> A v + B conj(v)."""
+    a = _random_part(rng, n) if kind in ("linear", "mixed") else None
+    b = _random_part(rng, n) if kind in ("antilinear", "mixed") else None
+    if kind == "linear":
+        return ops.LinearOperator.from_dense(a), a, b
+    if kind == "antilinear":
+        return ops.AntilinearOperator(ops.LinearOperator.from_dense(b)), a, b
+    return ops.MixedOperator(a, b), a, b
+
+
+def _dense_apply(a, b, v):
+    out = np.zeros(len(v), dtype=complex)
+    if a is not None:
+        out += a @ v
+    if b is not None:
+        out += b @ np.conj(v)
+    return out
+
+
+_KINDS = st.sampled_from(["linear", "antilinear", "mixed"])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), _KINDS, _KINDS,
+       st.floats(-3.0, 3.0, allow_nan=False))
+def test_sparse_algebra_matches_dense_reference(seed, n, kind_x, kind_y, c):
+    rng = np.random.default_rng(seed)
+    x, xa, xb = _random_operator(rng, n, kind_x)
+    y, ya, yb = _random_operator(rng, n, kind_y)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    def close(op, expected):
+        np.testing.assert_allclose(op.apply(v), expected, atol=1e-12)
+
+    close(x, _dense_apply(xa, xb, v))
+    # an antilinear factor conjugates every matrix to its right
+    zero = np.zeros((n, n))
+    xa0, xb0, ya0, yb0 = (zero if m is None else m for m in (xa, xb, ya, yb))
+    ca = xa0 @ ya0 + xb0 @ np.conj(yb0)
+    cb = xa0 @ yb0 + xb0 @ np.conj(ya0)
+    xy = ops.compose(x, y)
+    close(xy, _dense_apply(ca, cb, v))
+    close(xy, x.apply(y.apply(v)))
+    assert isinstance(xy, ops.LinearOperator) == (xy.antilinear_matrix is None)
+    assert isinstance(xy, ops.AntilinearOperator) == (xy.linear_matrix is None)
+    close(ops.add(x, y), x.apply(v) + y.apply(v))
+    close(ops.subtract(x, y), x.apply(v) - y.apply(v))
+    close(ops.scale(x, c), c * x.apply(v))
+    # the real-linear adjoint: Re<w, X v> = Re<X^+ w, v>
+    lhs = np.vdot(w, x.apply(v)).real
+    rhs = np.vdot(x.adjoint().apply(w), v).real
+    assert lhs == pytest.approx(rhs, abs=1e-10)
+    expected_norm = np.sqrt(sum(np.sum(np.abs(m) ** 2) for m in (xa, xb) if m is not None))
+    assert fro(x) == pytest.approx(expected_norm, rel=1e-12, abs=1e-300)
+
+
+def test_q_pair_algebra_at_two_to_the_sixteen_points():
+    from susyqm.engine import MACHINE_TOL, algebra_residuals
+
+    g = build_grid(np.pi, 2 ** 16, "periodic")
+    p = ops.momentum(g)
+    pair = ops.supercharge_q_pair(p, ops.parity_operator(g), 1.0)
+    res = algebra_residuals(ops.momentum_squared_hamiltonian(p, 1.0), pair)
+    worst = max(res.comm_HQ, res.comm_HQdag, res.anticomm_minus_H,
+                res.nilpotency_q, res.nilpotency_qdag, res.closure)
+    assert worst <= MACHINE_TOL
