@@ -41,6 +41,16 @@ def fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _csv_rows(*columns) -> str:
+    """Rows of equal-length float columns, each value printed as fmt prints it.
+
+    One %-formatting call over all values; a call to fmt per value costs
+    more than the eigensolves at 10^5 grid points.
+    """
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    return (row * len(columns[0])) % tuple(np.column_stack(columns).ravel().tolist())
+
+
 def _write(path: str | None, text: str):
     if path is None:
         sys.stdout.write(text)
@@ -180,10 +190,9 @@ def cmd_partner(args) -> int:
         f"v_minus_max_abs_deviation_from_analytic={fmt(max_dev)}",
         "section: potentials (x, W, V_minus, V_plus)",
     ]
-    lines = [_csv_header(header, ["x", "W", "V_minus", "V_plus"])]
-    for x, w, vm, vp in zip(grid.points, result.w_samples,
-                            result.v_minus_samples, result.v_plus_samples):
-        lines.append(f"{fmt(x)},{fmt(w)},{fmt(vm)},{fmt(vp)}\n")
+    lines = [_csv_header(header, ["x", "W", "V_minus", "V_plus"]),
+             _csv_rows(grid.points, result.w_samples, result.v_minus_samples,
+                       result.v_plus_samples)]
     lines.append("# section: spectra (n, E_plus, E_minus; E_minus blank at n=1)\n")
     lines.append("n,E_plus,E_minus\n")
     n_levels = len(result.spectrum_plus.eigenvalues)

@@ -11,6 +11,12 @@ bundle:
 5. nilpotency {Q, Q} = {Qdag, Qdag} = 0,
 6. the generators close under mixed commutators and anticommutators.
 
+Spectra come from one path: every Hamiltonian here commutes with an
+exact parity permutation (x -> -x on the grid, m -> -m on the rotor
+basis), so numeric_spectrum folds it into an even and an odd block, both
+tridiagonal for the three-point stencil and the rotor, and solves each
+with eigh_tridiagonal. Parity labels are the block a level came from.
+
 Algebra residuals are only meaningful on periodic grids (or the rotor
 basis); Dirichlet models get spectral checks instead and a refusal on
 the algebra entry points.
@@ -34,7 +40,6 @@ MACHINE_TOL = 1e-12      # identities that hold exactly in the discretization
 CONVERGENCE_TOL = 1e-4   # grid eigenvalues against analytic values, relative
 PAIR_TOL = 1e-6          # default relative degeneracy tolerance
 _CLUSTER_TOL = 1e-8      # relative gap below which levels share a cluster
-_MIXED_PARITY_TOL = 1e-6
 
 
 @dataclass
@@ -53,34 +58,223 @@ class Spectrum:
 
 def numeric_spectrum(h: ops.LinearOperator, parity: ops.LinearOperator,
                      n_levels: int) -> Spectrum:
-    """Lowest n_levels eigenpairs with definite-parity eigenvectors.
+    """Lowest n_levels eigenpairs of h, each of definite parity.
 
-    A real symmetric tridiagonal h goes to the tridiagonal solver; any
-    other h is densified for a full Hermitian eigensolve. Within
-    degenerate clusters the raw eigenvectors are re-mixed to diagonalize
-    the parity operator before labeling.
+    parity must be a permutation matrix whose permutation pi is an
+    involution, and h must be real and commute with it bit for bit
+    (P h P == h). Then h folds into an even and an odd block over the
+    representatives j <= pi(j); for the three-point stencil on Dirichlet
+    and periodic grids, and for the rotor's diagonal h, both blocks are
+    tridiagonal. Each block is solved with eigh_tridiagonal, so the
+    parity label of every level is the block it came from, and every
+    eigenvector satisfies v[pi] == +/-v exactly. An h that is not even
+    under parity, or whose blocks are not tridiagonal, is refused with a
+    ParameterError; a non-Hermitian h with a NumericalContractError.
     """
     n = h.dimension
     if n_levels < 1:
         raise ParameterError(f"n_levels must be at least 1, got {n_levels}")
     if n_levels > n:
         raise ParameterError(f"n_levels {n_levels} exceeds dimension {n}")
-    bands = h.tridiag_bands
-    if bands is not None:
-        d, e = bands
-        vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, n_levels - 1))
-    else:
-        m = h.to_dense()
-        scale = np.linalg.norm(m)
-        if scale > 0 and np.linalg.norm(m - m.conj().T) > 1e-8 * scale:
-            raise NumericalContractError("numeric_spectrum requires a Hermitian matrix")
-        vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
-        vals, vecs = vals[:n_levels], vecs[:, :n_levels]
-    vecs = np.asfortranarray(vecs, dtype=complex)  # columns are read one at a time
-    _remix_degenerate(vals, vecs, parity)
-    labels = [_parity_label(vecs[:, i], parity) for i in range(len(vals))]
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs, parity_labels=labels,
+    perm = _involution(parity, n)
+    sectors = _fold(h, perm)
+
+    # Each sector first gets ceil(n_levels/2) + 1 levels. A truncated sector
+    # whose highest level lies below the merged n_levels-th level may hide
+    # more of the lowest levels, so it doubles its request and solves again;
+    # otherwise its unreturned levels are all at or above that cut.
+    half = -(-n_levels // 2) + 1
+    want = [min(s.dim, half) for s in sectors]
+    solved = [None, None]
+    while True:
+        for i, s in enumerate(sectors):
+            if want[i] and (solved[i] is None or len(solved[i][0]) != want[i]):
+                solved[i] = _lowest_levels(s, want[i])
+        values = [np.empty(0) if sol is None else sol[0] for sol in solved]
+        merged = np.sort(np.concatenate(values))
+        cut = merged[n_levels - 1] if len(merged) >= n_levels else np.inf
+        grow = [i for i, s in enumerate(sectors) if want[i] < s.dim and values[i][-1] < cut]
+        if not grow:
+            break
+        for i in grow:
+            want[i] = min(sectors[i].dim, 2 * want[i])
+
+    vals = np.concatenate(values)
+    order = np.argsort(vals, kind="stable")[:n_levels]
+    sector_of = np.repeat([0, 1], [len(v) for v in values])[order]
+    # columns are read one at a time, so the output is column-major
+    vecs = np.zeros((n, n_levels), dtype=complex, order="F")
+    for i, s in enumerate(sectors):
+        cols = np.flatnonzero(sector_of == i)
+        if len(cols):  # a sector's chosen levels are its lowest ones, in order
+            s.unfold(solved[i][1][:, :len(cols)], vecs, cols)
+    return Spectrum(eigenvalues=vals[order], eigenvectors=vecs,
+                    parity_labels=[_SECTOR_LABELS[i] for i in sector_of],
                     source="grid_eigensolve")
+
+
+_SECTOR_LABELS = ("even", "odd")
+_SQRT2 = np.sqrt(2.0)
+
+
+@dataclass
+class _Sector:
+    """One parity block of a folded Hamiltonian, as a symmetric tridiagonal matrix.
+
+    Block row k stands for the basis vector (e_a + sign e_pi(a)) / sqrt(2)
+    of representative a = reps[k], or e_a alone when a is a fixed point.
+    """
+
+    sign: float
+    reps: np.ndarray
+    fixed: np.ndarray  # bool per block row: its representative is a fixed point
+    perm: np.ndarray
+    diag: np.ndarray
+    offdiag: np.ndarray
+    asym_sq: float  # squared Frobenius norm of block - block^T
+
+    @property
+    def dim(self) -> int:
+        return len(self.reps)
+
+    def unfold(self, u: np.ndarray, out: np.ndarray, cols: np.ndarray):
+        """Write the full-space vectors of block eigenvectors u into out[:, cols].
+
+        v[a] = u / sqrt(2) and v[pi(a)] = sign * u / sqrt(2), or v[a] = u at a
+        fixed point, so every vector has its parity exactly.
+        """
+        at_fixed = np.flatnonzero(self.fixed)
+        paired = np.flatnonzero(~self.fixed)
+        fixed_points = self.reps[at_fixed]
+        a = self.reps[paired]
+        mirror = self.perm[a]
+        for col, vec in zip(cols, np.ascontiguousarray(u.T)):
+            v = out[:, col].real
+            v[fixed_points] = vec[at_fixed]
+            w = vec[paired] / _SQRT2
+            v[a] = w
+            v[mirror] = w if self.sign > 0 else -w
+
+
+def _involution(parity: ops.LinearOperator, n: int) -> np.ndarray:
+    """The permutation pi of a parity operator P v = v[pi], required to be an involution."""
+    m = parity.linear_matrix
+    if (parity.antilinear_matrix is not None or m.shape != (n, n)
+            or not np.array_equal(m.indptr, np.arange(n + 1)) or np.any(m.data != 1)):
+        raise ParameterError(
+            f"parity must be a linear {n}x{n} permutation matrix to fold the Hamiltonian")
+    perm = m.indices
+    if not np.array_equal(perm[perm], np.arange(n)):
+        raise ParameterError("the parity permutation is not an involution")
+    return perm
+
+
+def _fold(h: ops.LinearOperator, perm: np.ndarray) -> tuple[_Sector, _Sector]:
+    """Even and odd tridiagonal blocks of h, built from its CSR arrays in O(nnz).
+
+    Over representatives a, b (a <= pi(a)) that are not fixed points, the
+    even block holds h[a, b] + h[a, pi(b)] and the odd block h[a, b] -
+    h[a, pi(b)]; a fixed point's coupling to another representative gets a
+    factor sqrt(2), and an entry between two fixed points stays h[a, b].
+    The blocks are built entry by entry from these sums, not as U^T h U
+    with 1/sqrt(2) factors, so that exactly symmetric h gives exactly
+    symmetric blocks and exact entries stay exact.
+    """
+    a = h.linear_matrix
+    if a is None or h.antilinear_matrix is not None:
+        raise ParameterError("numeric_spectrum needs a complex-linear Hamiltonian")
+    if not a.has_canonical_format:
+        a = a.copy()
+        a.sum_duplicates()
+    n = len(perm)
+    rows = np.repeat(np.arange(n), np.diff(a.indptr))
+    cols, vals = a.indices, a.data
+    if np.iscomplexobj(vals):
+        if np.any(vals.imag):
+            raise ParameterError("numeric_spectrum needs a real Hamiltonian")
+        vals = vals.real
+    if not np.all(vals):  # explicit zeros couple nothing
+        keep = vals != 0
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    if not _commutes(perm, rows, cols, vals):
+        raise ParameterError(
+            "the Hamiltonian is not bit-exactly even under parity (P H P != H); "
+            "the parity-sector eigensolve needs a reflection-symmetric potential")
+    scale = np.sqrt(np.dot(vals, vals))
+
+    # P h P == h makes the rows of non-representatives redundant
+    j = np.arange(n)
+    fixed = perm == j
+    is_rep = j <= perm
+    on_rep_row = is_rep[rows]
+    rows, cols, vals = rows[on_rep_row], cols[on_rep_row], vals[on_rep_row]
+    b = np.minimum(cols, perm[cols])  # the representative of each column
+    mirrored = cols != b
+    rf, bf = fixed[rows], fixed[b]
+    # a fixed row sees b and pi(b) with equal entries: keep one, scaled by sqrt(2)
+    even = ~(rf & mirrored)
+    odd = ~(rf | bf)
+    even_pos = np.cumsum(is_rep) - 1
+    odd_pos = np.cumsum(is_rep & ~fixed) - 1
+    sectors = (
+        _sector(1.0, j[is_rep], fixed, perm, even_pos[rows[even]], even_pos[b[even]],
+                np.where(rf ^ bf, _SQRT2 * vals, vals)[even]),
+        _sector(-1.0, j[is_rep & ~fixed], fixed, perm, odd_pos[rows[odd]], odd_pos[b[odd]],
+                np.where(mirrored, -vals, vals)[odd]),
+    )
+    # the fold is orthogonal, so the blocks' asymmetry is that of h itself
+    asym = np.sqrt(sum(s.asym_sq for s in sectors))
+    if scale > 0 and asym > 1e-8 * scale:
+        raise NumericalContractError("numeric_spectrum requires a Hermitian matrix")
+    return sectors
+
+
+def _commutes(perm: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> bool:
+    """P h P == h bit for bit: (r, c) -> (pi(r), pi(c)) maps h's entries onto themselves.
+
+    The canonical CSR keys r * n + c ascend; under a grid reflection the
+    mapped keys mostly descend, which the stable sort handles in O(nnz).
+    """
+    n = len(perm)
+    mapped = perm[rows].astype(np.int64, copy=False)
+    mapped *= n
+    mapped += perm[cols]
+    order = np.argsort(mapped, kind="stable")
+    if not np.array_equal(vals[order], vals):
+        return False
+    key = rows.astype(np.int64)
+    key *= n
+    key += cols
+    return np.array_equal(mapped[order], key)
+
+
+def _sector(sign: float, reps: np.ndarray, fixed: np.ndarray, perm: np.ndarray,
+            rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> _Sector:
+    """A sector from its folded entries (block row, block column, value)."""
+    dim = len(reps)
+    step = cols - rows
+    if np.any(np.abs(step) > 1):
+        raise ParameterError(
+            "a parity block of the Hamiltonian is not tridiagonal; the sector "
+            "eigensolve needs a three-point stencil or a diagonal Hamiltonian")
+    diag = np.bincount(rows[step == 0], weights=vals[step == 0], minlength=dim)
+    upper = np.bincount(rows[step == 1], weights=vals[step == 1], minlength=max(dim - 1, 0))
+    lower = np.bincount(cols[step == -1], weights=vals[step == -1], minlength=max(dim - 1, 0))
+    return _Sector(sign=sign, reps=reps, fixed=fixed[reps], perm=perm, diag=diag,
+                   offdiag=(upper + lower) / 2.0,
+                   asym_sq=2.0 * float(np.dot(upper - lower, upper - lower)))
+
+
+def _lowest_levels(sector: _Sector, k: int):
+    """The k lowest eigenpairs of a sector block.
+
+    A full block takes the default MRRR driver; a partial one selects by
+    index (bisection plus inverse iteration). MRRR with a selection would
+    allocate a dim x dim work array.
+    """
+    if k == sector.dim:
+        return eigh_tridiagonal(sector.diag, sector.offdiag)
+    return eigh_tridiagonal(sector.diag, sector.offdiag, select="i", select_range=(0, k - 1))
 
 
 def _cluster_slices(vals: np.ndarray, rel_tol: float = _CLUSTER_TOL):
@@ -90,25 +284,6 @@ def _cluster_slices(vals: np.ndarray, rel_tol: float = _CLUSTER_TOL):
         if i == len(vals) or vals[i] - vals[i - 1] > rel_tol * scale:
             yield slice(start, i)
             start = i
-
-
-def _remix_degenerate(vals: np.ndarray, vecs: np.ndarray, parity: ops.LinearOperator):
-    for sl in _cluster_slices(vals):
-        if sl.stop - sl.start < 2:
-            continue
-        block = vecs[:, sl]
-        pb = np.column_stack([parity.apply(block[:, i]) for i in range(block.shape[1])])
-        overlap = block.conj().T @ pb
-        overlap = (overlap + overlap.conj().T) / 2.0
-        _, rot = np.linalg.eigh(overlap)
-        vecs[:, sl] = block @ rot
-
-
-def _parity_label(vec: np.ndarray, parity: ops.LinearOperator) -> str:
-    s = np.vdot(vec, parity.apply(vec)).real / (np.vdot(vec, vec).real)
-    if abs(s) < 1.0 - _MIXED_PARITY_TOL:
-        return "mixed"
-    return "even" if s > 0 else "odd"
 
 
 # ---------------------------------------------------------------------------
@@ -410,22 +585,38 @@ class SusyReport:
         }
 
 
+# pairs (32 columns) per batched charge application; larger blocks fall out of cache
+_PAIR_CHUNK = 16
+
+
 def _pair_invariance(spectrum: Spectrum, pairing: PairingMap, q, qdag) -> float:
-    """Worst relative leakage of the charge images out of their pair subspaces."""
+    """Worst relative leakage of the charge images out of their pair subspaces.
+
+    Each charge acts on the columns of up to _PAIR_CHUNK pairs at once, and
+    each image is projected onto its own pair's two columns. Images that
+    the charge (nearly) annihilates are skipped, as a nilpotent charge
+    annihilates one member of each pair.
+    """
     worst = 0.0
     actions = [a for _, a in _charge_actions(*_charges_of((q, qdag) if qdag else q))]
-    for i, j, _ in pairing.pairs:
-        block = spectrum.eigenvectors[:, [i, j]]
-        for v_idx in (0, 1):
-            v = block[:, v_idx]
-            e = abs(spectrum.eigenvalues[i])
-            for action in actions:
-                w = action.apply(v)
-                wn = np.linalg.norm(w)
-                if wn <= 1e-10 * (1.0 + np.sqrt(e)):
-                    continue  # annihilated, consistent with one-way nilpotent action
-                leak = w - block @ (block.conj().T @ w)
-                worst = max(worst, float(np.linalg.norm(leak) / wn))
+    pairs = np.array([(i, j) for i, j, _ in pairing.pairs], dtype=int).reshape(-1, 2)
+    rows = spectrum.eigenvectors.T  # one eigenvector per row, contiguous along the grid
+    n = rows.shape[1]
+    for start in range(0, len(pairs), _PAIR_CHUNK):
+        chunk = pairs[start:start + _PAIR_CHUNK]
+        basis = rows[chunk]  # [pair, member, point]
+        basis_conj = basis.conj()
+        floor = 1e-10 * (1.0 + np.sqrt(np.abs(spectrum.eigenvalues[chunk[:, 0]])))
+        for action in actions:
+            w = action.apply(basis.reshape(-1, n).T)
+            w = np.ascontiguousarray(w.T).reshape(basis.shape)
+            coef = np.einsum("psk,ptk->pst", basis_conj, w)
+            leak = w - coef.transpose(0, 2, 1) @ basis
+            wn = np.linalg.norm(w, axis=2)
+            live = wn > floor[:, None]
+            if np.any(live):
+                ratio = np.linalg.norm(leak, axis=2)[live] / wn[live]
+                worst = max(worst, float(np.max(ratio)))
     return worst
 
 

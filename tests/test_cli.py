@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from susyqm.cli import main
+from susyqm.cli import _csv_rows, fmt, main
 
 
 def run(tmp_path, *argv, name="out.txt"):
@@ -124,6 +124,15 @@ def test_partner_box_report(tmp_path):
     assert first[0] == "1" and first[2] == ""  # no partner level under E_1
     second = spectra[1].split(",")
     assert float(second[1]) == pytest.approx(float(second[2]), rel=1e-4)
+
+
+def test_csv_rows_match_fmt_bytes():
+    values = [-0.0, 0.0, 5e-324, 2.5e-310, np.inf, -np.inf, np.nan, 1.0 / 3.0,
+              *10.0 ** np.arange(-8, 9), *(-np.pi * 10.0 ** np.arange(-8, 9))]
+    values += [1.0] * (-len(values) % 4)
+    columns = np.reshape(values, (-1, 4)).T
+    expected = "".join(",".join(fmt(v) for v in row) + "\n" for row in zip(*columns))
+    assert _csv_rows(*columns) == expected
 
 
 def test_partner_rejects_other_models(tmp_path, capsys):

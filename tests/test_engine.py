@@ -1,3 +1,6 @@
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +11,7 @@ from susyqm.engine import (Spectrum, algebra_residuals, build_check,
                            detect_pairing, eq5_action_table, ground_state_check,
                            numeric_spectrum)
 from susyqm.errors import DirichletAlgebraError, NumericalContractError, ParameterError
-from susyqm.grid import build_grid
+from susyqm.grid import build_grid, parity_permutation
 from susyqm.models import FreeParticle, ParticleInBox, PlanarRotor, box_energy
 
 
@@ -70,6 +73,123 @@ def test_degenerate_eigenvectors_get_definite_parity(free_setup):
         s = abs(np.vdot(v, par.apply(v)).real)
         assert s >= 1.0 - 1e-8
         assert spec.parity_labels[i] in ("even", "odd")
+
+
+def _assert_exact_parity(spec, perm):
+    for i, label in enumerate(spec.parity_labels):
+        v = spec.eigenvectors[:, i]
+        sign = {"even": 1.0, "odd": -1.0}[label]
+        np.testing.assert_array_equal(v[perm], sign * v)
+
+
+@settings(deadline=None, max_examples=60)
+@given(boundary=st.sampled_from(["dirichlet", "periodic"]),
+       half_points=st.integers(min_value=2, max_value=20),
+       half_width=st.floats(min_value=0.5, max_value=5.0),
+       coeffs=st.lists(st.floats(min_value=-20.0, max_value=20.0), min_size=1, max_size=4),
+       data=st.data())
+def test_sector_solve_matches_dense_eigvalsh(boundary, half_points, half_width, coeffs, data):
+    n = 2 * half_points + (boundary == "dirichlet" and half_points % 2)
+    grid = build_grid(half_width, n, boundary)
+    # a potential sampled from |x| is bit-exactly even on the symmetric grid
+    h = ops.hamiltonian(grid, lambda x: np.polyval(coeffs, abs(x)))
+    n_levels = data.draw(st.integers(min_value=1, max_value=n))
+    spec = numeric_spectrum(h, ops.parity_operator(grid), n_levels)
+    dense = h.to_dense()
+    scale = np.max(np.abs(np.linalg.eigvalsh(dense)))
+    np.testing.assert_allclose(spec.eigenvalues, np.linalg.eigvalsh(dense)[:n_levels],
+                               rtol=0, atol=1e-9 * scale)
+    vecs = spec.eigenvectors
+    resid = dense @ vecs - vecs * spec.eigenvalues
+    assert np.max(np.abs(resid)) <= 1e-9 * scale
+    _assert_exact_parity(spec, parity_permutation(grid))
+
+
+def test_periodic_full_spectrum_sector_counts():
+    grid = build_grid(np.pi, 1024, "periodic")
+    h = ops.hamiltonian(grid, lambda x: 0.0)
+    spec = numeric_spectrum(h, ops.parity_operator(grid), 1024)
+    assert spec.parity_labels.count("even") == 513
+    assert spec.parity_labels.count("odd") == 511
+    _assert_exact_parity(spec, parity_permutation(grid))
+
+
+@pytest.mark.parametrize("boundary,n", [("dirichlet", 51), ("periodic", 50)])
+def test_odd_potential_is_refused(boundary, n):
+    grid = build_grid(1.0, n, boundary)
+    h = ops.hamiltonian(grid, lambda x: x)
+    with pytest.raises(ParameterError, match="even under parity"):
+        numeric_spectrum(h, ops.parity_operator(grid), 4)
+
+
+def test_non_involution_parity_is_refused():
+    grid = build_grid(1.0, 5, "dirichlet")
+    h = ops.hamiltonian(grid, lambda x: 0.0)
+    cycle = ops.LinearOperator.from_permutation([1, 2, 3, 4, 0])
+    with pytest.raises(ParameterError, match="involution"):
+        numeric_spectrum(h, cycle, 2)
+
+
+def test_non_tridiagonal_sector_is_refused():
+    # a coupling to the second neighbour survives the fold off the tridiagonal band
+    d2 = np.diag(np.full(6, 2.0)) + np.diag(np.ones(4), 2) + np.diag(np.ones(4), -2)
+    h = ops.LinearOperator.from_dense(d2)
+    with pytest.raises(ParameterError, match="not tridiagonal"):
+        numeric_spectrum(h, ops.LinearOperator.from_permutation(np.arange(6)[::-1]), 2)
+
+
+@pytest.mark.parametrize("perm", [
+    np.arange(40),                              # every point fixed: one sector holds all
+    np.r_[np.arange(34), np.arange(40, 34, -1) - 1],  # six mirrored points above 34 fixed ones
+])
+def test_lopsided_sectors_regrow_their_request(perm):
+    # the lowest k levels lie far more than ceil(k/2) + 1 deep in the even sector
+    d = np.r_[np.arange(34.0), np.full(6, 100.0)]
+    h = ops.LinearOperator.from_tridiag(d, np.zeros(39))
+    spec = numeric_spectrum(h, ops.LinearOperator.from_permutation(perm), 20)
+    np.testing.assert_array_equal(spec.eigenvalues, np.arange(20.0))
+    assert spec.parity_labels == ["even"] * 20
+    # with a coupling the blocks stay tridiagonal and the levels still match
+    grid = build_grid(1.0, 40, "dirichlet")
+    h = ops.hamiltonian(grid, lambda x: 0.0)
+    spec = numeric_spectrum(h, ops.LinearOperator.from_permutation(np.arange(40)), 12)
+    np.testing.assert_allclose(spec.eigenvalues, np.linalg.eigvalsh(h.to_dense())[:12],
+                               rtol=1e-12)
+
+
+def test_two_to_the_sixteen_periodic_levels_stay_sparse():
+    grid = build_grid(np.pi, 2 ** 16, "periodic")
+    h = ops.hamiltonian(grid, lambda x: 0.0)
+    par = ops.parity_operator(grid)
+    t0 = time.perf_counter()
+    spec = numeric_spectrum(h, par, 8)
+    elapsed = time.perf_counter() - t0
+    # a dense solve would need a 2^16 x 2^16 complex matrix (68 GB)
+    assert elapsed < 10.0
+    modes = np.array([0, 1, 1, 2, 2, 3, 3, 4])
+    h_norm = 2.0 / grid.spacing ** 2
+    exact = h_norm * np.sin(np.pi * modes / grid.n_points) ** 2
+    # the solver's absolute error is a few eps * ||H||, about 1e-8 here
+    np.testing.assert_allclose(spec.eigenvalues, exact, rtol=0, atol=1e-13 * h_norm)
+    labels = spec.parity_labels
+    assert labels[0] == "even"
+    assert all({labels[i], labels[i + 1]} == {"even", "odd"} for i in (1, 3, 5))
+
+
+def test_box_eigenvectors_match_independent_solver_oracle():
+    oracle = np.loadtxt(Path(__file__).parent / "data" / "box_eigenvectors_l1_n999.txt")
+    grid = build_grid(0.5, 999, "dirichlet")
+    # the shift by 0.5 rounds once: half an ulp of 1
+    np.testing.assert_allclose(oracle[:, 0], grid.points + 0.5, rtol=0,
+                               atol=np.finfo(float).eps / 2)
+    h = ops.hamiltonian(grid, lambda x: 0.0)
+    spec = numeric_spectrum(h, ops.parity_operator(grid), 3)
+    assert not np.any(spec.eigenvectors.imag)
+    for k in range(3):
+        ref = oracle[:, k + 1] / np.linalg.norm(oracle[:, k + 1])
+        v = spec.eigenvectors[:, k].real
+        v = v * np.sign(v @ ref)
+        np.testing.assert_allclose(v, ref, rtol=0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +401,44 @@ def test_nyquist_mode_flagged_and_excluded():
     assert report.artifact_indices == [127]
     assert 127 in report.pairing.unpaired
     assert report.verdicts[2].satisfied
+
+
+def _pair_invariance_loop(spectrum, pairing, actions):
+    """The per-vector form of engine._pair_invariance, kept as its reference."""
+    worst = 0.0
+    for i, j, _ in pairing.pairs:
+        block = spectrum.eigenvectors[:, [i, j]]
+        for v in block.T:
+            for action in actions:
+                w = action.apply(v)
+                wn = np.linalg.norm(w)
+                if wn <= 1e-10 * (1.0 + np.sqrt(abs(spectrum.eigenvalues[i]))):
+                    continue
+                leak = w - block @ (block.conj().T @ w)
+                worst = max(worst, float(np.linalg.norm(leak) / wn))
+    return worst
+
+
+@pytest.mark.parametrize("charge", ["Q", "q"])
+def test_batched_pair_invariance_matches_per_vector_loop(charge):
+    # random orthonormal "pairs" leak at O(1), so the comparison is not rounding noise
+    grid = build_grid(np.pi, 96, "periodic")
+    p, par = ops.momentum(grid), ops.parity_operator(grid)
+    if charge == "Q":
+        q, qdag = ops.supercharge_Q(p, par, 1.0), None
+        actions = [q.action, q.adjoint_action]
+    else:
+        q, qdag = ops.supercharge_q_pair(p, par, 1.0)
+        actions = [q.action, qdag.action]
+    rng = np.random.default_rng(3)
+    vecs, _ = np.linalg.qr(rng.standard_normal((96, 80)) + 1j * rng.standard_normal((96, 80)))
+    spec = Spectrum(eigenvalues=np.repeat(np.arange(40.0), 2), eigenvectors=vecs,
+                    parity_labels=["even", "odd"] * 40, source="analytic")
+    pairing = detect_pairing(spec)
+    assert len(pairing.pairs) == 40  # more than two chunks
+    expected = _pair_invariance_loop(spec, pairing, actions)
+    assert expected > 0.1
+    assert engine._pair_invariance(spec, pairing, q, qdag) == pytest.approx(expected, rel=1e-12)
 
 
 def test_build_check_refuses_dirichlet_models():
