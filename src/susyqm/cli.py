@@ -351,6 +351,9 @@ def main(argv=None) -> int:
     except NumericalContractError as exc:
         print(f"numerical contract violation: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except np.linalg.LinAlgError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except SusyqmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

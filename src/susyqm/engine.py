@@ -15,7 +15,11 @@ Spectra come from one path: every Hamiltonian here commutes with an
 exact parity permutation (x -> -x on the grid, m -> -m on the rotor
 basis), so numeric_spectrum folds it into an even and an odd block, both
 tridiagonal for the three-point stencil and the rotor, and solves each
-with eigh_tridiagonal. Parity labels are the block a level came from.
+with eigh_tridiagonal: a block whose every level is wanted by divide and
+conquer (stevd), values and vectors together; otherwise by bisection
+(stebz) for exactly the levels needed, values only, with inverse
+iteration (stein) run when the eigenvectors are first read. Parity
+labels are the block a level came from.
 
 Algebra residuals are only meaningful on periodic grids (or the rotor
 basis); Dirichlet models get spectral checks instead and a refusal on
@@ -24,11 +28,12 @@ the algebra entry points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, lapack
 
 from . import operators as ops
 from .errors import DirichletAlgebraError, NumericalContractError, ParameterError
@@ -42,15 +47,24 @@ PAIR_TOL = 1e-6          # default relative degeneracy tolerance
 _CLUSTER_TOL = 1e-8      # relative gap below which levels share a cluster
 
 
-@dataclass
 class Spectrum:
-    """Sorted eigenvalues with parity-labeled eigenvectors."""
+    """Sorted eigenvalues with parity labels, and eigenvectors built on first read.
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns, unit norm
-    parity_labels: list[str]
-    source: str  # grid_eigensolve | analytic
-    artifact_indices: list[int] = field(default_factory=list)
+    eigenvectors is an array of unit-norm columns, or a function that
+    returns one: numeric_spectrum passes a function, so a caller that reads
+    only eigenvalues never pays for the vectors.
+    """
+
+    def __init__(self, eigenvalues: np.ndarray, eigenvectors, parity_labels: list[str]):
+        self.eigenvalues = eigenvalues
+        self.parity_labels = parity_labels
+        self._eigenvectors = eigenvectors
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        if callable(self._eigenvectors):
+            self._eigenvectors = self._eigenvectors()
+        return self._eigenvectors
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
@@ -70,6 +84,15 @@ def numeric_spectrum(h: ops.LinearOperator, parity: ops.LinearOperator,
     eigenvector satisfies v[pi] == +/-v exactly. An h that is not even
     under parity, or whose blocks are not tridiagonal, is refused with a
     ParameterError; a non-Hermitian h with a NumericalContractError.
+
+    Eigenvalues are accurate to about eps * ||h||_1 in absolute terms
+    (eps = 2.2e-16), not relative to each level. On a grid ||h||_1 is
+    about 2/h^2, so at 10^5 points on a box of length pi that is 4.5e-7,
+    and a low level moves by up to that much between requests for
+    different n_levels (the sec^2 partner's E0 there moves by 3.1e-7
+    between 8 and 9 levels). Eigenvectors are computed when
+    .eigenvectors is first read, so callers that need only energies
+    never pay for them.
     """
     n = h.dimension
     if n_levels < 1:
@@ -79,38 +102,33 @@ def numeric_spectrum(h: ops.LinearOperator, parity: ops.LinearOperator,
     perm = _involution(parity, n)
     sectors = _fold(h, perm)
 
-    # Each sector first gets ceil(n_levels/2) + 1 levels. A truncated sector
-    # whose highest level lies below the merged n_levels-th level may hide
-    # more of the lowest levels, so it doubles its request and solves again;
-    # otherwise its unreturned levels are all at or above that cut.
-    half = -(-n_levels // 2) + 1
-    want = [min(s.dim, half) for s in sectors]
-    solved = [None, None]
+    # The even sector is asked for ceil(n_levels/2) levels and the odd one
+    # for floor(n_levels/2), a sector too small for its share passing the
+    # rest to the other, so a whole spectrum is one full solve per sector.
+    # A truncated sector then counts its levels at or below the merged
+    # n_levels-th level; if it holds more than it solved, it solves for
+    # exactly that many, which can only lower the cut.
+    dims = [s.dim for s in sectors]
+    want = [min(dims[0], max(-(-n_levels // 2), n_levels - dims[1])),
+            min(dims[1], max(n_levels // 2, n_levels - dims[0]))]
+    solved = [(np.empty(0), None)] * 2
     while True:
-        for i, s in enumerate(sectors):
-            if want[i] and (solved[i] is None or len(solved[i][0]) != want[i]):
-                solved[i] = _lowest_levels(s, want[i])
-        values = [np.empty(0) if sol is None else sol[0] for sol in solved]
-        merged = np.sort(np.concatenate(values))
-        cut = merged[n_levels - 1] if len(merged) >= n_levels else np.inf
-        grow = [i for i, s in enumerate(sectors) if want[i] < s.dim and values[i][-1] < cut]
-        if not grow:
+        solved = [sol if len(sol[0]) == k else _lowest_levels(s, k)
+                  for s, k, sol in zip(sectors, want, solved)]
+        values = [sol[0] for sol in solved]
+        cut = np.sort(np.concatenate(values))[n_levels - 1]
+        grown = [max(k, _count_at_or_below(s, cut)) if k < s.dim else k
+                 for s, k in zip(sectors, want)]
+        if grown == want:
             break
-        for i in grow:
-            want[i] = min(sectors[i].dim, 2 * want[i])
+        want = grown
 
     vals = np.concatenate(values)
     order = np.argsort(vals, kind="stable")[:n_levels]
     sector_of = np.repeat([0, 1], [len(v) for v in values])[order]
-    # columns are read one at a time, so the output is column-major
-    vecs = np.zeros((n, n_levels), dtype=complex, order="F")
-    for i, s in enumerate(sectors):
-        cols = np.flatnonzero(sector_of == i)
-        if len(cols):  # a sector's chosen levels are its lowest ones, in order
-            s.unfold(solved[i][1][:, :len(cols)], vecs, cols)
-    return Spectrum(eigenvalues=vals[order], eigenvectors=vecs,
-                    parity_labels=[_SECTOR_LABELS[i] for i in sector_of],
-                    source="grid_eigensolve")
+    return Spectrum(eigenvalues=vals[order],
+                    eigenvectors=partial(_eigenvectors, sectors, solved, sector_of),
+                    parity_labels=[_SECTOR_LABELS[i] for i in sector_of])
 
 
 _SECTOR_LABELS = ("even", "odd")
@@ -196,11 +214,18 @@ def _fold(h: ops.LinearOperator, perm: np.ndarray) -> tuple[_Sector, _Sector]:
     if not np.all(vals):  # explicit zeros couple nothing
         keep = vals != 0
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    if not np.all(np.isfinite(vals)):
+        raise ParameterError("the Hamiltonian has a non-finite entry")
     if not _commutes(perm, rows, cols, vals):
         raise ParameterError(
             "the Hamiltonian is not bit-exactly even under parity (P H P != H); "
             "the parity-sector eigensolve needs a reflection-symmetric potential")
-    scale = np.sqrt(np.dot(vals, vals))
+    with np.errstate(over="ignore"):
+        scale = np.sqrt(np.dot(vals, vals))
+    if len(vals) and not 0 < scale < np.inf:
+        raise ParameterError(
+            "the Hamiltonian's entries are out of range: their squares overflow or "
+            "vanish in double precision")
 
     # P h P == h makes the rows of non-representatives redundant
     j = np.arange(n)
@@ -266,15 +291,79 @@ def _sector(sign: float, reps: np.ndarray, fixed: np.ndarray, perm: np.ndarray,
 
 
 def _lowest_levels(sector: _Sector, k: int):
-    """The k lowest eigenpairs of a sector block.
+    """The k lowest eigenvalues of a sector block, with its eigenvectors if k is its dimension.
 
-    A full block takes the default MRRR driver; a partial one selects by
-    index (bisection plus inverse iteration). MRRR with a selection would
-    allocate a dim x dim work array.
+    A full block is one eigh_tridiagonal call, whose 'auto' driver is
+    stevd (divide and conquer), returning values and vectors together. A
+    partial one is bisection by index (stebz) for the values only; the
+    vectors come from inverse iteration on those values if they are ever
+    read (_eigenvectors). Bisection's default tolerance and divide and
+    conquer's backward error both put the eigenvalues within a few
+    eps * ||block||_1 of the exact ones.
     """
     if k == sector.dim:
         return eigh_tridiagonal(sector.diag, sector.offdiag)
-    return eigh_tridiagonal(sector.diag, sector.offdiag, select="i", select_range=(0, k - 1))
+    return eigh_tridiagonal(sector.diag, sector.offdiag, eigvals_only=True,
+                            select="i", select_range=(0, k - 1)), None
+
+
+def _count_at_or_below(sector: _Sector, x: float) -> int:
+    """How many eigenvalues of a sector block are <= x, from Sturm counts in O(dim).
+
+    eigh_tridiagonal selecting by value returns one estimate per
+    eigenvalue in the window; with a tolerance as wide as the window the
+    bisection stops once it has counted at the window's ends. The window
+    starts below -||block||_inf, under every eigenvalue.
+    """
+    norm = np.max(np.abs(sector.diag)) + 2.0 * np.max(np.abs(sector.offdiag), initial=0.0)
+    low = -2.0 * norm - 1.0
+    if x <= low:
+        return 0
+    return len(eigh_tridiagonal(sector.diag, sector.offdiag, eigvals_only=True,
+                                select="v", select_range=(low, x), tol=x - low))
+
+
+def _eigenvectors(sectors, solved, sector_of: np.ndarray) -> np.ndarray:
+    """The full-space eigenvectors of the chosen levels, as columns in level order.
+
+    A sector solved in full carries its block vectors; a partial one gets
+    them by inverse iteration (stein) on its bisection values.
+    """
+    # columns are read one at a time, so the output is column-major
+    vecs = np.zeros((len(sectors[0].perm), len(sector_of)), dtype=complex, order="F")
+    for i, s in enumerate(sectors):
+        cols = np.flatnonzero(sector_of == i)
+        if not len(cols):
+            continue
+        # a sector's chosen levels are its lowest ones, in order
+        values, u = solved[i]
+        if u is None:
+            u = _inverse_iteration(s, values[:len(cols)])
+        s.unfold(u[:, :len(cols)], vecs, cols)
+    return vecs
+
+
+def _inverse_iteration(sector: _Sector, w: np.ndarray) -> np.ndarray:
+    """Block eigenvectors for the ascending bisection eigenvalues w, by LAPACK stein.
+
+    stein needs each value's split-off block. Bisection splits the block
+    where an off-diagonal is negligible (stebz's test below) and does not
+    report which piece each value came from, so a block that splits (the
+    rotor's diagonal one) is solved again, values and vectors together.
+    Otherwise it is one block, w is in stein's order, and inverse
+    iteration runs on w as stored.
+    """
+    d, e = sector.diag, sector.offdiag
+    ulp, safe_min = np.finfo(float).eps, np.finfo(float).tiny
+    if np.any(np.abs(d[1:] * d[:-1]) * ulp ** 2 + safe_min > e ** 2):
+        return eigh_tridiagonal(d, e, select="i", select_range=(0, len(w) - 1))[1]
+    isplit = np.zeros(sector.dim, dtype=np.int32)
+    isplit[0] = sector.dim
+    u, info = lapack.dstein(d, e, w, np.ones(sector.dim, dtype=np.int32), isplit)
+    if info:
+        raise NumericalContractError(
+            f"inverse iteration left {info} sector eigenvectors unconverged")
+    return u
 
 
 def _cluster_slices(vals: np.ndarray, rel_tol: float = _CLUSTER_TOL):
@@ -428,7 +517,7 @@ class GroundRecord:
     annihilation_residuals: dict[str, float]
 
 
-def ground_state_check(spectrum: Spectrum, charges, zero_tol: float = 1e-10,
+def ground_state_check(spectrum: Spectrum, charges,
                        energy_shift: float = 0.0) -> GroundRecord:
     """Lowest-level degeneracy and relative annihilation norms per charge."""
     if len(spectrum) == 0:
@@ -500,7 +589,7 @@ def eq5_action_table(grid: Grid1D, k_list, mass: float = 1.0, *,
         # turns, so reducing the integer phase keeps every argument below 2 pi
         # and the samples accurate to machine epsilon even near Nyquist
         n = grid.n_points
-        phase = (round(mode) * (np.arange(n) - n // 2)) % n
+        phase = (round(mode) % n * (np.arange(n) - n // 2)) % n
         theta = 2.0 * np.pi * phase / n
         c = np.cos(theta)
         s = np.sin(theta)
@@ -664,7 +753,7 @@ def build_check(model: ModelSpec, charge: str, *, n_points: int = 512,
 
     charges = q if qdag is None else (q, qdag)
     shift = float(spectrum.eigenvalues[0]) if zero_point_reset else 0.0
-    ground = ground_state_check(spectrum, charges, zero_tol=zero_tol, energy_shift=shift)
+    ground = ground_state_check(spectrum, charges, energy_shift=shift)
     pairing = detect_pairing(spectrum, pair_tol)
     algebra = algebra_residuals(h_alg, charges, boundary=PERIODIC)
     invariance = _pair_invariance(spectrum, pairing, q, qdag)

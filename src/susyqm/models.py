@@ -93,8 +93,8 @@ ModelSpec = FreeParticle | ParticleInBox | SecSquaredPartner | DeltaWell | Plana
 
 
 def _require_positive(name: str, value: float):
-    if not value > 0:
-        raise ParameterError(f"{name} must be strictly positive, got {value!r}")
+    if not 0 < value < np.inf:
+        raise ParameterError(f"{name} must be positive and finite, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

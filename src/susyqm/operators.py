@@ -292,9 +292,14 @@ def parity_operator(grid: Grid1D) -> LinearOperator:
 
 
 def hamiltonian(grid: Grid1D, potential) -> LinearOperator:
-    """H = -1/2 second_derivative + diag(V(x_j)); real symmetric."""
+    """H = -1/2 second_derivative + diag(V(x_j)); real symmetric.
+
+    potential is called once, on the array of grid points; a scalar
+    result (a constant potential such as lambda x: 0.0) is broadcast to
+    every point.
+    """
     x = grid.points
-    v = np.asarray([float(potential(xi)) for xi in x])
+    v = np.broadcast_to(np.asarray(potential(x), dtype=float), x.shape)
     bad = np.flatnonzero(~np.isfinite(v))
     if bad.size:
         j = int(bad[0])

@@ -85,6 +85,10 @@ def partner_potential(psi0, e0: float, grid: Grid1D, *,
     """
     if grid.boundary != DIRICHLET:
         raise ParameterError("partner construction expects a Dirichlet grid")
+    if grid.n_points <= 2 * WALL_MASK_CELLS:
+        raise ParameterError(
+            f"partner construction needs more than {2 * WALL_MASK_CELLS} grid points, "
+            f"got {grid.n_points}")
     x = grid.points
     w = superpotential(psi0, grid)
     if isinstance(psi0, AnalyticState) and psi0.second_derivative is not None:
@@ -153,7 +157,12 @@ def box_to_free_scan(lengths, points_per_unit_length: float, *,
         raise ParameterError("need at least two strictly increasing lengths")
     rows = []
     for length in lengths:
-        n_points = max(3, int(round(length * points_per_unit_length)) - 1)
+        points = length * points_per_unit_length
+        if not 0 < points < np.inf:
+            raise ParameterError(
+                f"length {length!r} at {points_per_unit_length!r} points per unit "
+                "length gives no finite, positive point count")
+        n_points = max(3, int(round(points)) - 1)
         grid = build_grid(length / 2.0, n_points, DIRICHLET)
         par = ops.parity_operator(grid)
         h_box = ops.hamiltonian(grid, lambda x: 0.0)

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from susyqm import engine
 from susyqm.cli import _csv_rows, fmt, main
 
 
@@ -238,3 +243,70 @@ def test_stdout_default(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "n,energy,parity,flag" in out
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract under fuzzed argv
+
+# lengths, couplings and inertias: finite, infinite, NaN and tiny values
+_ANY_FLOAT = st.one_of(
+    st.floats(min_value=-10.0, max_value=1e3).map(repr),
+    st.sampled_from(["inf", "-inf", "nan", "0", "-0.0", "1e-300", "5e-324", "1e300"]))
+# scan lengths and points per length stay small, so a scan grid stays below 64 points
+_SMALL_FLOAT = st.one_of(
+    st.floats(min_value=-1.0, max_value=8.0).map(repr),
+    st.sampled_from(["inf", "-inf", "nan", "0", "1e-300", "5e-324"]))
+_POINTS = st.integers(min_value=-2, max_value=64).filter(bool)  # 0 selects a default size
+_M_MAX = st.integers(min_value=-2, max_value=16)
+_LEVELS = st.integers(min_value=-2, max_value=8)
+
+
+def _flag(name, values):
+    return values.map(lambda v: [name, str(v)])
+
+
+_ARGV = st.one_of(
+    st.tuples(st.just(["spectrum"]),
+              _flag("--model", st.sampled_from(["box", "sec2", "free", "delta", "rotor"])),
+              _flag("--L", _ANY_FLOAT), _flag("--lambda", _ANY_FLOAT), _flag("--I", _ANY_FLOAT),
+              _flag("--m-max", _M_MAX), _flag("--points", _POINTS), _flag("--levels", _LEVELS)),
+    st.tuples(st.just(["check"]),
+              _flag("--model", st.sampled_from(["free", "rotor", "box", "sec2", "delta"])),
+              _flag("--charge", st.sampled_from(["Q", "q"])),
+              _flag("--L", _ANY_FLOAT), _flag("--I", _ANY_FLOAT), _flag("--m-max", _M_MAX),
+              _flag("--points", _POINTS),
+              st.sampled_from([[], ["--zero-point-reset"]])),
+    st.tuples(st.just(["partner", "--model", "box"]), _flag("--L", _ANY_FLOAT),
+              _flag("--points", _POINTS), _flag("--levels", _LEVELS)),
+    st.tuples(st.just(["scan"]),
+              _flag("--L-values", st.lists(_SMALL_FLOAT, min_size=1, max_size=3).map(",".join)),
+              _flag("--points-per-length", _SMALL_FLOAT), _flag("--levels", _LEVELS)),
+    st.tuples(st.just(["eq5"]), _flag("--L", _ANY_FLOAT), _flag("--points", _POINTS),
+              st.one_of(st.just([]), _flag("--k-values", st.lists(
+                  _ANY_FLOAT, min_size=1, max_size=3).map(",".join))),
+              st.sampled_from([[], ["--no-dispersion"]])),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+def test_solver_failure_exits_with_numerical_code(monkeypatch, tmp_path, capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("stebz did not converge")
+
+    monkeypatch.setattr(engine, "eigh_tridiagonal", fail)
+    code = main(["spectrum", "--model", "box", "--points", "101", "--levels", "4",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+@settings(deadline=None, max_examples=150)
+@given(argv=_ARGV)
+def test_fuzzed_argv_keeps_the_exit_code_contract(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main([*argv, "--out", os.devnull])
+        except SystemExit as exc:  # argparse rejects the value while parsing
+            code = exc.code
+    assert code in (0, 2, 3), argv
+    assert "Traceback" not in err.getvalue()

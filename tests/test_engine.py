@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import susyqm.operators as ops
 from susyqm import engine
+from susyqm.cli import main
 from susyqm.engine import (Spectrum, algebra_residuals, build_check,
                            detect_pairing, eq5_action_table, ground_state_check,
                            numeric_spectrum)
@@ -99,16 +100,109 @@ def test_sector_solve_matches_dense_eigvalsh(boundary, half_points, half_width, 
     scale = np.max(np.abs(np.linalg.eigvalsh(dense)))
     np.testing.assert_allclose(spec.eigenvalues, np.linalg.eigvalsh(dense)[:n_levels],
                                rtol=0, atol=1e-9 * scale)
+    # a partial spectrum builds its vectors here, on first read, by inverse iteration
     vecs = spec.eigenvectors
+    assert spec.eigenvectors is vecs
     resid = dense @ vecs - vecs * spec.eigenvalues
     assert np.max(np.abs(resid)) <= 1e-9 * scale
+    np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(n_levels), rtol=0, atol=1e-9)
     _assert_exact_parity(spec, parity_permutation(grid))
 
 
-def test_periodic_full_spectrum_sector_counts():
+def _spy_solves(monkeypatch):
+    """Record the keyword arguments of every eigh_tridiagonal call the engine makes."""
+    calls = []
+    solve = engine.eigh_tridiagonal
+
+    def spy(d, e, **kwargs):
+        calls.append(kwargs)
+        return solve(d, e, **kwargs)
+
+    monkeypatch.setattr(engine, "eigh_tridiagonal", spy)
+    return calls
+
+
+def _double_well(grid):
+    return ops.hamiltonian(grid, lambda x: 400.0 * (x ** 2 - 1.0) ** 2)
+
+
+@pytest.mark.parametrize("name,n_levels", [
+    ("box", 1), ("box", 7), ("box", 8),
+    ("double_well", 3), ("double_well", 5), ("double_well", 7),
+    ("periodic", 5), ("lopsided", 9), ("all_fixed", 11), ("rotor", 6),
+    ("split_triples", 8), ("deep_odd", 1),
+])
+def test_exact_size_requests_return_the_lowest_levels(monkeypatch, name, n_levels):
+    if name == "rotor":  # a diagonal H: bisection splits every sector at every row
+        _, t, h = ops.rotor_basis_operators(8, 1.0)
+        parity = t.linear_part
+    elif name == "split_triples":
+        # triply degenerate levels coupled only by off-diagonals far below
+        # bisection's split threshold: inverse iteration on the unsplit block
+        # would return vectors that are neither orthogonal nor eigenvectors
+        h = ops.LinearOperator.from_tridiag(np.repeat(np.arange(1.0, 11.0), 3),
+                                            np.where(np.arange(29) % 3, 1e-300, 1e-20))
+        parity = ops.LinearOperator.from_permutation(np.arange(30))
+    elif name == "deep_odd":
+        # the middle pair's coupling cancels its diagonal in the even block and
+        # doubles it in the odd one, so the lowest level lies in the odd sector,
+        # which is first asked for none, far below the even block's whole range
+        h = ops.LinearOperator.from_tridiag([0.0, 0.0, -500.0, -500.0, 0.0, 0.0],
+                                            [0.1, 0.1, 500.0, 0.1, 0.1])
+        parity = ops.LinearOperator.from_permutation(np.arange(6)[::-1])
+    elif name in ("box", "double_well"):
+        grid = build_grid(2.0, 201, "dirichlet")
+        h = _double_well(grid) if name == "double_well" else ops.hamiltonian(grid, lambda x: 0.0)
+        parity = ops.parity_operator(grid)
+    elif name == "periodic":  # an even sector one larger than the odd one
+        grid = build_grid(np.pi, 200, "periodic")
+        h = ops.hamiltonian(grid, lambda x: np.cos(x) ** 2)
+        parity = ops.parity_operator(grid)
+    else:
+        # 34 fixed points carry a coupled chain far below six mirrored points,
+        # so the even sector holds every one of the lowest levels
+        chain = np.r_[np.arange(34.0) / 10, np.full(6, 100.0)]
+        coupling = np.r_[np.full(33, -0.5), 0.0, np.full(5, -0.5)]
+        h = ops.LinearOperator.from_tridiag(chain, coupling)
+        perm = np.arange(40) if name == "all_fixed" else np.r_[np.arange(34), np.arange(39, 33, -1)]
+        parity = ops.LinearOperator.from_permutation(perm)
+    calls = _spy_solves(monkeypatch)
+    spec = numeric_spectrum(h, parity, n_levels)
+    exact = np.linalg.eigvalsh(h.to_dense())
+    np.testing.assert_allclose(spec.eigenvalues, exact[:n_levels], rtol=0,
+                               atol=1e-9 * np.max(np.abs(exact)))
+    # a sector asks for its share only, and grows only when the Sturm count says so
+    solved = sum(c["select_range"][1] + 1 for c in calls if c.get("select") == "i")
+    if name == "box":
+        assert solved == n_levels
+    if name in ("lopsided", "all_fixed"):
+        assert spec.parity_labels == ["even"] * n_levels
+    assert all(c.get("eigvals_only") for c in calls if c.get("select") in ("i", "v"))
+    # vectors read afterwards belong to exactly these levels
+    vecs = spec.eigenvectors
+    resid = h.to_dense() @ vecs - vecs * spec.eigenvalues
+    assert np.max(np.abs(resid)) <= 1e-9 * np.max(np.abs(exact))
+    np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(n_levels), rtol=0, atol=1e-9)
+
+
+def test_double_well_near_degenerate_pairs_split_by_parity():
+    grid = build_grid(2.0, 201, "dirichlet")
+    h = _double_well(grid)
+    spec = numeric_spectrum(h, ops.parity_operator(grid), 6)
+    # tunnelling splits each pair by far less than the gap between pairs
+    assert spec.parity_labels == ["even", "odd"] * 3
+    splitting = spec.eigenvalues[1] - spec.eigenvalues[0]
+    assert 0 < splitting < 1e-3 * (spec.eigenvalues[2] - spec.eigenvalues[1])
+
+
+def test_periodic_full_spectrum_sector_counts(monkeypatch):
     grid = build_grid(np.pi, 1024, "periodic")
     h = ops.hamiltonian(grid, lambda x: 0.0)
+    calls = _spy_solves(monkeypatch)
     spec = numeric_spectrum(h, ops.parity_operator(grid), 1024)
+    # one full solve per sector, though ceil(1024/2) = 512 < 513: no partial
+    # request, no Sturm count
+    assert calls == [{}, {}]
     assert spec.parity_labels.count("even") == 513
     assert spec.parity_labels.count("odd") == 511
     _assert_exact_parity(spec, parity_permutation(grid))
@@ -192,6 +286,28 @@ def test_box_eigenvectors_match_independent_solver_oracle():
         np.testing.assert_allclose(v, ref, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--model", "box", "--points", "401", "--levels", "7"],
+    ["spectrum", "--model", "sec2", "--points", "401", "--levels", "8"],
+    ["spectrum", "--model", "delta", "--points", "401", "--levels", "9"],
+    ["spectrum", "--model", "free", "--points", "64", "--levels", "9"],
+    ["spectrum", "--model", "rotor", "--m-max", "8", "--levels", "6"],
+    ["partner", "--model", "box", "--points", "401"],
+    ["scan", "--L-values", "3,6", "--points-per-length", "300"],
+])
+def test_energy_only_commands_compute_no_eigenvectors(monkeypatch, tmp_path, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an energy-only command computed eigenvectors")
+
+    monkeypatch.setattr(engine.lapack, "dstein", refuse)
+    monkeypatch.setattr(engine._Sector, "unfold", refuse)
+    calls = _spy_solves(monkeypatch)
+    assert main([*argv, "--out", str(tmp_path / "out.txt")]) == 0
+    assert calls
+    # a partial solve that asked eigh_tridiagonal for vectors would run stein inside it
+    assert all(c.get("eigvals_only") for c in calls if c.get("select", "a") != "a")
+
+
 # ---------------------------------------------------------------------------
 # pairing
 
@@ -199,7 +315,7 @@ def _analytic_spectrum(energies, parities):
     n = len(energies)
     return Spectrum(eigenvalues=np.asarray(energies, dtype=float),
                     eigenvectors=np.eye(n, dtype=complex),
-                    parity_labels=list(parities), source="analytic")
+                    parity_labels=list(parities))
 
 
 def test_rotor_pairing():
@@ -433,7 +549,7 @@ def test_batched_pair_invariance_matches_per_vector_loop(charge):
     rng = np.random.default_rng(3)
     vecs, _ = np.linalg.qr(rng.standard_normal((96, 80)) + 1j * rng.standard_normal((96, 80)))
     spec = Spectrum(eigenvalues=np.repeat(np.arange(40.0), 2), eigenvectors=vecs,
-                    parity_labels=["even", "odd"] * 40, source="analytic")
+                    parity_labels=["even", "odd"] * 40)
     pairing = detect_pairing(spec)
     assert len(pairing.pairs) == 40  # more than two chunks
     expected = _pair_invariance_loop(spec, pairing, actions)

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import susyqm.operators as ops
+from susyqm.engine import numeric_spectrum
 from susyqm.errors import NumericalContractError, ParameterError, PotentialEvaluationError
 from susyqm.grid import build_grid
+from susyqm.models import sec_squared_potential
 
 
 @pytest.fixture(scope="module")
@@ -92,8 +94,21 @@ def test_constant_potential_shifts_spectrum():
 def test_hamiltonian_rejects_nonfinite_potential():
     g = build_grid(1.0, 5, "dirichlet")
     with pytest.raises(PotentialEvaluationError) as err:
-        ops.hamiltonian(g, lambda x: float("inf") if x == 0 else 0.0)
+        ops.hamiltonian(g, lambda x: np.where(x == 0, np.inf, 0.0))
     assert "0.0" in str(err.value)
+
+
+@settings(deadline=None, max_examples=60)
+@given(length=st.floats(min_value=1e-3, max_value=1e3),
+       n_points=st.integers(min_value=3, max_value=4000))
+def test_array_evaluated_sec_squared_hamiltonian_stays_even(length, n_points):
+    # the potential is evaluated once on the whole point array; the values at
+    # x and -x must still agree bit for bit, or the sector solve refuses H
+    grid = build_grid(length / 2.0, n_points, "dirichlet")
+    h = ops.hamiltonian(grid, sec_squared_potential(length))
+    d, _ = h.tridiag_bands
+    np.testing.assert_array_equal(d, d[::-1])
+    numeric_spectrum(h, ops.parity_operator(grid), 1)
 
 
 def test_delta_well_zero_coupling_is_free():
