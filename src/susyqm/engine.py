@@ -17,8 +17,8 @@ basis), so numeric_spectrum folds it into an even and an odd block, both
 tridiagonal for the three-point stencil and the rotor, and solves each
 with eigh_tridiagonal: a block whose every level is wanted by divide and
 conquer (stevd), values and vectors together; otherwise by bisection
-(stebz) for exactly the levels needed, values only, with inverse
-iteration (stein) run when the eigenvectors are first read. Parity
+(stebz) for exactly the levels needed, values only, solved again with
+inverse iteration (stein) when the eigenvectors are first read. Parity
 labels are the block a level came from.
 
 Algebra residuals are only meaningful on periodic grids (or the rotor
@@ -33,7 +33,7 @@ from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal, lapack
+from scipy.linalg import eigh_tridiagonal
 
 from . import operators as ops
 from .errors import DirichletAlgebraError, NumericalContractError, ParameterError
@@ -295,9 +295,8 @@ def _lowest_levels(sector: _Sector, k: int):
 
     A full block is one eigh_tridiagonal call, whose 'auto' driver is
     stevd (divide and conquer), returning values and vectors together. A
-    partial one is bisection by index (stebz) for the values only; the
-    vectors come from inverse iteration on those values if they are ever
-    read (_eigenvectors). Bisection's default tolerance and divide and
+    partial one is bisection by index (stebz) for the values only; if the
+    vectors are ever read, _eigenvectors solves the block again with them. Bisection's default tolerance and divide and
     conquer's backward error both put the eigenvalues within a few
     eps * ||block||_1 of the exact ones.
     """
@@ -326,8 +325,8 @@ def _count_at_or_below(sector: _Sector, x: float) -> int:
 def _eigenvectors(sectors, solved, sector_of: np.ndarray) -> np.ndarray:
     """The full-space eigenvectors of the chosen levels, as columns in level order.
 
-    A sector solved in full carries its block vectors; a partial one gets
-    them by inverse iteration (stein) on its bisection values.
+    A sector solved in full carries its block vectors; a partial one is
+    solved again by index, this time with its vectors.
     """
     # columns are read one at a time, so the output is column-major
     vecs = np.zeros((len(sectors[0].perm), len(sector_of)), dtype=complex, order="F")
@@ -336,34 +335,13 @@ def _eigenvectors(sectors, solved, sector_of: np.ndarray) -> np.ndarray:
         if not len(cols):
             continue
         # a sector's chosen levels are its lowest ones, in order
-        values, u = solved[i]
+        u = solved[i][1]
         if u is None:
-            u = _inverse_iteration(s, values[:len(cols)])
+            # bisection (stebz) again, now followed by inverse iteration (stein)
+            u = eigh_tridiagonal(s.diag, s.offdiag, select="i",
+                                 select_range=(0, len(cols) - 1))[1]
         s.unfold(u[:, :len(cols)], vecs, cols)
     return vecs
-
-
-def _inverse_iteration(sector: _Sector, w: np.ndarray) -> np.ndarray:
-    """Block eigenvectors for the ascending bisection eigenvalues w, by LAPACK stein.
-
-    stein needs each value's split-off block. Bisection splits the block
-    where an off-diagonal is negligible (stebz's test below) and does not
-    report which piece each value came from, so a block that splits (the
-    rotor's diagonal one) is solved again, values and vectors together.
-    Otherwise it is one block, w is in stein's order, and inverse
-    iteration runs on w as stored.
-    """
-    d, e = sector.diag, sector.offdiag
-    ulp, safe_min = np.finfo(float).eps, np.finfo(float).tiny
-    if np.any(np.abs(d[1:] * d[:-1]) * ulp ** 2 + safe_min > e ** 2):
-        return eigh_tridiagonal(d, e, select="i", select_range=(0, len(w) - 1))[1]
-    isplit = np.zeros(sector.dim, dtype=np.int32)
-    isplit[0] = sector.dim
-    u, info = lapack.dstein(d, e, w, np.ones(sector.dim, dtype=np.int32), isplit)
-    if info:
-        raise NumericalContractError(
-            f"inverse iteration left {info} sector eigenvectors unconverged")
-    return u
 
 
 def _cluster_slices(vals: np.ndarray, rel_tol: float = _CLUSTER_TOL):

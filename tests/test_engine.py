@@ -299,7 +299,6 @@ def test_energy_only_commands_compute_no_eigenvectors(monkeypatch, tmp_path, arg
     def refuse(*args, **kwargs):
         raise AssertionError("an energy-only command computed eigenvectors")
 
-    monkeypatch.setattr(engine.lapack, "dstein", refuse)
     monkeypatch.setattr(engine._Sector, "unfold", refuse)
     calls = _spy_solves(monkeypatch)
     assert main([*argv, "--out", str(tmp_path / "out.txt")]) == 0
