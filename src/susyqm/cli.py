@@ -90,7 +90,7 @@ def _build_model(args) -> object:
 
 def cmd_spectrum(args) -> int:
     model = _build_model(args)
-    n_points = args.points or _default_points(args.model)
+    n_points = _default_points(args.model) if args.points is None else args.points
     levels = args.levels
     header = [f"command: spectrum model={args.model}"]
     absent = None
@@ -150,15 +150,13 @@ def cmd_spectrum(args) -> int:
 def cmd_check(args) -> int:
     if args.model == "free":
         model = FreeParticle(args.L)
-        n_points = args.points or 512
     elif args.model == "rotor":
         model = PlanarRotor(args.inertia, args.m_max)
-        n_points = 0
     else:
         # Dirichlet models are refused by the engine with the boundary caveat
         model = _build_model(args)
-        n_points = args.points or _default_points(args.model)
-    report = build_check(model, args.charge, n_points=n_points or 512,
+    n_points = _default_points(args.model) if args.points is None else args.points
+    report = build_check(model, args.charge, n_points=n_points,
                          zero_point_reset=args.zero_point_reset,
                          machine_tol=args.machine_tol, pair_tol=args.pair_tol)
     payload = {"units": UNITS.header_line(), **report.to_dict()}
@@ -175,7 +173,7 @@ def cmd_partner(args) -> int:
             f"partner construction supports only the box model, got {args.model!r}; "
             "supported models: box")
     length = args.L
-    n_points = args.points or 2001
+    n_points = 2001 if args.points is None else args.points
     grid = build_grid(length / 2.0, n_points, DIRICHLET)
     ground = box_levels(length, 1)[0]
     result = partner_potential(ground, ground.energy, grid, n_levels=args.levels)
@@ -240,7 +238,7 @@ def cmd_scan(args) -> int:
 # eq5 action table
 
 def cmd_eq5(args) -> int:
-    n_points = args.points or 512
+    n_points = args.points
     grid = build_grid(args.L / 2.0, n_points, PERIODIC)
     if args.k_values:
         ks = args.k_values

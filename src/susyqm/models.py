@@ -87,6 +87,9 @@ class PlanarRotor:
         _require_positive("I", self.inertia)
         if self.m_max < 1:
             raise ParameterError(f"m_max must be at least 1, got {self.m_max}")
+        if not np.isfinite(self.m_max ** 2 / (2.0 * self.inertia)):
+            raise ParameterError(
+                f"I={self.inertia!r} is too small: the top rotor level m_max^2/(2I) overflows")
 
 
 ModelSpec = FreeParticle | ParticleInBox | SecSquaredPartner | DeltaWell | PlanarRotor

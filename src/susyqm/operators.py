@@ -26,10 +26,6 @@ import scipy.sparse as sp
 from .errors import NumericalContractError, ParameterError, PotentialEvaluationError
 from .grid import DIRICHLET, PERIODIC, Grid1D, parity_permutation
 
-LINEAR = "linear"
-ANTILINEAR = "antilinear"
-MIXED = "mixed"
-
 _HERMITIAN_TOL = 1e-12
 
 
@@ -340,10 +336,8 @@ QDAG_ROTOR_NILPOTENT = "qdag_rotor"
 class Supercharge:
     """A supercharge together with its adjoint action and provenance label."""
 
-    kind: str  # linear | antilinear | mixed
     action: Operator
     adjoint_action: Operator
-    mass_or_inertia: float
     label: str
     nilpotent_by_design: bool
 
@@ -372,8 +366,8 @@ def supercharge_Q(p: LinearOperator, P: LinearOperator, mass: float) -> Supercha
     _check_dims(p, P)
     action = scale(compose(p, P), 1.0 / np.sqrt(2.0 * mass))
     _assert_anti_self_adjoint(action, "supercharge Q = pP")
-    return Supercharge(kind=LINEAR, action=action, adjoint_action=scale(action, -1.0),
-                       mass_or_inertia=mass, label=Q_EQ3, nilpotent_by_design=False)
+    return Supercharge(action=action, adjoint_action=scale(action, -1.0), label=Q_EQ3,
+                       nilpotent_by_design=False)
 
 
 def supercharge_q_pair(p: LinearOperator, P: LinearOperator,
@@ -384,10 +378,10 @@ def supercharge_q_pair(p: LinearOperator, P: LinearOperator,
     pP = compose(p, P)
     q_act = scale(add(p, pP), pref)
     qdag_act = scale(subtract(p, pP), pref)
-    q = Supercharge(kind=LINEAR, action=q_act, adjoint_action=qdag_act,
-                    mass_or_inertia=mass, label=Q_EQ4, nilpotent_by_design=True)
-    qdag = Supercharge(kind=LINEAR, action=qdag_act, adjoint_action=q_act,
-                       mass_or_inertia=mass, label=QDAG_EQ4, nilpotent_by_design=True)
+    q = Supercharge(action=q_act, adjoint_action=qdag_act, label=Q_EQ4,
+                    nilpotent_by_design=True)
+    qdag = Supercharge(action=qdag_act, adjoint_action=q_act, label=QDAG_EQ4,
+                       nilpotent_by_design=True)
     return q, qdag
 
 
@@ -409,8 +403,8 @@ def rotor_supercharge(lz: LinearOperator, t: AntilinearOperator,
     _check_dims(lz, t)
     action = scale(compose(lz, t), 1.0 / np.sqrt(2.0 * inertia))
     _assert_anti_self_adjoint(action, "rotor supercharge Q = Lz T")
-    return Supercharge(kind=ANTILINEAR, action=action, adjoint_action=scale(action, -1.0),
-                       mass_or_inertia=inertia, label=Q_EQ7, nilpotent_by_design=False)
+    return Supercharge(action=action, adjoint_action=scale(action, -1.0), label=Q_EQ7,
+                       nilpotent_by_design=False)
 
 
 def rotor_supercharge_pair(lz: LinearOperator, t: AntilinearOperator,
@@ -421,11 +415,9 @@ def rotor_supercharge_pair(lz: LinearOperator, t: AntilinearOperator,
     lzt = compose(lz, t)
     q_act = scale(add(lz, lzt), pref)
     qdag_act = scale(subtract(lz, lzt), pref)
-    q = Supercharge(kind=MIXED, action=q_act, adjoint_action=qdag_act,
-                    mass_or_inertia=inertia, label=Q_ROTOR_NILPOTENT,
+    q = Supercharge(action=q_act, adjoint_action=qdag_act, label=Q_ROTOR_NILPOTENT,
                     nilpotent_by_design=True)
-    qdag = Supercharge(kind=MIXED, action=qdag_act, adjoint_action=q_act,
-                       mass_or_inertia=inertia, label=QDAG_ROTOR_NILPOTENT,
+    qdag = Supercharge(action=qdag_act, adjoint_action=q_act, label=QDAG_ROTOR_NILPOTENT,
                        nilpotent_by_design=True)
     return q, qdag
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,35 @@ def test_eq5_incommensurate_wavenumber(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # general behavior
 
+def test_eq5_refuses_wavenumbers_too_large_to_be_commensurate(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["eq5", "--L", "6.28", "--points", "14", "--k-values", "1e300",
+                     "--no-dispersion", "--out", str(tmp_path / "e.csv")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: wavenumber")
+
+
+def test_overflowing_rotor_inertia_is_refused_without_warnings(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["spectrum", "--model", "rotor", "--I", "5e-324",
+                     "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert "overflows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("length,points", [("1", "2048"), ("0.5", "1024")])
+def test_free_ground_energy_within_solver_accuracy_passes(tmp_path, length, points):
+    # E0 is about 0.2 eps ||H||_1 here: 3.6e-10 and 3.0e-10, above the fixed 1e-10
+    code, text = run(tmp_path, "check", "--model", "free", "--charge", "q", "--L", length,
+                     "--points", points)
+    report = json.loads(text)
+    assert abs(report["ground"]["energy"]) > 1e-10
+    assert code == 0, report["verdict_per_criterion"]
+
+
 def test_bad_parameter_exits_with_config_code(tmp_path, capsys):
     code = main(["spectrum", "--model", "box", "--L", "-1.0",
                  "--out", str(tmp_path / "x.csv")])
@@ -216,6 +246,10 @@ def test_bad_parameter_exits_with_config_code(tmp_path, capsys):
     ["spectrum", "--model", "box", "--points", "101", "--L", "inf"],
     ["check", "--model", "free", "--charge", "q", "--points", "64", "--L", "1e-300"],
     ["eq5", "--points", "64", "--k-values", "nan"],
+    ["spectrum", "--model", "box", "--points", "0"],
+    ["check", "--model", "free", "--charge", "q", "--points", "0"],
+    ["partner", "--model", "box", "--points", "0"],
+    ["eq5", "--points", "0"],
 ])
 def test_degenerate_input_exits_with_config_code(tmp_path, capsys, argv):
     try:
@@ -256,7 +290,7 @@ _ANY_FLOAT = st.one_of(
 _SMALL_FLOAT = st.one_of(
     st.floats(min_value=-1.0, max_value=8.0).map(repr),
     st.sampled_from(["inf", "-inf", "nan", "0", "1e-300", "5e-324"]))
-_POINTS = st.integers(min_value=-2, max_value=64).filter(bool)  # 0 selects a default size
+_POINTS = st.integers(min_value=-2, max_value=64)
 _M_MAX = st.integers(min_value=-2, max_value=16)
 _LEVELS = st.integers(min_value=-2, max_value=8)
 

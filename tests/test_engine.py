@@ -534,26 +534,85 @@ def _pair_invariance_loop(spectrum, pairing, actions):
     return worst
 
 
+def _random_even_system(model, charge, rng):
+    """Sector eigenpairs of a random even Hamiltonian, and charges that do not commute with it."""
+    if model == "free":
+        grid = build_grid(np.pi, 96, "periodic")
+        coeffs = rng.uniform(-20.0, 20.0, 4)
+        # a potential sampled from |x| is bit-exactly even on the symmetric grid
+        h = ops.hamiltonian(grid, lambda x: np.polyval(coeffs, abs(x)))
+        p, parity = ops.momentum(grid), ops.parity_operator(grid)
+        q, qdag = ((ops.supercharge_Q(p, parity, 1.0), None) if charge == "Q"
+                   else ops.supercharge_q_pair(p, parity, 1.0))
+    else:
+        lz, t, _ = ops.rotor_basis_operators(40, 0.7)
+        m = np.abs(np.arange(-40, 41))
+        e = rng.uniform(-1.0, 1.0, 40)
+        # couplings symmetric under m -> -m keep h even and its blocks tridiagonal
+        h = ops.LinearOperator.from_tridiag(rng.uniform(0.0, 50.0, 41)[m], np.r_[e, e[::-1]])
+        parity = t.linear_part
+        q, qdag = ((ops.rotor_supercharge(lz, t, 0.7), None) if charge == "Q"
+                   else ops.rotor_supercharge_pair(lz, t, 0.7))
+    return numeric_spectrum(h, parity, h.dimension), q, qdag
+
+
 @pytest.mark.parametrize("charge", ["Q", "q"])
 def test_batched_pair_invariance_matches_per_vector_loop(charge):
-    # random orthonormal "pairs" leak at O(1), so the comparison is not rounding noise
-    grid = build_grid(np.pi, 96, "periodic")
-    p, par = ops.momentum(grid), ops.parity_operator(grid)
-    if charge == "Q":
-        q, qdag = ops.supercharge_Q(p, par, 1.0), None
-        actions = [q.action, q.adjoint_action]
-    else:
-        q, qdag = ops.supercharge_q_pair(p, par, 1.0)
-        actions = [q.action, qdag.action]
+    # parity-definite eigenvectors of random even Hamiltonians, paired by hand across
+    # levels, leak at O(1), so the comparison is not rounding noise
     rng = np.random.default_rng(3)
-    vecs, _ = np.linalg.qr(rng.standard_normal((96, 80)) + 1j * rng.standard_normal((96, 80)))
-    spec = Spectrum(eigenvalues=np.repeat(np.arange(40.0), 2), eigenvectors=vecs,
-                    parity_labels=["even", "odd"] * 40)
+    for model in ("free", "rotor"):
+        spec, q, qdag = _random_even_system(model, charge, rng)
+        actions = [q.action, q.adjoint_action if qdag is None else qdag.action]
+        # the one-column unfold of the ground state, before any full unfold
+        ground = ground_state_check(spec, q if qdag is None else (q, qdag))
+        even = rng.permutation([i for i, s in enumerate(spec.parity_labels) if s == "even"])
+        odd = rng.permutation([i for i, s in enumerate(spec.parity_labels) if s == "odd"])
+        pairing = engine.PairingMap(pairs=[(int(i), int(j), 0.0) for i, j in zip(even, odd)],
+                                    unpaired=[])
+        assert len(pairing.pairs) > engine._PAIR_CHUNK  # more than one batch
+        folded = engine._pair_invariance(spec, pairing, q, qdag)
+        vecs = spec.eigenvectors
+        assert vecs.dtype == np.float64
+        expected = _pair_invariance_loop(spec, pairing, actions)
+        assert expected > 0.1
+        assert folded == pytest.approx(expected, rel=1e-12)
+        for label, action in zip(ground.annihilation_residuals, actions):
+            reference = np.linalg.norm(action.apply(vecs[:, 0]))
+            assert ground.annihilation_residuals[label] == pytest.approx(reference, rel=0,
+                                                                         abs=1e-12)
+
+
+@pytest.mark.parametrize("model", [FreeParticle(2 * np.pi), PlanarRotor(1.0, 8)])
+@pytest.mark.parametrize("charge", ["Q", "q"])
+def test_check_never_unfolds_the_spectrum(monkeypatch, model, charge):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_check unfolded every eigenvector")
+
+    widths = []
+    unfold = engine._Sector.unfold
+
+    def one_column(self, u, out, cols):
+        widths.append(u.shape[1])
+        return unfold(self, u, out, cols)
+
+    monkeypatch.setattr(engine, "_eigenvectors", refuse)
+    monkeypatch.setattr(engine._Sector, "unfold", one_column)
+    report = build_check(model, charge, n_points=128)
+    assert report.all_applicable_pass
+    assert widths == [1]  # the ground state, for the annihilation residuals
+
+
+def test_charge_that_is_not_parity_odd_is_refused(rotor_setup):
+    lz, t, h = rotor_setup
+    spec = numeric_spectrum(h, t.linear_part, h.dimension)
     pairing = detect_pairing(spec)
-    assert len(pairing.pairs) == 40  # more than two chunks
-    expected = _pair_invariance_loop(spec, pairing, actions)
-    assert expected > 0.1
-    assert engine._pair_invariance(spec, pairing, q, qdag) == pytest.approx(expected, rel=1e-12)
+    # even; and a sum whose parts are not odd, though A + B is
+    for action in (h, ops.MixedOperator(lz.linear_matrix - h.linear_matrix, h.linear_matrix)):
+        charge = ops.Supercharge(action=action, adjoint_action=action, label="C",
+                                 nilpotent_by_design=False)
+        with pytest.raises(ParameterError, match="odd under parity"):
+            engine._pair_invariance(spec, pairing, charge, None)
 
 
 def test_build_check_refuses_dirichlet_models():
