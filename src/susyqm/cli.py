@@ -23,7 +23,8 @@ import numpy as np
 
 from . import operators as ops
 from .engine import (CONVERGENCE_TOL, MACHINE_TOL, PAIR_TOL, build_check,
-                     detect_pairing, eq5_action_table, numeric_spectrum)
+                     commensurate_wavenumbers, detect_pairing, eq5_action_table,
+                     numeric_spectrum)
 from .errors import NumericalContractError, ParameterError, SusyqmError
 from .grid import DIRICHLET, PERIODIC, build_grid
 from .models import (DeltaWell, FreeParticle, ParticleInBox, PlanarRotor,
@@ -73,6 +74,13 @@ def _default_points(model_name: str) -> int:
     return {"box": 2001, "sec2": 2001, "delta": 4001, "free": 512}.get(model_name, 512)
 
 
+def _points(args) -> int:
+    """The grid point count: --points or the model's default; refused for the rotor."""
+    if args.model == "rotor" and args.points is not None:
+        raise ParameterError("the rotor has no grid; use --m-max")
+    return _default_points(args.model) if args.points is None else args.points
+
+
 def _build_model(args) -> object:
     name = args.model
     if name == "box":
@@ -80,7 +88,7 @@ def _build_model(args) -> object:
     if name == "sec2":
         return SecSquaredPartner(args.L)
     if name == "free":
-        return FreeParticle(args.L, args.rep)
+        return FreeParticle(args.L)
     if name == "delta":
         return DeltaWell(args.lam, args.L)
     if name == "rotor":
@@ -90,7 +98,7 @@ def _build_model(args) -> object:
 
 def cmd_spectrum(args) -> int:
     model = _build_model(args)
-    n_points = _default_points(args.model) if args.points is None else args.points
+    n_points = _points(args)
     levels = args.levels
     header = [f"command: spectrum model={args.model}"]
     absent = None
@@ -155,7 +163,7 @@ def cmd_check(args) -> int:
     else:
         # Dirichlet models are refused by the engine with the boundary caveat
         model = _build_model(args)
-    n_points = _default_points(args.model) if args.points is None else args.points
+    n_points = _points(args)
     report = build_check(model, args.charge, n_points=n_points,
                          zero_point_reset=args.zero_point_reset,
                          machine_tol=args.machine_tol, pair_tol=args.pair_tol)
@@ -240,22 +248,21 @@ def cmd_scan(args) -> int:
 def cmd_eq5(args) -> int:
     n_points = args.points
     grid = build_grid(args.L / 2.0, n_points, PERIODIC)
-    if args.k_values:
-        ks = args.k_values
+    if args.k_values is None:
+        ks = commensurate_wavenumbers(grid)
+    elif not args.k_values:
+        raise ParameterError("--k-values is empty; give at least one wavenumber")
     else:
-        ks = list(2.0 * np.pi * np.arange(n_points // 2 + 1) / grid.length)
+        ks = args.k_values
     rows = eq5_action_table(grid, ks, substitute_dispersion=not args.no_dispersion)
     header = [
         f"command: eq5 L={fmt(args.L)} points={n_points} "
         f"dispersion_substituted={str(not args.no_dispersion).lower()}",
         "residuals are relative to max(|k_discrete|,1)*||wave||",
     ]
-    lines = [_csv_header(header, ["k", "k_discrete", "dev_q_cos", "dev_q_sin",
-                                  "dev_qdag_sin", "dev_qdag_cos"])]
-    for r in rows:
-        lines.append(f"{fmt(r.k)},{fmt(r.k_discrete)},{fmt(r.dev_q_cos)},"
-                     f"{fmt(r.dev_q_sin)},{fmt(r.dev_qdag_sin)},{fmt(r.dev_qdag_cos)}\n")
-    _write(args.out, "".join(lines))
+    columns = ["k", "k_discrete", "dev_q_cos", "dev_q_sin", "dev_qdag_sin", "dev_qdag_cos"]
+    _write(args.out, _csv_header(header, columns)
+           + _csv_rows(*([getattr(r, c) for r in rows] for c in columns)))
     return EXIT_OK
 
 
@@ -272,13 +279,8 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
-def _add_common(sub):
+def _add_out(sub):
     sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--format", dest="out_format", choices=["csv", "json"],
-                     default=None, help="output format (fixed per command)")
-    sub.add_argument("--machine-tol", type=float, default=MACHINE_TOL)
-    sub.add_argument("--convergence-tol", type=float, default=CONVERGENCE_TOL)
-    sub.add_argument("--pair-tol", type=float, default=PAIR_TOL)
 
 
 def _add_model_flags(sub, models):
@@ -291,7 +293,6 @@ def _add_model_flags(sub, models):
                      help="rotor moment of inertia")
     sub.add_argument("--m-max", type=int, default=8, help="rotor basis cutoff")
     sub.add_argument("--points", type=int, default=None, help="grid point count")
-    sub.add_argument("--rep", choices=["standing", "traveling"], default="standing")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,20 +304,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("spectrum", help="eigenvalue table with parity labels")
     _add_model_flags(sp, ["box", "sec2", "free", "delta", "rotor"])
     sp.add_argument("--levels", type=int, default=16)
-    _add_common(sp)
+    sp.add_argument("--pair-tol", type=float, default=PAIR_TOL)
+    _add_out(sp)
     sp.set_defaults(func=cmd_spectrum)
 
     ck = subs.add_parser("check", help="six-criteria SUSY report (JSON)")
     _add_model_flags(ck, ["free", "rotor", "box", "sec2", "delta"])
     ck.add_argument("--charge", choices=["Q", "q"], required=True)
     ck.add_argument("--zero-point-reset", action="store_true")
-    _add_common(ck)
+    ck.add_argument("--machine-tol", type=float, default=MACHINE_TOL)
+    ck.add_argument("--pair-tol", type=float, default=PAIR_TOL)
+    _add_out(ck)
     ck.set_defaults(func=cmd_check)
 
     pa = subs.add_parser("partner", help="superpotential and partner potential")
     _add_model_flags(pa, ["box", "sec2", "free", "delta", "rotor"])
     pa.add_argument("--levels", type=int, default=8)
-    _add_common(pa)
+    _add_out(pa)
     pa.set_defaults(func=cmd_partner)
 
     sc = subs.add_parser("scan", help="box-to-free limit scan")
@@ -324,7 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated increasing box lengths")
     sc.add_argument("--points-per-length", type=float, default=200.0)
     sc.add_argument("--levels", type=int, default=4)
-    _add_common(sc)
+    sc.add_argument("--convergence-tol", type=float, default=CONVERGENCE_TOL,
+                    help="relative tolerance of the level pairing")
+    _add_out(sc)
     sc.set_defaults(func=cmd_scan)
 
     eq = subs.add_parser("eq5", help="charge action table on standing waves")
@@ -333,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     eq.add_argument("--k-values", type=_float_list, default=None)
     eq.add_argument("--no-dispersion", action="store_true",
                     help="do not substitute the discrete dispersion (show O(h^2) error)")
-    _add_common(eq)
+    _add_out(eq)
     eq.set_defaults(func=cmd_eq5)
     return parser
 

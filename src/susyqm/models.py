@@ -44,12 +44,9 @@ class AnalyticState:
 @dataclass(frozen=True)
 class FreeParticle:
     length: float
-    representation: str = "standing"  # or "traveling"
 
     def __post_init__(self):
         _require_positive("L", self.length)
-        if self.representation not in ("standing", "traveling"):
-            raise ParameterError(f"unknown representation {self.representation!r}")
 
 
 @dataclass(frozen=True)

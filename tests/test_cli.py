@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from susyqm import engine
+from susyqm import engine, operators as ops
 from susyqm.cli import _csv_rows, fmt, main
+from susyqm.grid import build_grid
 
 
 def run(tmp_path, *argv, name="out.txt"):
@@ -193,6 +194,35 @@ def test_eq5_without_dispersion_shows_truncation_error(tmp_path):
     assert float(row[2]) > 1e-4  # O(h^2) error is visible
 
 
+def test_eq5_refuses_an_empty_wavenumber_list(tmp_path, capsys):
+    for values in (",", ""):
+        code = main(["eq5", "--points", "14", "--k-values", values,
+                     "--out", str(tmp_path / "e.csv")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--k-values is empty" in err[0]
+
+
+def test_eq5_never_applies_an_operator_per_row(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eq5 applied a charge to one wave at a time")
+
+    monkeypatch.setattr(ops.MixedOperator, "apply", refuse)
+    code, text = run(tmp_path, "eq5", "--points", "1024")
+    assert code == 0
+    assert len([l for l in text.splitlines() if not l.startswith("#")]) == 1 + 513
+
+
+def test_eq5_rows_match_fmt_bytes(tmp_path):
+    _, text = run(tmp_path, "eq5", "--points", "64", "--k-values", "0,3,-5,32,3",
+                  "--no-dispersion")
+    rows = engine.eq5_action_table(build_grid(np.pi, 64, "periodic"), [0, 3, -5, 32, 3],
+                                   substitute_dispersion=False)
+    body = [l for l in text.splitlines() if not l.startswith("#")][1:]
+    assert body == [",".join(fmt(v) for v in (r.k, r.k_discrete, r.dev_q_cos, r.dev_q_sin,
+                                             r.dev_qdag_sin, r.dev_qdag_cos)) for r in rows]
+
+
 def test_eq5_incommensurate_wavenumber(tmp_path, capsys):
     code = main(["eq5", "--k-values", "1.05", "--out", str(tmp_path / "e.csv")])
     assert code == 2
@@ -231,6 +261,41 @@ def test_free_ground_energy_within_solver_accuracy_passes(tmp_path, length, poin
     assert code == 0, report["verdict_per_criterion"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--model", "rotor", "--charge", "q", "--m-max", "4", "--points", "64"],
+    ["spectrum", "--model", "rotor", "--m-max", "4", "--points", "64"],
+])
+def test_rotor_refuses_points(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path / "x.txt")]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: the rotor has no grid; use --m-max\n")
+
+
+_BASE_ARGV = {
+    "spectrum": ["spectrum", "--model", "box", "--points", "101", "--levels", "2"],
+    "check": ["check", "--model", "free", "--charge", "q", "--points", "16"],
+    "partner": ["partner", "--model", "box", "--points", "101", "--levels", "2"],
+    "scan": ["scan", "--L-values", "3,6", "--points-per-length", "300"],
+    "eq5": ["eq5", "--points", "16"],
+}
+
+
+@pytest.mark.parametrize("command,flag", [
+    *[(c, ["--format", "csv"]) for c in _BASE_ARGV],
+    *[(c, ["--rep", "standing"]) for c in ("spectrum", "check", "partner")],
+    *[(c, ["--machine-tol", "1e-12"]) for c in ("spectrum", "partner", "scan", "eq5")],
+    *[(c, ["--pair-tol", "1e-6"]) for c in ("partner", "scan", "eq5")],
+    *[(c, ["--convergence-tol", "1e-4"]) for c in ("spectrum", "check", "partner", "eq5")],
+])
+def test_flags_that_changed_nothing_are_refused(tmp_path, capsys, command, flag):
+    argv = [*_BASE_ARGV[command], "--out", str(tmp_path / "x.txt")]
+    assert main(argv) == 0
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + flag[0] in capsys.readouterr().err
+
+
 def test_bad_parameter_exits_with_config_code(tmp_path, capsys):
     code = main(["spectrum", "--model", "box", "--L", "-1.0",
                  "--out", str(tmp_path / "x.csv")])
@@ -250,6 +315,9 @@ def test_bad_parameter_exits_with_config_code(tmp_path, capsys):
     ["check", "--model", "free", "--charge", "q", "--points", "0"],
     ["partner", "--model", "box", "--points", "0"],
     ["eq5", "--points", "0"],
+    ["eq5", "--points", "14", "--k-values", ","],
+    ["check", "--model", "rotor", "--charge", "q", "--m-max", "4", "--points", "0"],
+    ["spectrum", "--model", "rotor", "--m-max", "4", "--points", "-5"],
 ])
 def test_degenerate_input_exits_with_config_code(tmp_path, capsys, argv):
     try:
@@ -317,7 +385,7 @@ _ARGV = st.one_of(
               _flag("--points-per-length", _SMALL_FLOAT), _flag("--levels", _LEVELS)),
     st.tuples(st.just(["eq5"]), _flag("--L", _ANY_FLOAT), _flag("--points", _POINTS),
               st.one_of(st.just([]), _flag("--k-values", st.lists(
-                  _ANY_FLOAT, min_size=1, max_size=3).map(",".join))),
+                  _ANY_FLOAT, min_size=0, max_size=3).map(",".join))),
               st.sampled_from([[], ["--no-dispersion"]])),
 ).map(lambda parts: [arg for part in parts for arg in part])
 

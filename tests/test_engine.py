@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -491,6 +492,85 @@ def test_action_table_unsubstituted_second_order():
     assert order == pytest.approx(2.0, abs=0.1)
     order = np.log2(devs[1] / devs[2])
     assert order == pytest.approx(2.0, abs=0.1)
+
+
+def _eq5_action_table_loop(grid, k_list, mass=1.0, *, substitute_dispersion=True):
+    """The per-row form of engine.eq5_action_table, kept as its reference."""
+    length = grid.length
+    p = ops.momentum(grid)
+    par = ops.parity_operator(grid)
+    q, qdag = ops.supercharge_q_pair(p, par, mass)
+    rows = []
+    for k in k_list:
+        k = float(k)
+        mode = k * length / (2.0 * np.pi)
+        kd = np.sin(k * grid.spacing) / grid.spacing if substitute_dispersion else k
+        n = grid.n_points
+        phase = (round(mode) % n * (np.arange(n) - n // 2)) % n
+        theta = 2.0 * np.pi * phase / n
+        c = np.cos(theta)
+        s = np.sin(theta)
+        denom = max(abs(kd), 1.0) * max(np.linalg.norm(c), np.linalg.norm(s))
+        rows.append(engine.ActionTableRow(
+            k=k, k_discrete=float(kd),
+            dev_q_cos=float(np.linalg.norm(q.apply(c) - 1j * kd * s) / denom),
+            dev_q_sin=float(np.linalg.norm(q.apply(s)) / denom),
+            dev_qdag_sin=float(np.linalg.norm(qdag.apply(s) + 1j * kd * c) / denom),
+            dev_qdag_cos=float(np.linalg.norm(qdag.apply(c)) / denom)))
+    return rows
+
+
+@pytest.mark.parametrize("substitute", [True, False])
+@pytest.mark.parametrize("n", [14, 64, 1000, 1024])
+def test_batched_action_table_matches_per_row_loop(n, substitute):
+    grid = build_grid(np.e, n, "periodic")
+    default = engine.commensurate_wavenumbers(grid)
+    if n >= 1000:
+        assert len(default) > engine._eq5_block(n)  # more than one block
+    # unsorted, with duplicates, negative modes, 0, Nyquist and an aliased mode
+    modes = [7, -3, 0, n // 2, 7, 1, -(n // 2), n - 1, 3 * n + 2, 2]
+    user = [2.0 * np.pi * m / grid.length for m in modes]
+    eps = np.finfo(float).eps
+    for ks in (default, user):
+        rows = eq5_action_table(grid, ks, substitute_dispersion=substitute)
+        expected = _eq5_action_table_loop(grid, ks, substitute_dispersion=substitute)
+        assert len(rows) == len(expected) == len(ks)
+        for row, ref in zip(rows, expected):
+            assert (row.k, row.k_discrete) == (ref.k, ref.k_discrete)
+            for name in ("dev_q_cos", "dev_q_sin", "dev_qdag_sin", "dev_qdag_cos"):
+                got, want = getattr(row, name), getattr(ref, name)
+                # the squared norms sum n terms in another order than BLAS does:
+                # within 1e-15 for the substituted deviations (at most 1e-12), and
+                # within n * eps relative for the O(1) unsubstituted ones
+                assert abs(got - want) <= 1e-15 + n * eps * abs(want), (row.k, name)
+
+
+def test_action_table_allocates_nothing_of_size_n_squared():
+    n = 4096
+    grid = build_grid(np.pi, n, "periodic")
+    ks = engine.commensurate_wavenumbers(grid)
+    tracemalloc.start()
+    try:
+        eq5_action_table(grid, ks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one n x (n/2) float64 table of samples would take 67 MB; a block takes 1 MB
+    assert peak < n * (n // 2) * 8 / 4
+
+
+def test_action_table_validates_every_wavenumber_first(monkeypatch):
+    grid = build_grid(np.pi, 64, "periodic")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the charges were built before the wavenumbers were checked")
+
+    monkeypatch.setattr(engine.ops, "supercharge_q_pair", refuse)
+    ks = [0.0, 1.0, 1.05, 1e300]  # the first bad value is reported
+    with pytest.raises(ParameterError, match="wavenumber 1.05 is not commensurate"):
+        eq5_action_table(grid, ks)
+    with pytest.raises(ParameterError, match="wavenumber 1e\\+300 is too large"):
+        eq5_action_table(grid, ks[::-1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,6 +58,21 @@ def test_sampled_psi0_matches_analytic_away_from_walls(box_grid, box_ground):
     exact = np.tan(box_grid.points)
     interior = np.abs(box_grid.points) < 0.9 * box_grid.half_width
     assert np.max(np.abs(w[interior] - exact[interior])) < 1e-3
+
+
+def test_oracle_ground_state_through_sampled_superpotential():
+    # psi0 from an independent solver on the box (0, 1); on the centered grid it is
+    # cos(pi x), so W = pi tan(pi x). The central difference of exact samples gives
+    # pi tan(pi x) sin(pi h) / (pi h), off by (pi h)^2 / 6 relative; the bound allows
+    # twice that, plus 1e-8 for the oracle's own solver error (about 1e-12 in psi0)
+    oracle = np.loadtxt(Path(__file__).parent / "data" / "box_eigenvectors_l1_n999.txt")
+    grid = build_grid(0.5, 999, "dirichlet")
+    w = superpotential(oracle[:, 1], grid)
+    x, h = grid.points, grid.spacing
+    exact = np.pi * np.tan(np.pi * x)
+    away = np.abs(x) <= 0.45  # 50 cells or more from either wall
+    bound = (np.pi * h) ** 2 / 3 * np.abs(exact[away]) + 1e-8
+    assert np.all(np.abs(w[away] - exact[away]) <= bound)
 
 
 def test_node_raises_with_location(box_grid):
