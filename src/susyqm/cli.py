@@ -28,14 +28,15 @@ from .engine import (CONVERGENCE_TOL, MACHINE_TOL, PAIR_TOL, build_check,
 from .errors import NumericalContractError, ParameterError, SusyqmError
 from .grid import DIRICHLET, PERIODIC, build_grid
 from .models import (DeltaWell, FreeParticle, ParticleInBox, PlanarRotor,
-                     SecSquaredPartner, box_levels, rotor_states,
-                     sec_squared_potential)
+                     SecSquaredPartner, box_levels, sec_squared_potential)
 from .partner import box_to_free_scan, partner_potential
-from .units import UNITS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+# every computation fixes hbar = m = I = 1; each report states it
+UNITS = "units: hbar=1 m=1 I=1"
 
 
 def fmt(value: float) -> str:
@@ -61,44 +62,59 @@ def _write(path: str | None, text: str):
 
 
 def _csv_header(lines: list[str], columns: list[str]) -> str:
-    out = [f"# {UNITS.header_line()}"]
+    out = [f"# {UNITS}"]
     out += [f"# {line}" for line in lines]
     out.append(",".join(columns))
     return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------
+# models
+
+# model flag -> (argparse dest, type, help)
+_MODEL_FLAGS = {
+    "--L": ("L", float, "box/domain length (default pi)"),
+    "--lambda": ("lam", float, "delta-well coupling (default 1)"),
+    "--I": ("inertia", float, "rotor moment of inertia (default 1)"),
+    "--m-max": ("m_max", int, "rotor basis cutoff (default 8)"),
+    "--points": ("points", int, "grid point count (default 2001; free 512, delta 4001)"),
+}
+# the model flags each model reads, by dest, with their defaults; any other is refused
+_MODEL_READS = {
+    "box": {"L": np.pi, "points": 2001},
+    "sec2": {"L": np.pi, "points": 2001},
+    "free": {"L": np.pi, "points": 512},
+    "delta": {"lam": 1.0, "L": np.pi, "points": 4001},
+    "rotor": {"inertia": 1.0, "m_max": 8},
+}
+
+
+def _build_model(args):
+    """The --model record and its grid point count (None for the rotor's basis).
+
+    Each flag the model reads takes its default when not given; a model
+    flag the model does not read is refused, not ignored.
+    """
+    name, reads = args.model, _MODEL_READS[args.model]
+    unread = [flag for flag, (dest, _, _) in _MODEL_FLAGS.items()
+              if dest not in reads and getattr(args, dest, None) is not None]
+    if unread:
+        raise ParameterError(f"--model {name} does not read {', '.join(unread)}")
+    v = {dest: default if getattr(args, dest) is None else getattr(args, dest)
+         for dest, default in reads.items()}
+    if name == "rotor":
+        return PlanarRotor(v["inertia"], v["m_max"]), None
+    if name == "delta":
+        return DeltaWell(v["lam"], v["L"]), v["points"]
+    record = {"box": ParticleInBox, "sec2": SecSquaredPartner, "free": FreeParticle}[name]
+    return record(v["L"]), v["points"]
+
+
+# ---------------------------------------------------------------------------
 # spectrum
 
-def _default_points(model_name: str) -> int:
-    return {"box": 2001, "sec2": 2001, "delta": 4001, "free": 512}.get(model_name, 512)
-
-
-def _points(args) -> int:
-    """The grid point count: --points or the model's default; refused for the rotor."""
-    if args.model == "rotor" and args.points is not None:
-        raise ParameterError("the rotor has no grid; use --m-max")
-    return _default_points(args.model) if args.points is None else args.points
-
-
-def _build_model(args) -> object:
-    name = args.model
-    if name == "box":
-        return ParticleInBox(args.L)
-    if name == "sec2":
-        return SecSquaredPartner(args.L)
-    if name == "free":
-        return FreeParticle(args.L)
-    if name == "delta":
-        return DeltaWell(args.lam, args.L)
-    if name == "rotor":
-        return PlanarRotor(args.inertia, args.m_max)
-    raise ParameterError(f"unknown model {name!r}")
-
-
 def cmd_spectrum(args) -> int:
-    model = _build_model(args)
-    n_points = _points(args)
+    model, n_points = _build_model(args)
     levels = args.levels
     header = [f"command: spectrum model={args.model}"]
     absent = None
@@ -156,18 +172,12 @@ def cmd_spectrum(args) -> int:
 # check
 
 def cmd_check(args) -> int:
-    if args.model == "free":
-        model = FreeParticle(args.L)
-    elif args.model == "rotor":
-        model = PlanarRotor(args.inertia, args.m_max)
-    else:
-        # Dirichlet models are refused by the engine with the boundary caveat
-        model = _build_model(args)
-    n_points = _points(args)
+    # Dirichlet models are refused by the engine with the boundary caveat
+    model, n_points = _build_model(args)
     report = build_check(model, args.charge, n_points=n_points,
                          zero_point_reset=args.zero_point_reset,
                          machine_tol=args.machine_tol, pair_tol=args.pair_tol)
-    payload = {"units": UNITS.header_line(), **report.to_dict()}
+    payload = {"units": UNITS, **report.to_dict()}
     _write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return EXIT_OK if report.all_applicable_pass else EXIT_NUMERICAL
 
@@ -176,12 +186,8 @@ def cmd_check(args) -> int:
 # partner
 
 def cmd_partner(args) -> int:
-    if args.model != "box":
-        raise ParameterError(
-            f"partner construction supports only the box model, got {args.model!r}; "
-            "supported models: box")
-    length = args.L
-    n_points = 2001 if args.points is None else args.points
+    model, n_points = _build_model(args)
+    length = model.length
     grid = build_grid(length / 2.0, n_points, DIRICHLET)
     ground = box_levels(length, 1)[0]
     result = partner_potential(ground, ground.energy, grid, n_levels=args.levels)
@@ -284,15 +290,12 @@ def _add_out(sub):
 
 
 def _add_model_flags(sub, models):
+    """--model and the model flags that at least one of the models reads."""
     sub.add_argument("--model", required=True, choices=models)
-    sub.add_argument("--L", type=float, default=float(np.pi),
-                     help="box/domain length (default pi)")
-    sub.add_argument("--lambda", dest="lam", type=float, default=1.0,
-                     help="delta-well coupling")
-    sub.add_argument("--I", dest="inertia", type=float, default=1.0,
-                     help="rotor moment of inertia")
-    sub.add_argument("--m-max", type=int, default=8, help="rotor basis cutoff")
-    sub.add_argument("--points", type=int, default=None, help="grid point count")
+    read = {dest for m in models for dest in _MODEL_READS[m]}
+    for flag, (dest, kind, help_) in _MODEL_FLAGS.items():
+        if dest in read:
+            sub.add_argument(flag, dest=dest, type=kind, help=help_)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     ck.set_defaults(func=cmd_check)
 
     pa = subs.add_parser("partner", help="superpotential and partner potential")
-    _add_model_flags(pa, ["box", "sec2", "free", "delta", "rotor"])
+    _add_model_flags(pa, ["box"])
     pa.add_argument("--levels", type=int, default=8)
     _add_out(pa)
     pa.set_defaults(func=cmd_partner)

@@ -28,8 +28,8 @@ ground-state annihilation need the block eigenvectors and, for the
 ground state, one unfolded column, never the full-space eigenvectors.
 
 Algebra residuals are only meaningful on periodic grids (or the rotor
-basis); Dirichlet models get spectral checks instead and a refusal on
-the algebra entry points.
+basis); Dirichlet models get spectral checks instead, and build_check
+refuses them.
 """
 
 from __future__ import annotations
@@ -42,11 +42,12 @@ from scipy.linalg import eigh_tridiagonal
 
 from . import operators as ops
 from .errors import DirichletAlgebraError, NumericalContractError, ParameterError
-from .grid import DIRICHLET, PERIODIC, Grid1D, build_grid
+from .grid import PERIODIC, Grid1D, build_grid
 from .models import (DeltaWell, FreeParticle, ModelSpec, ParticleInBox,
                      PlanarRotor, SecSquaredPartner)
 
 MACHINE_TOL = 1e-12      # identities that hold exactly in the discretization
+ZERO_TOL = 1e-10         # least |E0| that criterion 1 takes as zero
 CONVERGENCE_TOL = 1e-4   # grid eigenvalues against analytic values, relative
 PAIR_TOL = 1e-6          # default relative degeneracy tolerance
 _CLUSTER_TOL = 1e-8      # relative gap below which levels share a cluster
@@ -421,15 +422,6 @@ def _block_columns(sector_of: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _cluster_slices(vals: np.ndarray, rel_tol: float = _CLUSTER_TOL):
-    scale = max(1.0, float(np.max(np.abs(vals))) if len(vals) else 1.0)
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i] - vals[i - 1] > rel_tol * scale:
-            yield slice(start, i)
-            start = i
-
-
 # ---------------------------------------------------------------------------
 # pairing
 
@@ -507,17 +499,12 @@ def _charges_of(charges) -> tuple[ops.Supercharge, ops.Supercharge | None]:
     return q, qdag
 
 
-def algebra_residuals(h: ops.LinearOperator, charges, *,
-                      boundary: str = PERIODIC) -> AlgebraResiduals:
+def algebra_residuals(h: ops.LinearOperator, charges) -> AlgebraResiduals:
     """Residuals of the commutation, anticommutation, and nilpotency identities.
 
     Antilinear charges are handled by action composition; products mixing
     linear and antilinear parts conjugate the matrices they pass through.
     """
-    if boundary == DIRICHLET:
-        raise DirichletAlgebraError(
-            "algebra residuals are refused on Dirichlet grids: truncated boundary "
-            "stencils break the exact anticommutation of momentum and parity")
     q, qdag = _charges_of(charges)
     qdag_action = qdag.action if qdag is not None else q.adjoint_action
     hn = ops.frobenius_norm(h)
@@ -578,8 +565,9 @@ def ground_state_check(spectrum: Spectrum, charges,
     if len(spectrum) == 0:
         raise ParameterError("spectrum is empty")
     vals = spectrum.eigenvalues
-    first_cluster = next(iter(_cluster_slices(vals)))
-    degeneracy = first_cluster.stop - first_cluster.start
+    # the lowest cluster ends at the first gap above _CLUSTER_TOL * max(1, max |E|)
+    tol = _CLUSTER_TOL * max(1.0, float(np.max(np.abs(vals))))
+    degeneracy = 1 + int(np.argmax(np.append(np.diff(vals) > tol, True)))
     psi0 = spectrum.vector(0)
     norm0 = np.linalg.norm(psi0)
     q, qdag = _charges_of(charges)
@@ -615,7 +603,7 @@ class ActionTableRow:
         return max(self.dev_q_cos, self.dev_q_sin, self.dev_qdag_sin, self.dev_qdag_cos)
 
 
-def eq5_action_table(grid: Grid1D, k_list, mass: float = 1.0, *,
+def eq5_action_table(grid: Grid1D, k_list, *,
                      substitute_dispersion: bool = True) -> list[ActionTableRow]:
     """Deviations of the nilpotent charge actions on sampled cos/sin waves.
 
@@ -639,7 +627,7 @@ def eq5_action_table(grid: Grid1D, k_list, mass: float = 1.0, *,
     modes = np.array([_whole_mode(k, grid.length) % n for k in ks], dtype=np.int64)
     ks = np.array(ks)
     kd = np.sin(ks * grid.spacing) / grid.spacing if substitute_dispersion else ks
-    q, qdag = ops.supercharge_q_pair(ops.momentum(grid), ops.parity_operator(grid), mass)
+    q, qdag = ops.supercharge_q_pair(ops.momentum(grid), ops.parity_operator(grid), 1.0)
     q, qdag = _real_parts(q.action), _real_parts(qdag.action)
     # sample by modular phase: k*x_j = 2 pi * mode * (j - n/2) / n up to whole
     # turns, so reducing the integer phase keeps every argument below 2 pi
@@ -705,11 +693,9 @@ def _action_deviation(parts, v: np.ndarray, target: np.ndarray | None = None) ->
     return np.sqrt(sq)
 
 
-def commensurate_wavenumbers(grid: Grid1D, n_max: int | None = None) -> np.ndarray:
-    """All grid wavenumbers 2*pi*n/L, n = 0..n_max (default up to Nyquist)."""
-    if n_max is None:
-        n_max = grid.n_points // 2
-    return 2.0 * np.pi * np.arange(n_max + 1) / grid.length
+def commensurate_wavenumbers(grid: Grid1D) -> np.ndarray:
+    """All grid wavenumbers 2*pi*n/L, n = 0 up to Nyquist."""
+    return 2.0 * np.pi * np.arange(grid.n_points // 2 + 1) / grid.length
 
 
 # ---------------------------------------------------------------------------
@@ -876,20 +862,20 @@ def _norm1(h: ops.LinearOperator) -> float:
 
 def build_check(model: ModelSpec, charge: str, *, n_points: int = 512,
                 zero_point_reset: bool = False, machine_tol: float = MACHINE_TOL,
-                pair_tol: float = PAIR_TOL, zero_tol: float = 1e-10) -> SusyReport:
+                pair_tol: float = PAIR_TOL) -> SusyReport:
     """Run the full six-criteria check for a periodic free particle or rotor.
 
     Dirichlet-grid models (box, sec^2 partner, delta well) are refused:
     their verdicts are spectral-only and live in the spectrum/partner
     commands instead.
 
-    Criterion 1 takes |E0| as zero up to max(zero_tol, c * eps * ||H||_1)
+    Criterion 1 takes |E0| as zero up to max(ZERO_TOL, c * eps * ||H||_1)
     with c = _ZERO_TOL_EPS_FACTOR = 4: the eigensolver's absolute accuracy
     is about eps * ||H||_1 (numeric_spectrum), and on the free particle
     ||H||_1 = 2/h^2 grows as n^2. Over 325 free-particle spectra (n from
     64 to 4096, L from 0.05 to 20) |E0| / (eps * ||H||_1) measured at most
     0.87 (median 0.22), so c = 4 leaves a margin of 4.6; the fixed
-    zero_tol still decides at the sizes of the acceptance tests.
+    ZERO_TOL still decides at the sizes of the acceptance tests.
     """
     if charge not in ("Q", "q"):
         raise ParameterError(f"charge must be 'Q' or 'q', got {charge!r}")
@@ -925,11 +911,11 @@ def build_check(model: ModelSpec, charge: str, *, n_points: int = 512,
         raise ParameterError(f"unsupported model {model!r}")
 
     charges = q if qdag is None else (q, qdag)
-    zero_tol = max(zero_tol, _ZERO_TOL_EPS_FACTOR * np.finfo(float).eps * _norm1(h_spec))
+    zero_tol = max(ZERO_TOL, _ZERO_TOL_EPS_FACTOR * np.finfo(float).eps * _norm1(h_spec))
     shift = float(spectrum.eigenvalues[0]) if zero_point_reset else 0.0
     ground = ground_state_check(spectrum, charges, energy_shift=shift)
     pairing = detect_pairing(spectrum, pair_tol)
-    algebra = algebra_residuals(h_alg, charges, boundary=PERIODIC)
+    algebra = algebra_residuals(h_alg, charges)
     invariance = _pair_invariance(spectrum, pairing, q, qdag)
 
     unpaired_excited = [i for i in pairing.unpaired if i != 0 and i not in artifacts]

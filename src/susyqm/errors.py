@@ -27,7 +27,7 @@ class NumericalContractError(SusyqmError, RuntimeError):
 
 
 class DirichletAlgebraError(ParameterError):
-    """Operator-algebra residuals were requested on a Dirichlet grid.
+    """The six-criteria algebra check was requested for a Dirichlet-grid model.
 
     Truncated boundary stencils break the exact anticommutation of the
     momentum and parity operators near the walls, so machine-precision

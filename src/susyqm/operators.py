@@ -26,8 +26,6 @@ import scipy.sparse as sp
 from .errors import NumericalContractError, ParameterError, PotentialEvaluationError
 from .grid import DIRICHLET, PERIODIC, Grid1D, parity_permutation
 
-_HERMITIAN_TOL = 1e-12
-
 
 def _csr(m):
     if m is None:
@@ -66,29 +64,18 @@ class MixedOperator:
         return part.shape[0]
 
     @property
-    def tridiag_bands(self):
-        """(diagonal, off-diagonal) of a real symmetric tridiagonal operator, else None.
+    def storage(self) -> str:
+        """"tridiag" for a linear, real symmetric tridiagonal operator, else "csr".
 
-        O(nnz): the operator must be linear with real entries, every
-        nonzero within one diagonal of the main one, and equal
-        sub- and super-diagonals.
+        O(nnz): every nonzero must lie within one diagonal of the main one,
+        with equal sub- and super-diagonals.
         """
         a = self.linear_matrix
-        if a is None or self.antilinear_matrix is not None:
-            return None
-        if np.iscomplexobj(a.data) and np.any(a.data.imag):
-            return None
+        if a is None or self.antilinear_matrix is not None or np.any(np.imag(a.data)):
+            return "csr"
         rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
-        if np.any(np.abs(a.indices - rows) > 1):
-            return None
-        e = a.diagonal(1).real
-        if not np.array_equal(e, a.diagonal(-1).real):
-            return None
-        return a.diagonal().real, e
-
-    @property
-    def storage(self) -> str:
-        return "tridiag" if self.tridiag_bands is not None else "csr"
+        banded = not np.any(np.abs(a.indices - rows) > 1)
+        return "tridiag" if banded and np.array_equal(a.diagonal(1), a.diagonal(-1)) else "csr"
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v)
@@ -111,31 +98,12 @@ class MixedOperator:
         a, b = self.linear_matrix, self.antilinear_matrix
         return _wrap(None if a is None else a.conj().T, None if b is None else b.T)
 
-    def __call__(self, v):
-        return self.apply(v)
-
 
 class LinearOperator(MixedOperator):
     """Complex-linear operator: the B = None case."""
 
     def __init__(self, matrix):
         super().__init__(matrix, None)
-
-    @classmethod
-    def from_dense(cls, matrix, hermitian_hint: bool = False) -> "LinearOperator":
-        a = np.asarray(matrix)
-        if hermitian_hint:
-            scale_ = np.max(np.abs(a))
-            if scale_ > 0 and np.max(np.abs(a - a.conj().T)) > _HERMITIAN_TOL * scale_:
-                raise NumericalContractError("hermitian_hint set on a non-Hermitian matrix")
-        return cls(a)
-
-    @classmethod
-    def from_tridiag(cls, diag, offdiag) -> "LinearOperator":
-        """Real symmetric tridiagonal matrix from its diagonal and off-diagonal."""
-        # row j holds offdiag[j - 1] left of the diagonal and offdiag[j] right of it
-        e = np.append(np.asarray(offdiag, dtype=float), 0.0)
-        return cls(_stencil(len(e), np.roll(e, 1), np.asarray(diag, dtype=float), e, False))
 
     @classmethod
     def from_permutation(cls, perm) -> "LinearOperator":
@@ -290,12 +258,14 @@ def parity_operator(grid: Grid1D) -> LinearOperator:
 def hamiltonian(grid: Grid1D, potential) -> LinearOperator:
     """H = -1/2 second_derivative + diag(V(x_j)); real symmetric.
 
-    potential is called once, on the array of grid points; a scalar
-    result (a constant potential such as lambda x: 0.0) is broadcast to
-    every point.
+    potential is either its samples V(x_j), one per grid point, or a
+    callable, called once on the array of grid points; a scalar result
+    (a constant potential such as lambda x: 0.0) is broadcast to every
+    point. A non-finite value is refused with a PotentialEvaluationError.
     """
     x = grid.points
-    v = np.broadcast_to(np.asarray(potential(x), dtype=float), x.shape)
+    v = potential(x) if callable(potential) else potential
+    v = np.broadcast_to(np.asarray(v, dtype=float), x.shape)
     bad = np.flatnonzero(~np.isfinite(v))
     if bad.size:
         j = int(bad[0])
@@ -315,10 +285,9 @@ def delta_well_hamiltonian(grid: Grid1D, lam: float) -> LinearOperator:
     if j0 is None or abs(grid.points[j0]) > 1e-12 * grid.spacing:
         raise ParameterError(
             "grid has no x = 0 point; use an odd Dirichlet point count")
-    h = hamiltonian(grid, lambda x: 0.0)
-    d, e = h.tridiag_bands
-    d[j0] -= lam / grid.spacing
-    return LinearOperator.from_tridiag(d, e)
+    v = np.zeros(grid.n_points)
+    v[j0] = -lam / grid.spacing
+    return hamiltonian(grid, v)
 
 
 # ---------------------------------------------------------------------------
@@ -341,15 +310,8 @@ class Supercharge:
     label: str
     nilpotent_by_design: bool
 
-    @property
-    def dimension(self) -> int:
-        return self.action.dimension
-
     def apply(self, v):
         return self.action.apply(v)
-
-    def apply_adjoint(self, v):
-        return self.adjoint_action.apply(v)
 
 
 def _assert_anti_self_adjoint(op: Operator, label: str):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as ops
-from .engine import Spectrum, detect_pairing, numeric_spectrum
+from .engine import Spectrum, numeric_spectrum
 from .errors import ParameterError
 from .grid import DIRICHLET, Grid1D, build_grid
 from .models import AnalyticState, sec_squared_potential
@@ -105,8 +105,8 @@ def partner_potential(psi0, e0: float, grid: Grid1D, *,
     if not np.all(np.isfinite(v_minus)):
         raise ParameterError("partner potential is not finite at an interior point")
 
-    h_plus = _dirichlet_hamiltonian(grid, v_plus)
-    h_minus = _dirichlet_hamiltonian(grid, v_minus)
+    h_plus = ops.hamiltonian(grid, v_plus)
+    h_minus = ops.hamiltonian(grid, v_minus)
     par = ops.parity_operator(grid)
     n_levels = min(n_levels, grid.n_points)
     spectrum_plus = numeric_spectrum(h_plus, par, n_levels)
@@ -125,12 +125,6 @@ def partner_potential(psi0, e0: float, grid: Grid1D, *,
                          e0=float(e0), spectrum_plus=spectrum_plus,
                          spectrum_minus=spectrum_minus, missing_level_index=0,
                          pair_deviations=deviations, wall_mask=mask)
-
-
-def _dirichlet_hamiltonian(grid: Grid1D, v_samples: np.ndarray) -> ops.LinearOperator:
-    d2 = ops.second_derivative(grid)
-    d, e = d2.tridiag_bands
-    return ops.LinearOperator.from_tridiag(-0.5 * d + v_samples, -0.5 * e)
 
 
 @dataclass(frozen=True)

@@ -143,10 +143,10 @@ def test_csv_rows_match_fmt_bytes():
 
 
 def test_partner_rejects_other_models(tmp_path, capsys):
-    code = main(["partner", "--model", "delta", "--out", str(tmp_path / "p.csv")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "supported models: box" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["partner", "--model", "delta", "--out", str(tmp_path / "p.csv")])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +268,7 @@ def test_free_ground_energy_within_solver_accuracy_passes(tmp_path, length, poin
 def test_rotor_refuses_points(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path / "x.txt")]) == 2
     assert capsys.readouterr().err == (
-        "configuration error: the rotor has no grid; use --m-max\n")
+        "configuration error: --model rotor does not read --points\n")
 
 
 _BASE_ARGV = {
@@ -286,6 +286,7 @@ _BASE_ARGV = {
     *[(c, ["--machine-tol", "1e-12"]) for c in ("spectrum", "partner", "scan", "eq5")],
     *[(c, ["--pair-tol", "1e-6"]) for c in ("partner", "scan", "eq5")],
     *[(c, ["--convergence-tol", "1e-4"]) for c in ("spectrum", "check", "partner", "eq5")],
+    *[("partner", flag) for flag in (["--lambda", "1"], ["--I", "1"], ["--m-max", "8"])],
 ])
 def test_flags_that_changed_nothing_are_refused(tmp_path, capsys, command, flag):
     argv = [*_BASE_ARGV[command], "--out", str(tmp_path / "x.txt")]
@@ -318,6 +319,9 @@ def test_bad_parameter_exits_with_config_code(tmp_path, capsys):
     ["eq5", "--points", "14", "--k-values", ","],
     ["check", "--model", "rotor", "--charge", "q", "--m-max", "4", "--points", "0"],
     ["spectrum", "--model", "rotor", "--m-max", "4", "--points", "-5"],
+    ["spectrum", "--model", "box", "--points", "101", "--levels", "2", "--m-max", "4",
+     "--I", "0", "--lambda", "-3"],
+    ["spectrum", "--model", "rotor", "--L", "5"],
 ])
 def test_degenerate_input_exits_with_config_code(tmp_path, capsys, argv):
     try:
@@ -367,27 +371,47 @@ def _flag(name, values):
     return values.map(lambda v: [name, str(v)])
 
 
+def _joined(parts):
+    return st.tuples(*parts).map(lambda ps: [arg for part in ps for arg in part])
+
+
+_MODEL_FLAG_VALUES = {"--L": _ANY_FLOAT, "--lambda": _ANY_FLOAT, "--I": _ANY_FLOAT,
+                      "--m-max": _M_MAX, "--points": _POINTS}
+# the model flags each model reads; the others are refused
+_READS = {"box": ["--L", "--points"], "sec2": ["--L", "--points"],
+          "free": ["--L", "--points"], "delta": ["--L", "--lambda", "--points"],
+          "rotor": ["--I", "--m-max"]}
+_MODELS = list(_READS)
+
+
+def _model(models, unread=False):
+    """--model and, each optional, the flags it reads; with unread, one flag it does not read."""
+    def flags(model):
+        parts = [st.just(["--model", model])]
+        parts += [st.one_of(st.just([]), _flag(f, _MODEL_FLAG_VALUES[f])) for f in _READS[model]]
+        if unread:
+            parts.append(st.sampled_from([f for f in _MODEL_FLAG_VALUES if f not in _READS[model]])
+                         .flatmap(lambda f: _flag(f, _MODEL_FLAG_VALUES[f])))
+        return _joined(parts)
+
+    return st.sampled_from(models).flatmap(flags)
+
+
 _ARGV = st.one_of(
-    st.tuples(st.just(["spectrum"]),
-              _flag("--model", st.sampled_from(["box", "sec2", "free", "delta", "rotor"])),
-              _flag("--L", _ANY_FLOAT), _flag("--lambda", _ANY_FLOAT), _flag("--I", _ANY_FLOAT),
-              _flag("--m-max", _M_MAX), _flag("--points", _POINTS), _flag("--levels", _LEVELS)),
-    st.tuples(st.just(["check"]),
-              _flag("--model", st.sampled_from(["free", "rotor", "box", "sec2", "delta"])),
-              _flag("--charge", st.sampled_from(["Q", "q"])),
-              _flag("--L", _ANY_FLOAT), _flag("--I", _ANY_FLOAT), _flag("--m-max", _M_MAX),
-              _flag("--points", _POINTS),
-              st.sampled_from([[], ["--zero-point-reset"]])),
-    st.tuples(st.just(["partner", "--model", "box"]), _flag("--L", _ANY_FLOAT),
-              _flag("--points", _POINTS), _flag("--levels", _LEVELS)),
-    st.tuples(st.just(["scan"]),
-              _flag("--L-values", st.lists(_SMALL_FLOAT, min_size=1, max_size=3).map(",".join)),
-              _flag("--points-per-length", _SMALL_FLOAT), _flag("--levels", _LEVELS)),
-    st.tuples(st.just(["eq5"]), _flag("--L", _ANY_FLOAT), _flag("--points", _POINTS),
-              st.one_of(st.just([]), _flag("--k-values", st.lists(
-                  _ANY_FLOAT, min_size=0, max_size=3).map(",".join))),
-              st.sampled_from([[], ["--no-dispersion"]])),
-).map(lambda parts: [arg for part in parts for arg in part])
+    _joined([st.just(["spectrum"]), _model(_MODELS), _flag("--levels", _LEVELS)]),
+    _joined([st.just(["check"]), _model(_MODELS), _flag("--charge", st.sampled_from(["Q", "q"])),
+             st.sampled_from([[], ["--zero-point-reset"]])]),
+    _joined([st.sampled_from([["spectrum"], ["check", "--charge", "q"]]),
+             _model(_MODELS, unread=True)]),
+    _joined([st.just(["partner"]), _model(["box"]), _flag("--levels", _LEVELS)]),
+    _joined([st.just(["scan"]),
+             _flag("--L-values", st.lists(_SMALL_FLOAT, min_size=1, max_size=3).map(",".join)),
+             _flag("--points-per-length", _SMALL_FLOAT), _flag("--levels", _LEVELS)]),
+    _joined([st.just(["eq5"]), _flag("--L", _ANY_FLOAT), _flag("--points", _POINTS),
+             st.one_of(st.just([]), _flag("--k-values", st.lists(
+                 _ANY_FLOAT, min_size=0, max_size=3).map(",".join))),
+             st.sampled_from([[], ["--no-dispersion"]])]),
+)
 
 
 def test_solver_failure_exits_with_numerical_code(monkeypatch, tmp_path, capsys):

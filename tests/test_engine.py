@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import susyqm.operators as ops
@@ -15,6 +16,12 @@ from susyqm.engine import (Spectrum, algebra_residuals, build_check,
 from susyqm.errors import DirichletAlgebraError, NumericalContractError, ParameterError
 from susyqm.grid import build_grid, parity_permutation
 from susyqm.models import FreeParticle, ParticleInBox, PlanarRotor, box_energy
+
+
+def _tridiag(diag, offdiag) -> ops.LinearOperator:
+    """Real symmetric tridiagonal operator from its diagonal and off-diagonal."""
+    return ops.LinearOperator(sp.diags_array([offdiag, diag, offdiag], offsets=[-1, 0, 1],
+                                             format="csr"))
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +68,7 @@ def test_rotor_spectrum_exact():
 
 
 def test_numeric_spectrum_rejects_non_hermitian():
-    bad = ops.LinearOperator.from_dense(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    bad = ops.LinearOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
     ident = ops.LinearOperator.from_permutation([0, 1])
     with pytest.raises(NumericalContractError):
         numeric_spectrum(bad, ident, 2)
@@ -141,15 +148,14 @@ def test_exact_size_requests_return_the_lowest_levels(monkeypatch, name, n_level
         # triply degenerate levels coupled only by off-diagonals far below
         # bisection's split threshold: inverse iteration on the unsplit block
         # would return vectors that are neither orthogonal nor eigenvectors
-        h = ops.LinearOperator.from_tridiag(np.repeat(np.arange(1.0, 11.0), 3),
-                                            np.where(np.arange(29) % 3, 1e-300, 1e-20))
+        h = _tridiag(np.repeat(np.arange(1.0, 11.0), 3),
+                     np.where(np.arange(29) % 3, 1e-300, 1e-20))
         parity = ops.LinearOperator.from_permutation(np.arange(30))
     elif name == "deep_odd":
         # the middle pair's coupling cancels its diagonal in the even block and
         # doubles it in the odd one, so the lowest level lies in the odd sector,
         # which is first asked for none, far below the even block's whole range
-        h = ops.LinearOperator.from_tridiag([0.0, 0.0, -500.0, -500.0, 0.0, 0.0],
-                                            [0.1, 0.1, 500.0, 0.1, 0.1])
+        h = _tridiag([0.0, 0.0, -500.0, -500.0, 0.0, 0.0], [0.1, 0.1, 500.0, 0.1, 0.1])
         parity = ops.LinearOperator.from_permutation(np.arange(6)[::-1])
     elif name in ("box", "double_well"):
         grid = build_grid(2.0, 201, "dirichlet")
@@ -164,7 +170,7 @@ def test_exact_size_requests_return_the_lowest_levels(monkeypatch, name, n_level
         # so the even sector holds every one of the lowest levels
         chain = np.r_[np.arange(34.0) / 10, np.full(6, 100.0)]
         coupling = np.r_[np.full(33, -0.5), 0.0, np.full(5, -0.5)]
-        h = ops.LinearOperator.from_tridiag(chain, coupling)
+        h = _tridiag(chain, coupling)
         perm = np.arange(40) if name == "all_fixed" else np.r_[np.arange(34), np.arange(39, 33, -1)]
         parity = ops.LinearOperator.from_permutation(perm)
     calls = _spy_solves(monkeypatch)
@@ -228,7 +234,7 @@ def test_non_involution_parity_is_refused():
 def test_non_tridiagonal_sector_is_refused():
     # a coupling to the second neighbour survives the fold off the tridiagonal band
     d2 = np.diag(np.full(6, 2.0)) + np.diag(np.ones(4), 2) + np.diag(np.ones(4), -2)
-    h = ops.LinearOperator.from_dense(d2)
+    h = ops.LinearOperator(d2)
     with pytest.raises(ParameterError, match="not tridiagonal"):
         numeric_spectrum(h, ops.LinearOperator.from_permutation(np.arange(6)[::-1]), 2)
 
@@ -240,7 +246,7 @@ def test_non_tridiagonal_sector_is_refused():
 def test_lopsided_sectors_regrow_their_request(perm):
     # the lowest k levels lie far more than ceil(k/2) + 1 deep in the even sector
     d = np.r_[np.arange(34.0), np.full(6, 100.0)]
-    h = ops.LinearOperator.from_tridiag(d, np.zeros(39))
+    h = _tridiag(d, np.zeros(39))
     spec = numeric_spectrum(h, ops.LinearOperator.from_permutation(perm), 20)
     np.testing.assert_array_equal(spec.eigenvalues, np.arange(20.0))
     assert spec.parity_labels == ["even"] * 20
@@ -415,13 +421,6 @@ def test_rotor_Q_algebra(rotor_setup):
     # -Q.Q = H exactly on the basis (up to signed zeros)
     qq = ops.compose(q.action, q.action)
     np.testing.assert_allclose(-qq.to_dense(), h.to_dense(), atol=1e-15)
-
-
-def test_algebra_refused_on_dirichlet(free_setup):
-    _, p, par, _, h_alg = free_setup
-    q = ops.supercharge_Q(p, par, 1.0)
-    with pytest.raises(DirichletAlgebraError):
-        algebra_residuals(h_alg, q, boundary="dirichlet")
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +628,7 @@ def _random_even_system(model, charge, rng):
         m = np.abs(np.arange(-40, 41))
         e = rng.uniform(-1.0, 1.0, 40)
         # couplings symmetric under m -> -m keep h even and its blocks tridiagonal
-        h = ops.LinearOperator.from_tridiag(rng.uniform(0.0, 50.0, 41)[m], np.r_[e, e[::-1]])
+        h = _tridiag(rng.uniform(0.0, 50.0, 41)[m], np.r_[e, e[::-1]])
         parity = t.linear_part
         q, qdag = ((ops.rotor_supercharge(lz, t, 0.7), None) if charge == "Q"
                    else ops.rotor_supercharge_pair(lz, t, 0.7))

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import susyqm.operators as ops
 from susyqm.engine import numeric_spectrum
-from susyqm.errors import NumericalContractError, ParameterError, PotentialEvaluationError
+from susyqm.errors import ParameterError, PotentialEvaluationError
 from susyqm.grid import build_grid
-from susyqm.models import sec_squared_potential
+from susyqm.models import box_levels, sec_squared_potential
+from susyqm.partner import partner_potential
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +108,7 @@ def test_array_evaluated_sec_squared_hamiltonian_stays_even(length, n_points):
     # x and -x must still agree bit for bit, or the sector solve refuses H
     grid = build_grid(length / 2.0, n_points, "dirichlet")
     h = ops.hamiltonian(grid, sec_squared_potential(length))
-    d, _ = h.tridiag_bands
+    d = h.linear_matrix.diagonal()
     np.testing.assert_array_equal(d, d[::-1])
     numeric_spectrum(h, ops.parity_operator(grid), 1)
 
@@ -116,6 +118,45 @@ def test_delta_well_zero_coupling_is_free():
     free = ops.hamiltonian(g, lambda x: 0.0)
     well = ops.delta_well_hamiltonian(g, 0.0)
     np.testing.assert_array_equal(well.to_dense(), free.to_dense())
+
+
+def _band_hamiltonian(grid, diag_shift):
+    """-1/2 second_derivative's bands plus a diagonal, assembled by scipy: the reference.
+
+    Built from (row, column, value) triplets, so an entry that sums to an
+    exact zero stays stored, as in the stencil.
+    """
+    d2 = ops.second_derivative(grid).linear_matrix
+    e, d = -0.5 * d2.diagonal(1), -0.5 * d2.diagonal()
+    j = np.arange(grid.n_points)
+    rows, cols = np.r_[j[1:], j, j[:-1]], np.r_[j[:-1], j, j[1:]]
+    return sp.coo_array((np.r_[e, d + diag_shift, e], (rows, cols)),
+                        shape=(len(j), len(j))).tocsr()
+
+
+def _assert_same_csr(op, ref):
+    a = op.linear_matrix
+    # scipy picks its own index dtype for the reference, so indices compare by value
+    assert np.array_equal(a.indptr, ref.indptr) and np.array_equal(a.indices, ref.indices)
+    assert a.data.dtype == ref.data.dtype == np.float64
+    assert a.data.tobytes() == ref.data.tobytes()
+
+
+@pytest.mark.parametrize("n_points,length", [
+    (7, 1e-3), (101, 1.0), (2001, np.pi), (4001, 40.0), (100001, 5.3), (999, 1e3)])
+def test_sampled_hamiltonians_match_the_band_construction(n_points, length):
+    # the partner's H_+ and H_- and the delta well, from ops.hamiltonian with
+    # samples, are the band construction -1/2 D2 + V bit for bit; at n = 999,
+    # L = 1e3 (h = 1) the well's lambda = 1 puts an exact zero on the diagonal
+    grid = build_grid(length / 2.0, n_points, "dirichlet")
+    ground = box_levels(length, 1)[0]
+    result = partner_potential(ground, ground.energy, grid, n_levels=2)
+    for v in (result.v_plus_samples, result.v_minus_samples):
+        _assert_same_csr(ops.hamiltonian(grid, v), _band_hamiltonian(grid, v))
+    for lam in (0.0, 0.37, 1.0, 1e3):
+        shift = np.zeros(n_points)
+        shift[grid.zero_index] -= lam / grid.spacing
+        _assert_same_csr(ops.delta_well_hamiltonian(grid, lam), _band_hamiltonian(grid, shift))
 
 
 def test_delta_well_requires_zero_point():
@@ -271,17 +312,11 @@ def test_antilinear_composition_conjugates():
     n = 5
     reversal = ops.LinearOperator.from_permutation(np.arange(n)[::-1])
     t = ops.AntilinearOperator(reversal)
-    a = ops.LinearOperator.from_dense(np.diag(1j * np.arange(1, n + 1)))
+    a = ops.LinearOperator(np.diag(1j * np.arange(1, n + 1)))
     rng = np.random.default_rng(0)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     np.testing.assert_allclose(ops.compose(t, a).apply(v), t.apply(a.apply(v)), atol=1e-12)
     np.testing.assert_allclose(ops.compose(a, t).apply(v), a.apply(t.apply(v)), atol=1e-12)
-
-
-def test_hermitian_hint_contract():
-    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(NumericalContractError):
-        ops.LinearOperator.from_dense(bad, hermitian_hint=True)
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +332,9 @@ def _random_operator(rng, n, kind):
     a = _random_part(rng, n) if kind in ("linear", "mixed") else None
     b = _random_part(rng, n) if kind in ("antilinear", "mixed") else None
     if kind == "linear":
-        return ops.LinearOperator.from_dense(a), a, b
+        return ops.LinearOperator(a), a, b
     if kind == "antilinear":
-        return ops.AntilinearOperator(ops.LinearOperator.from_dense(b)), a, b
+        return ops.AntilinearOperator(ops.LinearOperator(b)), a, b
     return ops.MixedOperator(a, b), a, b
 
 
