@@ -22,7 +22,6 @@ from .operators import (AntilinearOperator, LinearOperator, MixedOperator,
                         Supercharge, anticommutator, commutator, compose,
                         delta_well_hamiltonian, hamiltonian, momentum,
                         parity_operator, rotor_basis_operators,
-                        rotor_supercharge, rotor_supercharge_pair,
                         second_derivative, supercharge_Q, supercharge_q_pair)
 from .partner import PartnerResult, box_to_free_scan, partner_potential, superpotential
 

@@ -285,6 +285,17 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
+def _tolerance(text: str) -> float:
+    """A tolerance: a positive, finite float."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad float {text!r}") from exc
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"tolerance {text!r} must be positive and finite")
+    return value
+
+
 def _add_out(sub):
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -307,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("spectrum", help="eigenvalue table with parity labels")
     _add_model_flags(sp, ["box", "sec2", "free", "delta", "rotor"])
     sp.add_argument("--levels", type=int, default=16)
-    sp.add_argument("--pair-tol", type=float, default=PAIR_TOL)
+    sp.add_argument("--pair-tol", type=_tolerance, default=PAIR_TOL)
     _add_out(sp)
     sp.set_defaults(func=cmd_spectrum)
 
@@ -315,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(ck, ["free", "rotor", "box", "sec2", "delta"])
     ck.add_argument("--charge", choices=["Q", "q"], required=True)
     ck.add_argument("--zero-point-reset", action="store_true")
-    ck.add_argument("--machine-tol", type=float, default=MACHINE_TOL)
-    ck.add_argument("--pair-tol", type=float, default=PAIR_TOL)
+    ck.add_argument("--machine-tol", type=_tolerance, default=MACHINE_TOL)
+    ck.add_argument("--pair-tol", type=_tolerance, default=PAIR_TOL)
     _add_out(ck)
     ck.set_defaults(func=cmd_check)
 
@@ -331,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated increasing box lengths")
     sc.add_argument("--points-per-length", type=float, default=200.0)
     sc.add_argument("--levels", type=int, default=4)
-    sc.add_argument("--convergence-tol", type=float, default=CONVERGENCE_TOL,
+    sc.add_argument("--convergence-tol", type=_tolerance, default=CONVERGENCE_TOL,
                     help="relative tolerance of the level pairing")
     _add_out(sc)
     sc.set_defaults(func=cmd_scan)

@@ -56,23 +56,22 @@ _CLUSTER_TOL = 1e-8      # relative gap below which levels share a cluster
 class Spectrum:
     """Sorted eigenvalues with parity labels, and eigenvectors built on first read.
 
-    eigenvectors is an array of unit-norm columns, or None for a spectrum
-    from numeric_spectrum, which keeps instead the two parity blocks it
+    A spectrum from numeric_spectrum keeps the two parity blocks it
     solved (sectors, each holding the block eigenvectors of its levels)
     and the block each level came from (sector_of, 0 even and 1 odd).
     Criterion 3 reads those block vectors; the full-space eigenvectors, a
-    real float64 array, are unfolded from them only when .eigenvectors is
-    first read, so a caller that reads only eigenvalues, or only the
-    blocks, never pays for them.
+    real float64 array of unit-norm columns, are unfolded from them only
+    when .eigenvectors is first read, so a caller that reads only
+    eigenvalues, or only the blocks, never pays for them.
     """
 
-    def __init__(self, eigenvalues: np.ndarray, eigenvectors, parity_labels: list[str], *,
+    def __init__(self, eigenvalues: np.ndarray, parity_labels: list[str], *,
                  sectors=(), sector_of: np.ndarray | None = None):
         self.eigenvalues = eigenvalues
         self.parity_labels = parity_labels
         self.sectors = sectors
         self.sector_of = sector_of
-        self._eigenvectors = eigenvectors
+        self._eigenvectors = None
 
     @property
     def eigenvectors(self) -> np.ndarray:
@@ -81,9 +80,7 @@ class Spectrum:
         return self._eigenvectors
 
     def vector(self, i: int) -> np.ndarray:
-        """The full-space eigenvector of level i, unfolding only that column if need be."""
-        if self._eigenvectors is not None:
-            return self._eigenvectors[:, i]
+        """The full-space eigenvector of level i, unfolding only that column."""
         sector = self.sectors[self.sector_of[i]]
         out = np.zeros((len(sector.perm), 1))
         sector.unfold(sector.vectors[:, _block_columns(self.sector_of)[i:i + 1]], out, [0])
@@ -155,7 +152,7 @@ def numeric_spectrum(h: ops.LinearOperator, parity: ops.LinearOperator,
     for s, (_, u), k in zip(sectors, solved, np.bincount(sector_of, minlength=2)):
         s.levels = int(k)
         s._vectors = None if u is None else u[:, :k]
-    return Spectrum(vals[order], None, [_SECTOR_LABELS[i] for i in sector_of],
+    return Spectrum(vals[order], [_SECTOR_LABELS[i] for i in sector_of],
                     sectors=sectors, sector_of=sector_of)
 
 
@@ -439,8 +436,8 @@ def detect_pairing(spectrum: Spectrum, pair_tol: float = PAIR_TOL) -> PairingMap
     diagnostic flag. Stable under re-sorting: depends only on the sorted
     eigenvalue/parity sequence.
     """
-    if pair_tol <= 0:
-        raise ParameterError(f"pair_tol must be positive, got {pair_tol!r}")
+    if not 0 < pair_tol < np.inf:
+        raise ParameterError(f"pair_tol must be positive and finite, got {pair_tol!r}")
     vals = spectrum.eigenvalues
     gaps = np.diff(vals)
     median_gap = float(np.median(gaps)) if len(gaps) else 0.0
@@ -492,11 +489,12 @@ class AlgebraResiduals:
     closure: float
 
 
-def _charges_of(charges) -> tuple[ops.Supercharge, ops.Supercharge | None]:
+def _charges_of(charges) -> list[tuple[str, ops.Operator]]:
+    """The two labelled actions of a charge set: q and qdag, or Q and its adjoint."""
     if isinstance(charges, ops.Supercharge):
-        return charges, None
-    q, qdag = charges
-    return q, qdag
+        return [(charges.label, charges.action),
+                (charges.label + "_adjoint", charges.adjoint_action)]
+    return [(c.label, c.action) for c in charges]
 
 
 def algebra_residuals(h: ops.LinearOperator, charges) -> AlgebraResiduals:
@@ -505,18 +503,18 @@ def algebra_residuals(h: ops.LinearOperator, charges) -> AlgebraResiduals:
     Antilinear charges are handled by action composition; products mixing
     linear and antilinear parts conjugate the matrices they pass through.
     """
-    q, qdag = _charges_of(charges)
-    qdag_action = qdag.action if qdag is not None else q.adjoint_action
+    (_, q), (_, qdag) = _charges_of(charges)
+    lead = charges if isinstance(charges, ops.Supercharge) else charges[0]
     hn = ops.frobenius_norm(h)
-    comm_hq = ops.frobenius_norm(ops.commutator(h, q.action)) / hn
-    comm_hqdag = ops.frobenius_norm(ops.commutator(h, qdag_action)) / hn
-    half_anti = ops.scale(ops.anticommutator(q.action, qdag_action), 0.5)
+    comm_hq = ops.frobenius_norm(ops.commutator(h, q)) / hn
+    comm_hqdag = ops.frobenius_norm(ops.commutator(h, qdag)) / hn
+    half_anti = ops.scale(ops.anticommutator(q, qdag), 0.5)
     anti = ops.frobenius_norm(ops.subtract(half_anti, h)) / hn
     nil_q = nil_qdag = None
-    if q.nilpotent_by_design:
-        nil_q = ops.frobenius_norm(ops.compose(q.action, q.action)) / hn
-        nil_qdag = ops.frobenius_norm(ops.compose(qdag_action, qdag_action)) / hn
-    closure = max(_closure_residual(h, q.action), _closure_residual(h, qdag_action))
+    if lead.nilpotent_by_design:
+        nil_q = ops.frobenius_norm(ops.compose(q, q)) / hn
+        nil_qdag = ops.frobenius_norm(ops.compose(qdag, qdag)) / hn
+    closure = max(_closure_residual(h, q), _closure_residual(h, qdag))
     return AlgebraResiduals(comm_HQ=comm_hq, comm_HQdag=comm_hqdag,
                             anticomm_minus_H=anti, nilpotency_q=nil_q,
                             nilpotency_qdag=nil_qdag, closure=closure)
@@ -570,20 +568,10 @@ def ground_state_check(spectrum: Spectrum, charges,
     degeneracy = 1 + int(np.argmax(np.append(np.diff(vals) > tol, True)))
     psi0 = spectrum.vector(0)
     norm0 = np.linalg.norm(psi0)
-    q, qdag = _charges_of(charges)
-    residuals = {}
-    for label, action in _charge_actions(q, qdag):
-        residuals[label] = float(np.linalg.norm(action.apply(psi0)) / norm0)
+    residuals = {label: float(np.linalg.norm(action.apply(psi0)) / norm0)
+                 for label, action in _charges_of(charges)}
     return GroundRecord(energy=float(vals[0] - energy_shift), raw_energy=float(vals[0]),
                         degeneracy_count=degeneracy, annihilation_residuals=residuals)
-
-
-def _charge_actions(q: ops.Supercharge, qdag: ops.Supercharge | None):
-    yield q.label, q.action
-    if qdag is not None:
-        yield qdag.label, qdag.action
-    else:
-        yield q.label + "_adjoint", q.adjoint_action
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +755,7 @@ class SusyReport:
 _PAIR_CHUNK = 32
 
 
-def _pair_invariance(spectrum: Spectrum, pairing: PairingMap, q, qdag) -> float:
+def _pair_invariance(spectrum: Spectrum, pairing: PairingMap, charges) -> float:
     """Worst relative leakage of the charge images out of their pair subspaces.
 
     Computed in sector coordinates. Every charge C is odd under parity, so
@@ -782,7 +770,7 @@ def _pair_invariance(spectrum: Spectrum, pairing: PairingMap, q, qdag) -> float:
     if not pairing.pairs:
         return 0.0
     even, odd = spectrum.sectors
-    folded = [_fold_charge(action, even, odd) for _, action in _charge_actions(q, qdag)]
+    folded = [_fold_charge(action, even, odd) for _, action in _charges_of(charges)]
     pairs = np.array([(i, j) for i, j, _ in pairing.pairs], dtype=int)
     cols = _block_columns(spectrum.sector_of)[pairs]
     worst = 0.0
@@ -881,26 +869,14 @@ def build_check(model: ModelSpec, charge: str, *, n_points: int = 512,
         raise ParameterError(f"charge must be 'Q' or 'q', got {charge!r}")
     if isinstance(model, FreeParticle):
         grid = build_grid(model.length / 2.0, n_points, PERIODIC)
-        p = ops.momentum(grid)
-        par = ops.parity_operator(grid)
-        h_spec = ops.hamiltonian(grid, lambda x: 0.0)
-        h_alg = ops.momentum_squared_hamiltonian(p, 1.0)
-        if charge == "Q":
-            q, qdag = ops.supercharge_Q(p, par, 1.0), None
-        else:
-            q, qdag = ops.supercharge_q_pair(p, par, 1.0)
-        spectrum = numeric_spectrum(h_spec, par, grid.n_points)
-        artifacts = [grid.n_points - 1] if grid.n_points % 2 == 0 else []
+        g, s, mu = ops.momentum(grid), ops.parity_operator(grid), 1.0
+        h_spec, parity = ops.hamiltonian(grid, lambda x: 0.0), s
+        h_alg = ops.momentum_squared_hamiltonian(g, mu)
+        artifacts = [grid.n_points - 1]  # the Nyquist level; periodic grids are even
         model_name = f"free_particle(L={model.length:g})"
     elif isinstance(model, PlanarRotor):
-        lz, t, h = ops.rotor_basis_operators(model.m_max, model.inertia)
-        reversal = t.linear_part
-        if charge == "Q":
-            q, qdag = ops.rotor_supercharge(lz, t, model.inertia), None
-        else:
-            q, qdag = ops.rotor_supercharge_pair(lz, t, model.inertia)
-        h_spec = h_alg = h
-        spectrum = numeric_spectrum(h, reversal, h.dimension)
+        g, s, h_spec = ops.rotor_basis_operators(model.m_max, model.inertia)
+        mu, parity, h_alg = model.inertia, s.linear_part, h_spec
         artifacts = []
         model_name = f"planar_rotor(I={model.inertia:g}, m_max={model.m_max})"
     elif isinstance(model, (ParticleInBox, SecSquaredPartner, DeltaWell)):
@@ -910,13 +886,15 @@ def build_check(model: ModelSpec, charge: str, *, n_points: int = 512,
     else:
         raise ParameterError(f"unsupported model {model!r}")
 
-    charges = q if qdag is None else (q, qdag)
+    charges = (ops.supercharge_Q(g, s, mu) if charge == "Q"
+               else ops.supercharge_q_pair(g, s, mu))
+    spectrum = numeric_spectrum(h_spec, parity, h_spec.dimension)
     zero_tol = max(ZERO_TOL, _ZERO_TOL_EPS_FACTOR * np.finfo(float).eps * _norm1(h_spec))
     shift = float(spectrum.eigenvalues[0]) if zero_point_reset else 0.0
     ground = ground_state_check(spectrum, charges, energy_shift=shift)
     pairing = detect_pairing(spectrum, pair_tol)
     algebra = algebra_residuals(h_alg, charges)
-    invariance = _pair_invariance(spectrum, pairing, q, qdag)
+    invariance = _pair_invariance(spectrum, pairing, charges)
 
     unpaired_excited = [i for i in pairing.unpaired if i != 0 and i not in artifacts]
     ann_tol = 1e-10
@@ -941,7 +919,7 @@ def build_check(model: ModelSpec, charge: str, *, n_points: int = 512,
             satisfied=algebra.closure <= machine_tol,
             detail=f"closure residual={algebra.closure:.3e}"),
     }
-    if q.nilpotent_by_design:
+    if algebra.nilpotency_q is not None:
         nil = max(algebra.nilpotency_q, algebra.nilpotency_qdag)
         verdicts[5] = CriterionVerdict(satisfied=nil <= machine_tol,
                                        detail=f"||q^2||={nil:.3e}")

@@ -20,10 +20,6 @@ EVEN = "even"
 ODD = "odd"
 NO_PARITY = "none"
 
-UNIT = "unit"
-PER_UNIT_MOMENTUM = "per_unit_momentum"
-UNNORMALIZED = "none"
-
 
 @dataclass(frozen=True)
 class AnalyticState:
@@ -32,7 +28,6 @@ class AnalyticState:
     energy: float
     parity: str
     evaluate: Callable[[np.ndarray], np.ndarray] | None
-    normalization: str
     label: str = ""
     derivative: Callable[[np.ndarray], np.ndarray] | None = None
     second_derivative: Callable[[np.ndarray], np.ndarray] | None = None
@@ -123,8 +118,7 @@ def box_levels(length: float, n_max: int) -> list[AnalyticState]:
             d2psi = (lambda x, k=k: -k * k * np.sin(k * x))
             parity = ODD
         states.append(AnalyticState(
-            energy=box_energy(length, n), parity=parity, evaluate=psi,
-            normalization=UNNORMALIZED, label=f"box n={n}",
+            energy=box_energy(length, n), parity=parity, evaluate=psi, label=f"box n={n}",
             derivative=dpsi, second_derivative=d2psi))
     return states
 
@@ -158,7 +152,7 @@ def sec_squared_partner_levels(length: float, n_max: int) -> list[AnalyticState]
             psi = (lambda x: np.cos(a * x) ** 2 * np.sin(a * x))
         states.append(AnalyticState(
             energy=box_energy(length, n), parity=parity, evaluate=psi,
-            normalization=UNNORMALIZED, label=f"partner n={n}"))
+            label=f"partner n={n}"))
     return states
 
 
@@ -172,8 +166,7 @@ def delta_well_bound_state(coupling: float) -> AnalyticState:
     root = np.sqrt(lam)
     return AnalyticState(
         energy=-0.5 * lam ** 2, parity=EVEN,
-        evaluate=(lambda x: root * np.exp(-lam * np.abs(x))),
-        normalization=UNIT, label="delta bound",
+        evaluate=(lambda x: root * np.exp(-lam * np.abs(x))), label="delta bound",
         derivative=(lambda x: -lam * root * np.sign(x) * np.exp(-lam * np.abs(x))))
 
 
@@ -186,7 +179,7 @@ def delta_well_even_continuum(coupling: float, k: float) -> AnalyticState:
         return (k * np.cos(k * x) - lam * np.sin(k * np.abs(x))) / norm
 
     return AnalyticState(energy=0.5 * k ** 2, parity=EVEN, evaluate=psi,
-                         normalization=PER_UNIT_MOMENTUM, label=f"delta even k={k:g}")
+                         label=f"delta even k={k:g}")
 
 
 def delta_well_states(coupling: float, k_list) -> tuple[AnalyticState, list, list]:
@@ -202,7 +195,7 @@ def delta_well_states(coupling: float, k_list) -> tuple[AnalyticState, list, lis
     even = [delta_well_even_continuum(coupling, k) for k in ks if k > 0]
     odd = [AnalyticState(energy=0.5 * k ** 2, parity=ODD,
                          evaluate=(lambda x, k=k: np.sin(k * x)),
-                         normalization=PER_UNIT_MOMENTUM, label=f"delta odd k={k:g}")
+                         label=f"delta odd k={k:g}")
            for k in ks if k > 0]
     return bound, even, odd
 
@@ -238,21 +231,20 @@ def free_particle_states(length: float, representation: str, k_list) -> list[Ana
         if representation == "standing":
             states.append(AnalyticState(
                 energy=e, parity=EVEN, evaluate=(lambda x, k=k: np.cos(k * x)),
-                normalization=PER_UNIT_MOMENTUM, label=f"cos k={k:g}"))
+                label=f"cos k={k:g}"))
             if k > 0:
                 states.append(AnalyticState(
                     energy=e, parity=ODD, evaluate=(lambda x, k=k: np.sin(k * x)),
-                    normalization=PER_UNIT_MOMENTUM, label=f"sin k={k:g}"))
+                    label=f"sin k={k:g}"))
         elif representation == "traveling":
             states.append(AnalyticState(
                 energy=e, parity=EVEN if k == 0 else NO_PARITY,
-                evaluate=(lambda x, k=k: np.exp(1j * k * x)),
-                normalization=PER_UNIT_MOMENTUM, label=f"exp(+ik x) k={k:g}"))
+                evaluate=(lambda x, k=k: np.exp(1j * k * x)), label=f"exp(+ik x) k={k:g}"))
             if k > 0:
                 states.append(AnalyticState(
                     energy=e, parity=NO_PARITY,
                     evaluate=(lambda x, k=k: np.exp(-1j * k * x)),
-                    normalization=PER_UNIT_MOMENTUM, label=f"exp(-ik x) k={k:g}"))
+                    label=f"exp(-ik x) k={k:g}"))
         else:
             raise ParameterError(f"unknown representation {representation!r}")
     return states
@@ -267,8 +259,7 @@ def rotor_states(inertia: float, m_max: int) -> list[AnalyticState]:
         states.append(AnalyticState(
             energy=m ** 2 / (2.0 * inertia),
             parity=EVEN if m == 0 else NO_PARITY,
-            evaluate=(lambda phi, m=m: np.exp(1j * m * phi)),
-            normalization=PER_UNIT_MOMENTUM, label=f"rotor m={m}"))
+            evaluate=(lambda phi, m=m: np.exp(1j * m * phi)), label=f"rotor m={m}"))
     return states
 
 

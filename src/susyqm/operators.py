@@ -1,4 +1,4 @@
-"""Discrete operators and the supercharge constructions.
+"""Discrete operators and the supercharge construction.
 
 Every operator is one real-linear map v -> A v + B conj(v), with A and B
 held as scipy.sparse CSR matrices, or None when a part is absent.
@@ -8,12 +8,15 @@ two (MixedOperator) carry both. Stencils, parity and the rotor basis are
 built directly in CSR, so composing and applying them costs O(nnz), and
 nothing is densified unless an eigensolver needs a full matrix.
 
-Supercharges built here:
+Every supercharge comes from one construction: a symmetry generator G
+and an involution S that anticommutes with it give
 
-* Q = p P / sqrt(2 m)        -- momentum times parity (anti-Hermitian)
-* q = (p + p P) / sqrt(4 m)  -- nilpotent pair together with its adjoint
-* Q = L_z T / sqrt(2 I)      -- angular momentum times time reversal
-  plus the analogous nilpotent pair (L_z +/- L_z T) / sqrt(4 I).
+* Q = G S / sqrt(2 mu)              -- anti-Hermitian, Q^2 = -H
+* q, qdag = (G +/- G S) / sqrt(4 mu) -- a nilpotent pair, each the other's adjoint
+
+with G = p and S = parity (linear) for the free particle, and G = L_z and
+S = time reversal (antilinear) for the planar rotor; compose carries the
+antilinearity through.
 """
 
 from __future__ import annotations
@@ -31,16 +34,6 @@ def _csr(m):
     if m is None:
         return None
     return m.tocsr() if sp.issparse(m) else sp.csr_array(np.asarray(m))
-
-
-def _matvec(m: sp.csr_array, v: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(v) and not np.iscomplexobj(m.data):
-        # a real matrix maps real and imaginary parts separately; as one real
-        # product on the interleaved parts this runs several times faster than
-        # scipy's mixed real/complex product
-        x = np.ascontiguousarray(v, dtype=complex)
-        return (m @ x.view(float).reshape(len(x), -1)).view(complex).reshape(x.shape)
-    return m @ v
 
 
 class MixedOperator:
@@ -81,9 +74,9 @@ class MixedOperator:
         v = np.asarray(v)
         out = 0
         if self.linear_matrix is not None:
-            out = _matvec(self.linear_matrix, v)
+            out = self.linear_matrix @ v
         if self.antilinear_matrix is not None:
-            out = out + _matvec(self.antilinear_matrix, np.conj(v))
+            out = out + self.antilinear_matrix @ np.conj(v)
         return out
 
     def to_dense(self) -> np.ndarray:
@@ -293,12 +286,10 @@ def delta_well_hamiltonian(grid: Grid1D, lam: float) -> LinearOperator:
 # ---------------------------------------------------------------------------
 # supercharges
 
-Q_EQ3 = "Q_eq3"
-Q_EQ4 = "q_eq4"
-QDAG_EQ4 = "qdag_eq4"
-Q_EQ7 = "Q_eq7"
-Q_ROTOR_NILPOTENT = "q_rotor"
-QDAG_ROTOR_NILPOTENT = "qdag_rotor"
+# labels name the paper's equation, fixed by the kind of involution:
+# parity (linear) gives eqs. 3 and 4, time reversal (antilinear) eq. 7
+# and the rotor's nilpotent pair
+_LABELS = {False: ("Q_eq3", "q_eq4", "qdag_eq4"), True: ("Q_eq7", "q_rotor", "qdag_rotor")}
 
 
 @dataclass(frozen=True)
@@ -314,35 +305,42 @@ class Supercharge:
         return self.action.apply(v)
 
 
-def _assert_anti_self_adjoint(op: Operator, label: str):
-    resid = frobenius_norm(add(op.adjoint(), op))
-    scale_ = frobenius_norm(op)
-    if scale_ > 0 and resid > 1e-12 * scale_:
+def supercharge_Q(g: Operator, s: Operator, mu: float) -> Supercharge:
+    """Q = G S / sqrt(2 mu); the adjoint S G / sqrt(2 mu) equals -Q.
+
+    g is the symmetry generator and s an involution anticommuting with
+    it, linear or antilinear. A Q whose adjoint is not -Q is refused with
+    a NumericalContractError.
+    """
+    _check_dims(g, s)
+    action = scale(compose(g, s), 1.0 / np.sqrt(2.0 * mu))
+    label = _LABELS[s.antilinear_matrix is not None][0]
+    resid = frobenius_norm(add(action.adjoint(), action))
+    size = frobenius_norm(action)
+    if size > 0 and resid > 1e-12 * size:
         raise NumericalContractError(
             f"{label}: expected the adjoint to equal the negated charge "
-            f"(relative residual {resid / scale_:.2e})")
-
-
-def supercharge_Q(p: LinearOperator, P: LinearOperator, mass: float) -> Supercharge:
-    """Q = p P / sqrt(2 m); the adjoint P p / sqrt(2 m) equals -Q."""
-    _check_dims(p, P)
-    action = scale(compose(p, P), 1.0 / np.sqrt(2.0 * mass))
-    _assert_anti_self_adjoint(action, "supercharge Q = pP")
-    return Supercharge(action=action, adjoint_action=scale(action, -1.0), label=Q_EQ3,
+            f"(relative residual {resid / size:.2e})")
+    return Supercharge(action=action, adjoint_action=scale(action, -1.0), label=label,
                        nilpotent_by_design=False)
 
 
-def supercharge_q_pair(p: LinearOperator, P: LinearOperator,
-                       mass: float) -> tuple[Supercharge, Supercharge]:
-    """Nilpotent pair q = (p + pP)/sqrt(4m), qdag = (p - pP)/sqrt(4m)."""
-    _check_dims(p, P)
-    pref = 1.0 / np.sqrt(4.0 * mass)
-    pP = compose(p, P)
-    q_act = scale(add(p, pP), pref)
-    qdag_act = scale(subtract(p, pP), pref)
-    q = Supercharge(action=q_act, adjoint_action=qdag_act, label=Q_EQ4,
+def supercharge_q_pair(g: Operator, s: Operator,
+                       mu: float) -> tuple[Supercharge, Supercharge]:
+    """Nilpotent pair q = (G + G S)/sqrt(4 mu), qdag = (G - G S)/sqrt(4 mu).
+
+    With an antilinear s (time reversal) each charge mixes a linear and
+    an antilinear part.
+    """
+    _check_dims(g, s)
+    pref = 1.0 / np.sqrt(4.0 * mu)
+    gs = compose(g, s)
+    q_act = scale(add(g, gs), pref)
+    qdag_act = scale(subtract(g, gs), pref)
+    _, q_label, qdag_label = _LABELS[s.antilinear_matrix is not None]
+    q = Supercharge(action=q_act, adjoint_action=qdag_act, label=q_label,
                     nilpotent_by_design=True)
-    qdag = Supercharge(action=qdag_act, adjoint_action=q_act, label=QDAG_EQ4,
+    qdag = Supercharge(action=qdag_act, adjoint_action=q_act, label=qdag_label,
                        nilpotent_by_design=True)
     return q, qdag
 
@@ -357,31 +355,6 @@ def rotor_basis_operators(m_max: int, inertia: float):
     reversal = np.arange(len(m))[::-1].copy()  # exp(i m phi) -> exp(-i m phi)
     t = AntilinearOperator(LinearOperator.from_permutation(reversal))
     return lz, t, h
-
-
-def rotor_supercharge(lz: LinearOperator, t: AntilinearOperator,
-                      inertia: float) -> Supercharge:
-    """Antilinear Q = L_z T / sqrt(2 I); adjoint T L_z / sqrt(2 I) = -Q."""
-    _check_dims(lz, t)
-    action = scale(compose(lz, t), 1.0 / np.sqrt(2.0 * inertia))
-    _assert_anti_self_adjoint(action, "rotor supercharge Q = Lz T")
-    return Supercharge(action=action, adjoint_action=scale(action, -1.0), label=Q_EQ7,
-                       nilpotent_by_design=False)
-
-
-def rotor_supercharge_pair(lz: LinearOperator, t: AntilinearOperator,
-                           inertia: float) -> tuple[Supercharge, Supercharge]:
-    """Nilpotent rotor pair (L_z +/- L_z T) / sqrt(4 I), mixing linear and antilinear parts."""
-    _check_dims(lz, t)
-    pref = 1.0 / np.sqrt(4.0 * inertia)
-    lzt = compose(lz, t)
-    q_act = scale(add(lz, lzt), pref)
-    qdag_act = scale(subtract(lz, lzt), pref)
-    q = Supercharge(action=q_act, adjoint_action=qdag_act, label=Q_ROTOR_NILPOTENT,
-                    nilpotent_by_design=True)
-    qdag = Supercharge(action=qdag_act, adjoint_action=q_act, label=QDAG_ROTOR_NILPOTENT,
-                       nilpotent_by_design=True)
-    return q, qdag
 
 
 def momentum_squared_hamiltonian(p: LinearOperator, mass: float) -> LinearOperator:

@@ -42,12 +42,7 @@ def superpotential(psi0, grid: Grid1D) -> np.ndarray:
     if len(vals) != grid.n_points:
         raise ParameterError("sample count does not match the grid")
     _require_nodeless(vals, x)
-    h = grid.spacing
-    dpsi = np.empty_like(vals)
-    dpsi[1:-1] = (vals[2:] - vals[:-2]) / (2.0 * h)
-    dpsi[0] = (vals[1] - vals[0]) / h
-    dpsi[-1] = (vals[-1] - vals[-2]) / h
-    return -dpsi / vals
+    return -np.gradient(vals, grid.spacing, edge_order=1) / vals
 
 
 def _require_nodeless(vals: np.ndarray, x: np.ndarray):
@@ -95,11 +90,7 @@ def partner_potential(psi0, e0: float, grid: Grid1D, *,
         vals = np.asarray(psi0.evaluate(x), dtype=float)
         wprime = -np.asarray(psi0.second_derivative(x), dtype=float) / vals + w ** 2
     else:
-        h = grid.spacing
-        wprime = np.empty_like(w)
-        wprime[1:-1] = (w[2:] - w[:-2]) / (2.0 * h)
-        wprime[0] = (w[1] - w[0]) / h
-        wprime[-1] = (w[-1] - w[-2]) / h
+        wprime = np.gradient(w, grid.spacing, edge_order=1)
     v_minus = 0.5 * (w ** 2 + wprime) + e0
     v_plus = 0.5 * (w ** 2 - wprime) + e0
     if not np.all(np.isfinite(v_minus)):

@@ -143,7 +143,7 @@ def test_criterion_08_rotor():
         np.testing.assert_array_equal(spec.eigenvalues, expected)
         pairing = detect_pairing(spec)
         assert len(pairing.pairs) == m_max and pairing.unpaired == [0]
-        q = ops.rotor_supercharge(lz, t, 1.0)
+        q = ops.supercharge_Q(lz, t, 1.0)
         qq = ops.compose(q.action, q.action)
         np.testing.assert_allclose(-qq.to_dense(), h.to_dense(), atol=1e-15)
         assert ops.frobenius_norm(ops.commutator(h, q.action)) == 0.0

@@ -322,6 +322,13 @@ def test_bad_parameter_exits_with_config_code(tmp_path, capsys):
     ["spectrum", "--model", "box", "--points", "101", "--levels", "2", "--m-max", "4",
      "--I", "0", "--lambda", "-3"],
     ["spectrum", "--model", "rotor", "--L", "5"],
+    ["spectrum", "--model", "free", "--points", "8", "--levels", "6", "--pair-tol", "nan"],
+    ["check", "--model", "rotor", "--charge", "q", "--m-max", "3", "--machine-tol", "inf"],
+    ["check", "--model", "rotor", "--charge", "q", "--m-max", "3", "--machine-tol", "-1"],
+    ["check", "--model", "rotor", "--charge", "q", "--m-max", "3", "--pair-tol", "0"],
+    ["scan", "--L-values", "3,6", "--convergence-tol", "-1"],
+    ["scan", "--L-values", "3,6", "--convergence-tol", "nan"],
+    ["scan", "--L-values", "3,6", "--convergence-tol", "inf"],
 ])
 def test_degenerate_input_exits_with_config_code(tmp_path, capsys, argv):
     try:
@@ -397,6 +404,21 @@ def _model(models, unread=False):
     return st.sampled_from(models).flatmap(flags)
 
 
+@st.composite
+def _scan_that_can_pass(draw):
+    """scan over strictly increasing positive lengths, each at 20 to 60 grid points."""
+    lengths = [draw(st.floats(min_value=1.0, max_value=8.0))]
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        lengths.append(lengths[-1] * draw(st.floats(min_value=1.05, max_value=1.7)))
+    # the longest length is under 3 times the shortest, so this range is never empty
+    per_length = draw(st.floats(min_value=20.0 / lengths[0], max_value=60.0 / lengths[-1]))
+    # at so few points the partner levels match the box's only to about 1e-2
+    tol = draw(st.floats(min_value=1e-2, max_value=0.1))
+    return ["scan", "--L-values", ",".join(map(repr, lengths)),
+            "--points-per-length", repr(per_length), "--convergence-tol", repr(tol),
+            "--levels", str(draw(st.integers(min_value=1, max_value=4)))]
+
+
 _ARGV = st.one_of(
     _joined([st.just(["spectrum"]), _model(_MODELS), _flag("--levels", _LEVELS)]),
     _joined([st.just(["check"]), _model(_MODELS), _flag("--charge", st.sampled_from(["Q", "q"])),
@@ -407,6 +429,7 @@ _ARGV = st.one_of(
     _joined([st.just(["scan"]),
              _flag("--L-values", st.lists(_SMALL_FLOAT, min_size=1, max_size=3).map(",".join)),
              _flag("--points-per-length", _SMALL_FLOAT), _flag("--levels", _LEVELS)]),
+    _scan_that_can_pass(),
     _joined([st.just(["eq5"]), _flag("--L", _ANY_FLOAT), _flag("--points", _POINTS),
              st.one_of(st.just([]), _flag("--k-values", st.lists(
                  _ANY_FLOAT, min_size=0, max_size=3).map(",".join))),

@@ -318,9 +318,7 @@ def test_energy_only_commands_compute_no_eigenvectors(monkeypatch, tmp_path, arg
 # pairing
 
 def _analytic_spectrum(energies, parities):
-    n = len(energies)
     return Spectrum(eigenvalues=np.asarray(energies, dtype=float),
-                    eigenvectors=np.eye(n, dtype=complex),
                     parity_labels=list(parities))
 
 
@@ -414,7 +412,7 @@ def test_free_q_pair_algebra(free_setup):
 
 def test_rotor_Q_algebra(rotor_setup):
     lz, t, h = rotor_setup
-    q = ops.rotor_supercharge(lz, t, 1.0)
+    q = ops.supercharge_Q(lz, t, 1.0)
     res = algebra_residuals(h, q)
     assert res.comm_HQ == 0.0
     assert res.anticomm_minus_H <= 1e-15  # only the 1/2 scaling rounds
@@ -451,7 +449,7 @@ def test_delta_well_ground_with_zero_point_reset():
 
 def test_rotor_ground_state(rotor_setup):
     lz, t, h = rotor_setup
-    q = ops.rotor_supercharge(lz, t, 1.0)
+    q = ops.supercharge_Q(lz, t, 1.0)
     spec = numeric_spectrum(h, t.linear_part, 7)
     rec = ground_state_check(spec, q)
     assert rec.degeneracy_count == 1 and rec.energy == 0.0
@@ -620,18 +618,18 @@ def _random_even_system(model, charge, rng):
         coeffs = rng.uniform(-20.0, 20.0, 4)
         # a potential sampled from |x| is bit-exactly even on the symmetric grid
         h = ops.hamiltonian(grid, lambda x: np.polyval(coeffs, abs(x)))
-        p, parity = ops.momentum(grid), ops.parity_operator(grid)
-        q, qdag = ((ops.supercharge_Q(p, parity, 1.0), None) if charge == "Q"
-                   else ops.supercharge_q_pair(p, parity, 1.0))
+        g, s, mu = ops.momentum(grid), ops.parity_operator(grid), 1.0
+        parity = s
     else:
-        lz, t, _ = ops.rotor_basis_operators(40, 0.7)
+        g, s, _ = ops.rotor_basis_operators(40, 0.7)
+        mu = 0.7
         m = np.abs(np.arange(-40, 41))
         e = rng.uniform(-1.0, 1.0, 40)
         # couplings symmetric under m -> -m keep h even and its blocks tridiagonal
         h = _tridiag(rng.uniform(0.0, 50.0, 41)[m], np.r_[e, e[::-1]])
-        parity = t.linear_part
-        q, qdag = ((ops.rotor_supercharge(lz, t, 0.7), None) if charge == "Q"
-                   else ops.rotor_supercharge_pair(lz, t, 0.7))
+        parity = s.linear_part
+    q, qdag = ((ops.supercharge_Q(g, s, mu), None) if charge == "Q"
+               else ops.supercharge_q_pair(g, s, mu))
     return numeric_spectrum(h, parity, h.dimension), q, qdag
 
 
@@ -644,13 +642,14 @@ def test_batched_pair_invariance_matches_per_vector_loop(charge):
         spec, q, qdag = _random_even_system(model, charge, rng)
         actions = [q.action, q.adjoint_action if qdag is None else qdag.action]
         # the one-column unfold of the ground state, before any full unfold
-        ground = ground_state_check(spec, q if qdag is None else (q, qdag))
+        charges = q if qdag is None else (q, qdag)
+        ground = ground_state_check(spec, charges)
         even = rng.permutation([i for i, s in enumerate(spec.parity_labels) if s == "even"])
         odd = rng.permutation([i for i, s in enumerate(spec.parity_labels) if s == "odd"])
         pairing = engine.PairingMap(pairs=[(int(i), int(j), 0.0) for i, j in zip(even, odd)],
                                     unpaired=[])
         assert len(pairing.pairs) > engine._PAIR_CHUNK  # more than one batch
-        folded = engine._pair_invariance(spec, pairing, q, qdag)
+        folded = engine._pair_invariance(spec, pairing, charges)
         vecs = spec.eigenvectors
         assert vecs.dtype == np.float64
         expected = _pair_invariance_loop(spec, pairing, actions)
@@ -691,7 +690,19 @@ def test_charge_that_is_not_parity_odd_is_refused(rotor_setup):
         charge = ops.Supercharge(action=action, adjoint_action=action, label="C",
                                  nilpotent_by_design=False)
         with pytest.raises(ParameterError, match="odd under parity"):
-            engine._pair_invariance(spec, pairing, charge, None)
+            engine._pair_invariance(spec, pairing, charge)
+
+
+@pytest.mark.parametrize("model,charge,labels", [
+    (FreeParticle(2 * np.pi), "Q", ["Q_eq3", "Q_eq3_adjoint"]),
+    (FreeParticle(2 * np.pi), "q", ["q_eq4", "qdag_eq4"]),
+    (PlanarRotor(1.0, 8), "Q", ["Q_eq7", "Q_eq7_adjoint"]),
+    (PlanarRotor(1.0, 8), "q", ["q_rotor", "qdag_rotor"]),
+])
+def test_charge_labels_name_the_papers_equations(model, charge, labels):
+    # parity (linear) gives eqs. 3 and 4, time reversal (antilinear) eq. 7 and the rotor pair
+    report = build_check(model, charge, n_points=64)
+    assert list(report.ground.annihilation_residuals) == labels
 
 
 def test_build_check_refuses_dirichlet_models():

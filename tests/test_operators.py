@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import susyqm.operators as ops
 from susyqm.engine import numeric_spectrum
-from susyqm.errors import ParameterError, PotentialEvaluationError
+from susyqm.errors import NumericalContractError, ParameterError, PotentialEvaluationError
 from susyqm.grid import build_grid
 from susyqm.models import box_levels, sec_squared_potential
 from susyqm.partner import partner_potential
@@ -226,6 +226,22 @@ def test_supercharge_dimension_mismatch():
         ops.supercharge_Q(ops.momentum(g1), ops.parity_operator(g2), 1.0)
 
 
+@pytest.mark.parametrize("model", ["free", "rotor"])
+def test_supercharge_Q_refuses_an_involution_that_commutes_with_the_generator(
+        periodic_grid, model):
+    # s = 1 on the grid, or plain complex conjugation of the m coefficients on
+    # the rotor: either commutes with G, so G s / sqrt(2) has adjoint +Q, not -Q
+    if model == "free":
+        g, label = ops.momentum(periodic_grid), "Q_eq3"
+        s = ops.LinearOperator.from_permutation(np.arange(periodic_grid.n_points))
+    else:
+        g, _, _ = ops.rotor_basis_operators(3, 1.0)
+        label = "Q_eq7"
+        s = ops.AntilinearOperator(ops.LinearOperator.from_permutation(np.arange(7)))
+    with pytest.raises(NumericalContractError, match=label):
+        ops.supercharge_Q(g, s, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # rotor basis
 
@@ -250,7 +266,7 @@ def test_lz_is_diagonal_in_m():
 
 def test_rotor_supercharge_flips_m():
     lz, t, _ = ops.rotor_basis_operators(4, 1.0)
-    q = ops.rotor_supercharge(lz, t, 1.0)
+    q = ops.supercharge_Q(lz, t, 1.0)
     v = np.zeros(9, dtype=complex)
     v[4 + 3] = 1.0  # m = 3
     out = q.apply(v)
@@ -261,7 +277,7 @@ def test_rotor_supercharge_flips_m():
 
 def test_rotor_supercharge_annihilates_m0():
     lz, t, _ = ops.rotor_basis_operators(2, 1.0)
-    q = ops.rotor_supercharge(lz, t, 1.0)
+    q = ops.supercharge_Q(lz, t, 1.0)
     v = np.zeros(5, dtype=complex)
     v[2] = 1.0
     assert np.linalg.norm(q.apply(v)) == 0.0
@@ -269,7 +285,7 @@ def test_rotor_supercharge_annihilates_m0():
 
 def test_rotor_minus_q_squared_is_hamiltonian():
     lz, t, h = ops.rotor_basis_operators(5, 2.0)
-    q = ops.rotor_supercharge(lz, t, 2.0)
+    q = ops.supercharge_Q(lz, t, 2.0)
     qq = ops.compose(q.action, q.action)
     assert isinstance(qq, ops.LinearOperator)
     np.testing.assert_allclose(-qq.to_dense(), h.to_dense(), atol=1e-15)
@@ -277,7 +293,7 @@ def test_rotor_minus_q_squared_is_hamiltonian():
 
 def test_rotor_nilpotent_pair_squares_to_zero():
     lz, t, _ = ops.rotor_basis_operators(4, 1.0)
-    q, qdag = ops.rotor_supercharge_pair(lz, t, 1.0)
+    q, qdag = ops.supercharge_q_pair(lz, t, 1.0)
     assert fro(ops.compose(q.action, q.action)) < 1e-15
     assert fro(ops.compose(qdag.action, qdag.action)) < 1e-15
 

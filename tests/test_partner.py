@@ -42,7 +42,6 @@ def test_scale_invariance_bit_for_bit(box_grid, box_ground):
         scaled = AnalyticState(
             energy=box_ground.energy, parity=box_ground.parity,
             evaluate=(lambda x, c=c: c * box_ground.evaluate(x)),
-            normalization=box_ground.normalization,
             derivative=(lambda x, c=c: c * box_ground.derivative(x)))
         w = superpotential(scaled, box_grid)
         if c in (4.0, 0.125):
