@@ -15,11 +15,13 @@ Spectra come from one path: every Hamiltonian here commutes with an
 exact parity permutation (x -> -x on the grid, m -> -m on the rotor
 basis), so numeric_spectrum folds it into an even and an odd block, both
 tridiagonal for the three-point stencil and the rotor, and solves each
-with eigh_tridiagonal: a block whose every level is wanted by divide and
-conquer (stevd), values and vectors together; otherwise by bisection
-(stebz) for exactly the levels needed, values only, solved again with
-inverse iteration (stein) when the eigenvectors are first read. Parity
-labels are the block a level came from, and every eigenvector is real.
+for values and vectors together: a block whose every level is wanted by
+divide and conquer (stevd, through eigh_tridiagonal); otherwise by
+shift-invert Lanczos on (T - sigma)^-1 for exactly the levels needed,
+with sigma a certified lower bound on the block's lowest level and one
+LDL^T factorization (pttrf) per solve, O(dim) work per Lanczos step
+besides the reorthogonalization. Parity labels are the block a level
+came from, and every eigenvector is real.
 
 Criterion 3 is computed in those sector coordinates. Every supercharge
 is odd under the same parity, so it folds, once, into a block from the
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh, eigh_tridiagonal, lapack
 
 from . import operators as ops
 from .errors import DirichletAlgebraError, NumericalContractError, ParameterError
@@ -107,14 +109,18 @@ def numeric_spectrum(h: ops.LinearOperator, parity: ops.LinearOperator,
     under parity, or whose blocks are not tridiagonal, is refused with a
     ParameterError; a non-Hermitian h with a NumericalContractError.
 
+    A block whose every level is wanted is solved by divide and conquer;
+    a truncated one by shift-invert Lanczos (_krylov_levels), values and
+    block vectors together, each value the Rayleigh quotient of a vector
+    whose residual is at most c * eps * ||block||_1.
+
     Eigenvalues are accurate to about eps * ||h||_1 in absolute terms
     (eps = 2.2e-16), not relative to each level. On a grid ||h||_1 is
     about 2/h^2, so at 10^5 points on a box of length pi that is 4.5e-7,
     and a low level moves by up to that much between requests for
-    different n_levels (the sec^2 partner's E0 there moves by 3.1e-7
-    between 8 and 9 levels). Eigenvectors are computed when
-    .eigenvectors is first read, so callers that need only energies
-    never pay for them.
+    different n_levels. The full-space eigenvectors are unfolded from the
+    block vectors when .eigenvectors is first read, so callers that need
+    only energies never pay for them.
     """
     n = h.dimension
     if n_levels < 1:
@@ -128,19 +134,26 @@ def numeric_spectrum(h: ops.LinearOperator, parity: ops.LinearOperator,
     # for floor(n_levels/2), a sector too small for its share passing the
     # rest to the other, so a whole spectrum is one full solve per sector.
     # A truncated sector then counts its levels at or below the merged
-    # n_levels-th level; if it holds more than it solved, it solves for
-    # exactly that many, which can only lower the cut.
+    # n_levels-th level, or at or below its own top level plus the solve's
+    # residual bound if that is higher. If it holds more than it solved,
+    # either more levels lie below the cut or the solve skipped one, and it
+    # solves again for exactly that many; a block whose solves keep
+    # skipping levels grows to the full solve.
     dims = [s.dim for s in sectors]
     want = [min(dims[0], max(-(-n_levels // 2), n_levels - dims[1])),
             min(dims[1], max(n_levels // 2, n_levels - dims[0]))]
-    solved = [(np.empty(0), None)] * 2
+    solved = [(np.empty(0), np.empty((s.dim, 0))) for s in sectors]
     while True:
         solved = [sol if len(sol[0]) == k else _lowest_levels(s, k)
                   for s, k, sol in zip(sectors, want, solved)]
         values = [sol[0] for sol in solved]
         cut = np.sort(np.concatenate(values))[n_levels - 1]
-        grown = [max(k, _count_at_or_below(s, cut)) if k < s.dim else k
-                 for s, k in zip(sectors, want)]
+        grown = []
+        for s, k, v in zip(sectors, want, values):
+            if k < s.dim:
+                top = max(cut, v[-1] + _residual_bound(s)) if k else cut
+                k = max(k, _count_at_or_below(s, top))
+            grown.append(k)
         if grown == want:
             break
         want = grown
@@ -151,7 +164,7 @@ def numeric_spectrum(h: ops.LinearOperator, parity: ops.LinearOperator,
     # a sector's chosen levels are its lowest ones, in order
     for s, (_, u), k in zip(sectors, solved, np.bincount(sector_of, minlength=2)):
         s.levels = int(k)
-        s._vectors = None if u is None else u[:, :k]
+        s.vectors = u[:, :k]
     return Spectrum(vals[order], [_SECTOR_LABELS[i] for i in sector_of],
                     sectors=sectors, sector_of=sector_of)
 
@@ -166,7 +179,9 @@ class _Sector:
 
     Block row k stands for the basis vector (e_a + sign e_pi(a)) / sqrt(2)
     of representative a = reps[k], or e_a alone when a is a fixed point.
-    A spectrum holds the block's `levels` lowest levels.
+    A spectrum holds the block's `levels` lowest levels, and `vectors`,
+    their real block eigenvectors (dim x levels, in level order), as the
+    solve returned them.
     """
 
     sign: float
@@ -177,24 +192,11 @@ class _Sector:
     offdiag: np.ndarray
     asym_sq: float  # squared Frobenius norm of block - block^T
     levels: int = 0
-    _vectors: np.ndarray | None = None
+    vectors: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
         return len(self.reps)
-
-    @property
-    def vectors(self) -> np.ndarray:
-        """Real block eigenvectors of the held levels, dim x levels, in level order.
-
-        A sector solved in full carries them from its solve; a partial one
-        is solved again by index on first read, this time with vectors.
-        """
-        if self._vectors is None:
-            # bisection (stebz) again, now followed by inverse iteration (stein)
-            self._vectors = eigh_tridiagonal(self.diag, self.offdiag, select="i",
-                                             select_range=(0, self.levels - 1))[1]
-        return self._vectors
 
     def unfold(self, u: np.ndarray, out: np.ndarray, cols):
         """Write the full-space vectors of block eigenvectors u into out[:, cols].
@@ -367,29 +369,36 @@ def _sector(sign: float, perm: np.ndarray, reps: np.ndarray,
 
 
 def _lowest_levels(sector: _Sector, k: int):
-    """The k lowest eigenvalues of a sector block, with its eigenvectors if k is its dimension.
+    """The k lowest eigenvalues of a sector block and their block eigenvectors.
 
     A full block is one eigh_tridiagonal call, whose 'auto' driver is
-    stevd (divide and conquer), returning values and vectors together. A
-    partial one is bisection by index (stebz) for the values only; if the
-    vectors are ever read, _Sector.vectors solves the block again with
-    them. Bisection's default tolerance and divide and conquer's backward
-    error both put the eigenvalues within a few eps * ||block||_1 of the
-    exact ones.
+    stevd (divide and conquer); its backward error puts the eigenvalues
+    within a few eps * ||block||_1 of the exact ones. So is a block too
+    small for the Lanczos basis of k levels to stay below its dimension
+    (_basis_cap). Any other block is solved by shift-invert Lanczos
+    (_krylov_levels), unless it is diagonal (the rotor's): then its levels
+    are its sorted diagonal, exactly, and its vectors unit vectors.
     """
-    if k == sector.dim:
-        return eigh_tridiagonal(sector.diag, sector.offdiag)
-    return eigh_tridiagonal(sector.diag, sector.offdiag, eigvals_only=True,
-                            select="i", select_range=(0, k - 1)), None
+    if _basis_cap(k) >= sector.dim:
+        vals, vecs = eigh_tridiagonal(sector.diag, sector.offdiag)
+        return vals[:k], vecs[:, :k]
+    if not np.any(sector.offdiag):
+        order = np.argsort(sector.diag, kind="stable")[:k]
+        vecs = np.zeros((sector.dim, k))
+        vecs[order, np.arange(k)] = 1.0
+        return sector.diag[order], vecs
+    return _krylov_levels(sector, k)
 
 
 def _count_at_or_below(sector: _Sector, x: float) -> int:
     """How many eigenvalues of a sector block are <= x, from Sturm counts in O(dim).
 
-    eigh_tridiagonal selecting by value returns one estimate per
-    eigenvalue in the window; with a tolerance as wide as the window the
-    bisection stops once it has counted at the window's ends. The window
-    starts below -||block||_inf, under every eigenvalue.
+    numeric_spectrum counts a truncated sector after each solve, so that a
+    level below the cut that the sector was not asked for, or that its
+    solve skipped, is found. eigh_tridiagonal selecting by value returns
+    one estimate per eigenvalue in the window; with a tolerance as wide
+    as the window the bisection stops once it has counted at the window's
+    ends. The window starts below -||block||_inf, under every eigenvalue.
     """
     norm = np.max(np.abs(sector.diag)) + 2.0 * np.max(np.abs(sector.offdiag), initial=0.0)
     low = -2.0 * norm - 1.0
@@ -397,6 +406,274 @@ def _count_at_or_below(sector: _Sector, x: float) -> int:
         return 0
     return len(eigh_tridiagonal(sector.diag, sector.offdiag, eigvals_only=True,
                                 select="v", select_range=(low, x), tol=x - low))
+
+
+# ---------------------------------------------------------------------------
+# truncated sectors: shift-invert Lanczos
+#
+# Ericsson & Ruhe, "The spectral transformation Lanczos method", Math. Comp.
+# 35 (1980); Parlett, The Symmetric Eigenvalue Problem (SIAM, 1998), ch. 13.
+
+_EPS = np.finfo(float).eps
+# c of the stopping rule ||T y - rho y|| <= c * eps * ||T||_1. On the benchmark's
+# sectors at 10^5 points (box, sec^2 partner, delta well; 8 and 16 levels) the
+# returned residuals measured 0.9 to 5.0 eps * ||T||_1, and their rounding floor
+# 0.3 to 0.55, so c = 16 stops Lanczos a few steps before that floor.
+_RESIDUAL_EPS_FACTOR = 16.0
+_SHIFT_STEPS = 6        # most Collatz-Wielandt steps towards the lowest level
+_SHIFT_BACKOFF = 0.25   # sigma ends at least this fraction of the gap below the lowest level
+_START_SEED = 20040115  # fixed seed of the Lanczos start vectors
+
+
+# The basis is taken from one block of at least 32 MiB of address space; its pages
+# become resident only as Lanczos writes them. glibc raises its mmap threshold to
+# the size of any freed mapped block below 32 MiB, after which freed heap memory
+# up to twice that size stays resident: freeing the 30.5 MiB basis of a 4-level
+# solve at 10^5 points raised the peak RSS of the dirichlet-spectral workload by
+# about 20 MB.
+_BASIS_RESERVE = 2 ** 22 + 1  # float64 entries, just over 32 MiB
+
+
+def _basis_cap(k: int) -> int:
+    """Most Lanczos vectors for k levels; on the benchmark's sectors 8 levels took
+    21 to 23 and 16 levels 37 to 41."""
+    return 4 * k + 64
+
+
+def _residual_bound(sector: _Sector) -> float:
+    """c * eps * ||T||_1: the residual every level of a truncated solve meets."""
+    return _RESIDUAL_EPS_FACTOR * _EPS * _tridiag_norm1(sector.diag, sector.offdiag)
+
+
+def _tridiag_norm1(d: np.ndarray, e: np.ndarray) -> float:
+    a = np.abs(e)
+    col = np.abs(d)
+    col[1:] += a
+    col[:-1] += a
+    return float(np.max(col, initial=0.0))
+
+
+def _tridiag_apply(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """T x for the symmetric tridiagonal T = (d, e), on a vector or on each row of x."""
+    y = x * d
+    y[..., 1:] += x[..., :-1] * e
+    y[..., :-1] += x[..., 1:] * e
+    return y
+
+
+def _krylov_levels(sector: _Sector, k: int):
+    """The k lowest eigenpairs of a sector block T, 0 < k < dim, by shift-invert Lanczos.
+
+    The signature similarity D T D, D = diag(+-1), makes every
+    off-diagonal <= 0 without changing the eigenvalues; its vectors are D
+    times those of T. _lower_shift finds sigma below the lowest level and
+    factors D T D - sigma = L D' L^T once (pttrf), and _lanczos runs on
+    (D T D - sigma)^-1, applied by pttrs in O(dim). Each returned energy is
+    the Rayleigh quotient in T of its returned vector, whose residual is
+    at most _residual_bound. A solve can still skip a level that its
+    start vector barely holds; numeric_spectrum's count finds that and
+    asks again for more levels.
+
+    If the basis reaches _basis_cap(k) vectors before the k levels
+    converge, the block falls back to bisection and inverse iteration for
+    exactly those levels (stebz and stein, through eigh_tridiagonal). That
+    happens when the top wanted levels lie in a dense continuum far above
+    a deep lowest level: on a 10^5-point delta well of coupling 5 in a box
+    of length 400 (lowest level -12.5), (T - sigma)^-1 separates its 32nd
+    and 33rd even levels by a relative gap of 5e-4.
+    """
+    d = sector.diag
+    e = -np.abs(sector.offdiag)
+    # D[i + 1] is D[i], negated where offdiag[i] > 0: D[i] offdiag[i] D[i + 1] = -|offdiag[i]|
+    flip = np.cumprod(np.r_[1.0, np.where(sector.offdiag > 0, -1.0, 1.0)])
+    norm = _tridiag_norm1(d, e)
+    start = np.random.default_rng(_START_SEED).standard_normal(len(d))
+    # the block image of the constant function: a positive vector near the ground state
+    factors = _lower_shift(d, e, np.where(sector.fixed, 1.0, _SQRT2), start, norm)
+    found = _lanczos(d, e, factors, k, _residual_bound(sector), start)
+    if found is None:
+        return eigh_tridiagonal(sector.diag, sector.offdiag, select="i",
+                                select_range=(0, k - 1))
+    vals, vecs = found
+    vecs *= flip[:, None]
+    return vals, vecs
+
+
+def _lower_shift(d: np.ndarray, e: np.ndarray, x: np.ndarray, start: np.ndarray,
+                 norm: float):
+    """The LDL^T factors of T - sigma for a certified sigma below T's lowest level.
+
+    T has off-diagonals <= 0, so for any positive x, min_i (T x)_i / x_i
+    is at most its lowest eigenvalue lambda_1 (Collatz-Wielandt). sigma
+    starts at that bound for the given x; each step takes
+    y = (T - sigma)^-1 x, positive because T - sigma is then an M-matrix,
+    raises sigma to the bound of y, and goes on from x = y (inverse
+    iteration towards the ground state). A sigma is kept only
+    once pttrf factors T - sigma as positive definite (info > 0 means it
+    is not, from rounding in the bound): the first bound steps down until
+    it does, and a later one ends the steps. A Gershgorin bound would be
+    far too low on a folded even block: its sqrt(2) couplings put it at
+    -1.3e8 on a 10^5-point box of length 4 whose lowest level is 0.31
+    and whose next even level is 2.8; the relative gaps of
+    (T - sigma)^-1 are then about 2e-8, far too small for Lanczos.
+
+    The steps stop, after at most _SHIFT_STEPS, once the Rayleigh quotient
+    of y, an upper bound on lambda_1, lies within g of sigma, g the gap to
+    the next level as estimated by inverse iteration orthogonal to y
+    (_next_level). Too close is as bad as too far: with lambda_1 - sigma
+    far below g, (T - sigma)^-1 is dominated by the lowest level, and the
+    Lanczos recurrence loses the others to its rounding (on the free
+    particle's exact zero mode the starting x is the ground state, and its
+    bound is lambda_1 itself). So sigma ends at least _SHIFT_BACKOFF * g below
+    that Rayleigh quotient.
+    """
+    sigma, lower, off = _factor_below(d, e, _collatz_wielandt(d, e, x), _EPS * norm)
+    lowest, gap = sigma, 0.0
+    for step in range(_SHIFT_STEPS + 1):
+        y = lapack.dpttrs(lower, off, x)[0]
+        if not np.all(y > 0):
+            break
+        x = y / np.max(y)
+        lowest = _rayleigh(d, e, y)
+        gap = _next_level(d, e, (lower, off), y, start) - lowest
+        bound = _collatz_wielandt(d, e, y)
+        if lowest - sigma <= gap or not bound > sigma or step == _SHIFT_STEPS:
+            break
+        lower_b, off_b, info = lapack.dpttrf(d - bound, e)
+        if info:
+            break
+        sigma, lower, off = bound, lower_b, off_b
+    below = lowest - _SHIFT_BACKOFF * gap
+    if below < sigma:
+        sigma, lower, off = _factor_below(d, e, below, _EPS * norm)
+    return lower, off
+
+
+def _factor_below(d: np.ndarray, e: np.ndarray, sigma: float, step: float):
+    """sigma, stepped down by step, 2 step, 4 step, ... until pttrf factors T - sigma."""
+    step = step or np.finfo(float).tiny
+    while True:
+        lower, off, info = lapack.dpttrf(d - sigma, e)
+        if info == 0:
+            return sigma, lower, off
+        sigma -= step
+        step *= 2.0
+
+
+def _rayleigh(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> float:
+    return float(x @ _tridiag_apply(d, e, x) / (x @ x))
+
+
+def _next_level(d: np.ndarray, e: np.ndarray, factors, ground: np.ndarray,
+                start: np.ndarray) -> float:
+    """An estimate of T's second level: two steps of inverse iteration orthogonal to ground."""
+    unit = ground / np.linalg.norm(ground)
+    z = start
+    for _ in range(2):
+        z = z - unit * (unit @ z)
+        z = lapack.dpttrs(*factors, z)[0]
+    return _rayleigh(d, e, z - unit * (unit @ z))
+
+
+def _collatz_wielandt(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> float:
+    """min_i (T x)_i / x_i, a lower bound on the lowest level of T for positive x."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        bound = float(np.min(_tridiag_apply(d, e, x) / x))
+    return bound if np.isfinite(bound) else -np.inf
+
+
+def _lanczos(d: np.ndarray, e: np.ndarray, factors, k: int, tol: float, start: np.ndarray):
+    """The k lowest eigenpairs of T from Lanczos on A = (T - sigma)^-1, or None.
+
+    Full reorthogonalization: every new direction is orthogonalized
+    against the whole basis by classical Gram-Schmidt, a second time when
+    the first removed more than 1 - 1/sqrt(2) of it. The start vector is
+    a fixed pseudo-random sequence (no global state), so a call is
+    repeatable bit for bit; if the Krylov space closes, the next
+    direction is drawn from it too. With Ritz pairs (theta, s) of the
+    projected tridiagonal matrix and beta the last coupling, applying A
+    once more to a Ritz vector y gives A y, whose residual in T is
+    |beta s_m| / theta^2. Once that is below tol for the k largest theta,
+    the k Ritz vectors are refined by that application and a
+    Rayleigh-Ritz projection of T (_refine); the pairs are returned if
+    every true residual ||T y - rho y|| is at most tol. The basis holds
+    at most _basis_cap(k) vectors (or the whole block); None if they do
+    not converge by then.
+    """
+    dim = len(d)
+    cap = min(dim, _basis_cap(k))
+    rng = np.random.default_rng(_START_SEED + 1)
+    basis = np.empty(max(cap * dim, _BASIS_RESERVE))[:cap * dim].reshape(cap, dim)
+    alpha, beta = np.zeros(cap), np.zeros(cap)
+    q = start / np.linalg.norm(start)
+    for m in range(1, cap + 1):
+        basis[m - 1] = q
+        w = lapack.dpttrs(*factors, q)[0]
+        alpha[m - 1] = q @ w
+        w -= alpha[m - 1] * q
+        if m > 1:
+            w -= beta[m - 2] * basis[m - 2]
+        b = _orthogonalize(basis[:m], w)
+        beta[m - 1] = b
+        if m >= k:
+            # (the wrapper wants at least one off-diagonal, unread when m = 1)
+            theta, s = lapack.dstev(alpha[:m], beta[:max(m - 1, 1)], compute_v=1)[:2]
+            theta, s = theta[::-1][:k], s[:, ::-1][:, :k]
+            if np.all(np.abs(b * s[-1]) <= 0.5 * tol * theta ** 2):
+                vals, vecs, residual = _refine(d, e, factors, basis[:m], s)
+                if np.all(residual <= tol):
+                    return vals, vecs
+        if m == cap:
+            return None
+        if not b > _EPS * np.max(np.abs(alpha[:m])):
+            # the Krylov space is (numerically) invariant: go on from a fresh direction
+            w = rng.standard_normal(dim)
+            b = _orthogonalize(basis[:m], w)
+            beta[m - 1] = 0.0
+        q = w / b
+
+
+def _orthogonalize(basis: np.ndarray, w: np.ndarray) -> float:
+    """Remove from w, in place, its components along the rows of basis; return its norm."""
+    before = np.linalg.norm(w)
+    w -= (basis @ w) @ basis
+    after = np.linalg.norm(w)
+    if after < before / _SQRT2:
+        w -= (basis @ w) @ basis
+        after = np.linalg.norm(w)
+    return float(after)
+
+
+def _refine(d: np.ndarray, e: np.ndarray, factors, basis: np.ndarray, s: np.ndarray):
+    """Ritz pairs of T from the Lanczos Ritz vectors basis^T s, after one more application of A.
+
+    A damps the rounding noise that every Lanczos vector carries, which T
+    would otherwise amplify in the residual of all but the lowest level
+    by (lambda_i - sigma) / (lambda_1 - sigma). A Rayleigh-Ritz projection
+    of T on the k refined vectors z = A y makes them orthonormal. Each
+    energy is then the Rayleigh quotient in T of its vector, and each
+    residual ||T y - rho y|| is computed from a fresh product T y. The
+    vectors are rows (k x dim), and products with T are taken one row at
+    a time, so the refinement holds two k x dim arrays besides the basis.
+    """
+    z = lapack.dpttrs(*factors, (s.T @ basis).T, overwrite_b=1)[0].T
+    gram = z @ z.T
+    proj = np.array([z @ _tridiag_apply(d, e, row) for row in z])
+    # A scales the lowest level by far the most: unit rows keep the Gram matrix well conditioned
+    unit = 1.0 / np.sqrt(np.diag(gram))
+    c = eigh(proj * np.outer(unit, unit), gram * np.outer(unit, unit))[1] * unit[:, None]
+    y = c.T @ z
+    del z
+    vals, residual = np.empty(len(y)), np.empty(len(y))
+    for i, row in enumerate(y):
+        t = _tridiag_apply(d, e, row)
+        vals[i] = (row @ t) / (row @ row)
+        t -= vals[i] * row
+        residual[i] = np.linalg.norm(t)
+    if np.any(np.diff(vals) < 0):
+        order = np.argsort(vals, kind="stable")
+        vals, y, residual = vals[order], y[order], residual[order]
+    return vals, y.T, residual
 
 
 def _eigenvectors(sectors, sector_of: np.ndarray) -> np.ndarray:
@@ -432,9 +709,18 @@ class PairingMap:
 def detect_pairing(spectrum: Spectrum, pair_tol: float = PAIR_TOL) -> PairingMap:
     """Match adjacent near-degenerate levels of opposite parity into pairs.
 
-    Degeneracy clusters of three or more are reported unpaired with a
-    diagnostic flag. Stable under re-sorting: depends only on the sorted
-    eigenvalue/parity sequence.
+    Adjacent levels i and i + 1 are linked when their splitting d_i is
+    within pair_tol of max(|E_i|, |E_i+1|, the median level spacing) and
+    is also no larger than the gaps to their outer neighbours, d_i-1 and
+    d_i+1 (where those exist): a pair is a local minimum of the spacing.
+    Runs of linked levels are degeneracy clusters. Near the top of a fine
+    grid the relative spacing between pairs falls below any fixed
+    pair_tol, about (pi/n)^2 on the free particle (6e-7 at n = 4096), but
+    it stays far above the splitting within each pair, so the second
+    condition keeps those pairs apart. Clusters of three or more, where
+    equal splittings chain, are reported unpaired with a diagnostic flag.
+    Stable under re-sorting: depends only on the sorted eigenvalue/parity
+    sequence.
     """
     if not 0 < pair_tol < np.inf:
         raise ParameterError(f"pair_tol must be positive and finite, got {pair_tol!r}")
@@ -445,16 +731,18 @@ def detect_pairing(spectrum: Spectrum, pair_tol: float = PAIR_TOL) -> PairingMap
     unpaired: list[int] = []
     triple = False
 
-    def close(i, j):
-        scale = max(abs(vals[i]), abs(vals[j]), median_gap)
-        return abs(vals[j] - vals[i]) <= pair_tol * scale if scale > 0 else True
+    def linked(j):
+        scale = max(abs(vals[j]), abs(vals[j + 1]), median_gap)
+        if scale > 0 and gaps[j] > pair_tol * scale:
+            return False
+        return (j == 0 or gaps[j] <= gaps[j - 1]) and (j + 1 == len(gaps) or gaps[j] <= gaps[j + 1])
 
     # chain indices into degeneracy clusters first
     i = 0
     n = len(vals)
     while i < n:
         j = i
-        while j + 1 < n and close(j, j + 1):
+        while j + 1 < n and linked(j):
             j += 1
         cluster = list(range(i, j + 1))
         if len(cluster) == 1:

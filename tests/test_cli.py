@@ -91,6 +91,16 @@ def test_check_passes(tmp_path, model_args, charge, crit5_by_design):
         assert report["verdict_per_criterion"][n]["satisfied"] is True
 
 
+def test_free_check_pairs_the_top_levels_at_4096_points(tmp_path):
+    # the relative spacing of the top pairs, about (pi/n)^2, is below pair_tol here
+    code, text = run(tmp_path, "check", "--model", "free", "--charge", "q",
+                     "--points", "4096", "--L", "9.42", name="r.json")
+    assert code == 0
+    report = json.loads(text)
+    assert len(report["pairs"]) == 2047
+    assert report["unpaired"] == [0, 4095] and report["artifact_indices"] == [4095]
+
+
 def test_check_refuses_dirichlet_model(tmp_path, capsys):
     code = main(["check", "--model", "box", "--charge", "Q",
                  "--out", str(tmp_path / "r.json")])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 import susyqm.operators as ops
 from susyqm import engine
@@ -15,7 +16,9 @@ from susyqm.engine import (Spectrum, algebra_residuals, build_check,
                            numeric_spectrum)
 from susyqm.errors import DirichletAlgebraError, NumericalContractError, ParameterError
 from susyqm.grid import build_grid, parity_permutation
-from susyqm.models import FreeParticle, ParticleInBox, PlanarRotor, box_energy
+from susyqm.models import (FreeParticle, ParticleInBox, PlanarRotor, box_energy, box_levels,
+                           sec_squared_potential)
+from susyqm.partner import box_to_free_scan, partner_potential
 
 
 def _tridiag(diag, offdiag) -> ops.LinearOperator:
@@ -130,6 +133,19 @@ def _spy_solves(monkeypatch):
     return calls
 
 
+def _spy_krylov(monkeypatch):
+    """Record the level count of every truncated-sector Krylov solve the engine makes."""
+    asked = []
+    solve = engine._krylov_levels
+
+    def spy(sector, k):
+        asked.append(k)
+        return solve(sector, k)
+
+    monkeypatch.setattr(engine, "_krylov_levels", spy)
+    return asked
+
+
 def _double_well(grid):
     return ops.hamiltonian(grid, lambda x: 400.0 * (x ** 2 - 1.0) ** 2)
 
@@ -174,22 +190,173 @@ def test_exact_size_requests_return_the_lowest_levels(monkeypatch, name, n_level
         perm = np.arange(40) if name == "all_fixed" else np.r_[np.arange(34), np.arange(39, 33, -1)]
         parity = ops.LinearOperator.from_permutation(perm)
     calls = _spy_solves(monkeypatch)
+    asked = _spy_krylov(monkeypatch)
     spec = numeric_spectrum(h, parity, n_levels)
     exact = np.linalg.eigvalsh(h.to_dense())
     np.testing.assert_allclose(spec.eigenvalues, exact[:n_levels], rtol=0,
                                atol=1e-9 * np.max(np.abs(exact)))
     # a sector asks for its share only, and grows only when the Sturm count says so
-    solved = sum(c["select_range"][1] + 1 for c in calls if c.get("select") == "i")
     if name == "box":
-        assert solved == n_levels
+        assert sum(asked) == n_levels
     if name in ("lopsided", "all_fixed"):
         assert spec.parity_labels == ["even"] * n_levels
-    assert all(c.get("eigvals_only") for c in calls if c.get("select") in ("i", "v"))
+    # eigh_tridiagonal solves whole blocks or counts; a truncated block is never bisected
+    assert all(not c or (c.get("select") == "v" and c.get("eigvals_only")) for c in calls)
     # vectors read afterwards belong to exactly these levels
     vecs = spec.eigenvectors
     resid = h.to_dense() @ vecs - vecs * spec.eigenvalues
     assert np.max(np.abs(resid)) <= 1e-9 * np.max(np.abs(exact))
     np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(n_levels), rtol=0, atol=1e-9)
+
+
+def _krylov_block(name):
+    """A sector block for the truncated-sector solver, from a Hamiltonian and its parity."""
+    if name == "folded_even":  # a fixed middle point: sqrt(2) couplings in the even block
+        grid = build_grid(2.0, 201, "dirichlet")
+        h, perm = ops.hamiltonian(grid, lambda x: 0.0), parity_permutation(grid)
+    elif name == "delta_spike":
+        grid = build_grid(20.0, 401, "dirichlet")
+        h, perm = ops.delta_well_hamiltonian(grid, 2.0), parity_permutation(grid)
+    elif name == "diagonal":  # the rotor's H
+        _, t, h = ops.rotor_basis_operators(40, 1.0)
+        perm = t.linear_part.linear_matrix.indices
+    elif name == "split":  # triples coupled far below any split threshold
+        h = _tridiag(np.repeat(np.arange(1.0, 11.0), 3),
+                     np.where(np.arange(29) % 3, 1e-300, 1e-20))
+        perm = np.arange(30)
+    elif name == "near_degenerate":  # pairs 1e-9 apart within one block
+        h = _tridiag(np.repeat(np.arange(1.0, 21.0), 2) + np.tile([0.0, 1e-9], 20),
+                     np.where(np.arange(39) % 2, 1e-3, 0.0))
+        perm = np.arange(40)
+    else:  # deep_odd: the odd block's lowest level far below the even block
+        h = _tridiag([0.0, 0.0, -500.0, -500.0, 0.0, 0.0], [0.1, 0.1, 500.0, 0.1, 0.1])
+        perm = np.arange(6)[::-1]
+    even, odd = engine._sectors(h, perm)
+    return odd if name == "deep_odd" else even
+
+
+@pytest.mark.parametrize("name", ["folded_even", "delta_spike", "diagonal", "split",
+                                  "near_degenerate", "deep_odd"])
+def test_krylov_solver_matches_dense_eigvalsh(name):
+    block = _krylov_block(name)
+    dense = np.diag(block.diag) + np.diag(block.offdiag, 1) + np.diag(block.offdiag, -1)
+    exact = np.linalg.eigvalsh(dense)
+    norm = engine._tridiag_norm1(block.diag, block.offdiag)
+    for k in (1, 2, 5, 8):
+        if k >= block.dim:
+            continue
+        vals, vecs = engine._krylov_levels(block, k)
+        # within a few eps * ||T||_1 of the dense solve, as bisection was
+        np.testing.assert_allclose(vals, exact[:k], rtol=0, atol=4 * np.finfo(float).eps * norm)
+        resid = np.linalg.norm(dense @ vecs - vecs * vals, axis=0)
+        assert np.all(resid <= engine._residual_bound(block))
+        np.testing.assert_allclose(vecs.T @ vecs, np.eye(k), rtol=0, atol=1e-12)
+
+
+def test_a_solve_that_skips_a_level_is_caught_by_the_sector_count(monkeypatch):
+    grid = build_grid(2.0, 401, "dirichlet")
+    h = _double_well(grid)
+    parity = ops.parity_operator(grid)
+    exact = np.linalg.eigvalsh(h.to_dense())[:6]
+    solve = engine._krylov_levels
+    asked, first = [], []
+
+    def skipping(sector, k):
+        # solve for one level more and drop the second one, as a solve whose
+        # start vector barely held that level would
+        asked.append(k)
+        if k + 1 >= sector.dim:
+            return solve(sector, k)
+        vals, vecs = solve(sector, k + 1)
+        keep = np.r_[0, 2:k + 1]
+        first.append(vals[keep])
+        return vals[keep], vecs[:, keep]
+
+    monkeypatch.setattr(engine, "_krylov_levels", skipping)
+    spec = numeric_spectrum(h, parity, 6)
+    # the mutant's first answer was wrong, and the count made the sectors regrow
+    assert not np.allclose(np.sort(np.concatenate(first[:2]))[:6], exact, rtol=1e-6)
+    assert max(asked) > 3
+    np.testing.assert_allclose(spec.eigenvalues, exact, rtol=0, atol=1e-9 * np.max(np.abs(exact)))
+
+
+def test_truncated_solves_are_repeatable_bit_for_bit():
+    grid = build_grid(20.0, 2001, "dirichlet")
+    h = ops.delta_well_hamiltonian(grid, 1.5)
+    parity = ops.parity_operator(grid)
+    state = np.random.get_state()
+    first = numeric_spectrum(h, parity, 12)
+    # the solver's start vectors are its own: the global generator is not drawn from
+    after = np.random.get_state()
+    np.testing.assert_array_equal(after[1], state[1])
+    assert after[2] == state[2]
+    second = numeric_spectrum(h, parity, 12)
+    np.testing.assert_array_equal(first.eigenvalues, second.eigenvalues)
+    np.testing.assert_array_equal(first.eigenvectors, second.eigenvectors)
+
+
+def _bisection_levels(h, parity, n_levels):
+    """The lowest levels by bisection (stebz) on each parity block: the former solver, as oracle."""
+    even, odd = engine._sectors(h, engine._involution(parity, h.dimension))
+    vals = [eigh_tridiagonal(s.diag, s.offdiag, eigvals_only=True, select="i",
+                             select_range=(0, min(n_levels, s.dim) - 1))
+            for s in (even, odd) if s.dim]
+    return np.sort(np.concatenate(vals))[:n_levels]
+
+
+# |E - E_bisection| <= c * eps * ||H||_1. At 20001 points they agreed to 0.47 (box, sec^2
+# and both partners at L = 2, 4.2 and 6; the delta well at lambda = 0.5, 1.3 and 2)
+_BISECTION_EPS_FACTOR = 2.0
+
+
+def _assert_near_bisection(values, h, parity):
+    oracle = _bisection_levels(h, parity, len(values))
+    bound = _BISECTION_EPS_FACTOR * np.finfo(float).eps * engine._norm1(h)
+    np.testing.assert_allclose(values, oracle, rtol=0, atol=bound)
+
+
+def test_a_block_lanczos_cannot_resolve_falls_back_to_bisection(monkeypatch):
+    # a deep bound state under a dense continuum: (T - sigma)^-1 separates the
+    # top wanted even levels by relative gaps far too small for the basis cap
+    grid = build_grid(100.0, 2001, "dirichlet")
+    h = ops.delta_well_hamiltonian(grid, 5.0)
+    parity = ops.parity_operator(grid)
+    calls = _spy_solves(monkeypatch)
+    spec = numeric_spectrum(h, parity, 32)
+    assert any(c.get("select") == "i" for c in calls)
+    _assert_near_bisection(spec.eigenvalues, h, parity)
+    vecs = spec.eigenvectors
+    resid = h.linear_matrix @ vecs - vecs * spec.eigenvalues
+    assert np.max(np.linalg.norm(resid, axis=0)) <= 1e-9 * engine._norm1(h)
+    np.testing.assert_allclose(vecs.T @ vecs, np.eye(32), rtol=0, atol=1e-9)
+
+
+def test_spectrum_partner_and_scan_energies_match_bisection():
+    points, length = 20001, 4.2
+    grid = build_grid(length / 2.0, points, "dirichlet")
+    parity = ops.parity_operator(grid)
+    for h, n_levels in ((ops.hamiltonian(grid, lambda x: 0.0), 16),
+                        (ops.hamiltonian(grid, sec_squared_potential(length)), 16)):
+        _assert_near_bisection(numeric_spectrum(h, parity, n_levels).eigenvalues, h, parity)
+    delta_grid = build_grid(20.0, points, "dirichlet")
+    h = ops.delta_well_hamiltonian(delta_grid, 1.3)
+    delta_parity = ops.parity_operator(delta_grid)
+    _assert_near_bisection(numeric_spectrum(h, delta_parity, 32).eigenvalues, h, delta_parity)
+
+    ground = box_levels(length, 1)[0]
+    result = partner_potential(ground, ground.energy, grid, n_levels=8)
+    for samples, spec in ((result.v_plus_samples, result.spectrum_plus),
+                          (result.v_minus_samples, result.spectrum_minus)):
+        _assert_near_bisection(spec.eigenvalues, ops.hamiltonian(grid, samples), parity)
+
+    per_length = points / 4.0
+    for row in box_to_free_scan([4.0, 8.0], per_length, n_levels=4):
+        scan_grid = build_grid(row.length / 2.0, row.n_points, "dirichlet")
+        h = ops.hamiltonian(scan_grid, lambda x: 0.0)
+        oracle = _bisection_levels(h, ops.parity_operator(scan_grid), 2)
+        bound = _BISECTION_EPS_FACTOR * np.finfo(float).eps * engine._norm1(h)
+        assert abs(row.e1 - oracle[0]) <= bound
+        assert abs(row.gap - (oracle[1] - oracle[0])) <= 2 * bound
 
 
 def test_double_well_near_degenerate_pairs_split_by_parity():
@@ -277,6 +444,23 @@ def test_two_to_the_sixteen_periodic_levels_stay_sparse():
     assert all({labels[i], labels[i + 1]} == {"even", "odd"} for i in (1, 3, 5))
 
 
+@pytest.mark.parametrize("n", [4096, 8192])
+def test_exact_zero_mode_is_solved_by_lanczos(monkeypatch, n):
+    # the block image of the constant function is the free particle's ground
+    # state, so the first lower bound is the lowest level itself; a shift that
+    # close would leave Lanczos unable to separate the levels above it
+    grid = build_grid(np.pi, n, "periodic")
+    h = ops.hamiltonian(grid, lambda x: 0.0)
+    calls = _spy_solves(monkeypatch)
+    spec = numeric_spectrum(h, ops.parity_operator(grid), 8)
+    # counts only: no block fell back to bisection or was solved in full
+    assert all(c.get("select") == "v" for c in calls)
+    modes = np.array([0, 1, 1, 2, 2, 3, 3, 4])
+    exact = 2.0 / grid.spacing ** 2 * np.sin(np.pi * modes / n) ** 2
+    np.testing.assert_allclose(spec.eigenvalues, exact, rtol=0,
+                               atol=4 * np.finfo(float).eps * engine._norm1(h))
+
+
 def test_box_eigenvectors_match_independent_solver_oracle():
     oracle = np.loadtxt(Path(__file__).parent / "data" / "box_eigenvectors_l1_n999.txt")
     grid = build_grid(0.5, 999, "dirichlet")
@@ -308,10 +492,12 @@ def test_energy_only_commands_compute_no_eigenvectors(monkeypatch, tmp_path, arg
 
     monkeypatch.setattr(engine._Sector, "unfold", refuse)
     calls = _spy_solves(monkeypatch)
+    asked = _spy_krylov(monkeypatch)
     assert main([*argv, "--out", str(tmp_path / "out.txt")]) == 0
-    assert calls
-    # a partial solve that asked eigh_tridiagonal for vectors would run stein inside it
-    assert all(c.get("eigvals_only") for c in calls if c.get("select", "a") != "a")
+    assert calls or asked
+    # truncated sectors go through the Krylov solver, whose vectors stay in block
+    # coordinates; eigh_tridiagonal only solves whole blocks or counts
+    assert all(not c or (c.get("select") == "v" and c.get("eigvals_only")) for c in calls)
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +544,15 @@ def test_triple_degeneracy_flagged():
     pm = detect_pairing(_analytic_spectrum([1.0, 1.0, 1.0], ["even", "odd", "even"]))
     assert pm.triple_degeneracy_flag
     assert pm.unpaired == [0, 1, 2]
+
+
+def test_pairs_closer_than_pair_tol_to_their_neighbours_stay_pairs():
+    # near Nyquist on a fine grid the relative spacing between pairs falls below
+    # pair_tol, while each pair's splitting stays far below the gaps around it
+    energies = 1000.0 * np.array([1.0, 1.0 + 1e-15, 1.0000004, 1.0000004 + 1e-15, 1.0000006])
+    pm = detect_pairing(_analytic_spectrum(energies, ["even", "odd", "odd", "even", "even"]))
+    assert [(i, j) for i, j, _ in pm.pairs] == [(0, 1), (3, 2)]
+    assert pm.unpaired == [4] and not pm.triple_degeneracy_flag
 
 
 @settings(deadline=None, max_examples=50)
