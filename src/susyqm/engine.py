@@ -20,7 +20,10 @@ divide and conquer (stevd, through eigh_tridiagonal); otherwise by
 shift-invert Lanczos on (T - sigma)^-1 for exactly the levels needed,
 with sigma a certified lower bound on the block's lowest level and one
 LDL^T factorization (pttrf) per solve, O(dim) work per Lanczos step
-besides the reorthogonalization. Parity labels are the block a level
+besides the reorthogonalization. A request whose Lanczos basis would
+pass a memory limit, or on which Lanczos does not converge, is solved
+by bisection (stebz) for its values, and its vectors by inverse
+iteration (stein) only when read. Parity labels are the block a level
 came from, and every eigenvector is real.
 
 Criterion 3 is computed in those sector coordinates. Every supercharge
@@ -112,7 +115,9 @@ def numeric_spectrum(h: ops.LinearOperator, parity: ops.LinearOperator,
     A block whose every level is wanted is solved by divide and conquer;
     a truncated one by shift-invert Lanczos (_krylov_levels), values and
     block vectors together, each value the Rayleigh quotient of a vector
-    whose residual is at most c * eps * ||block||_1.
+    whose residual is at most c * eps * ||block||_1, unless its Lanczos
+    basis would be too large or does not converge: then by bisection, with
+    the block vectors solved for on first read (_lowest_levels).
 
     Eigenvalues are accurate to about eps * ||h||_1 in absolute terms
     (eps = 2.2e-16), not relative to each level. On a grid ||h||_1 is
@@ -164,7 +169,7 @@ def numeric_spectrum(h: ops.LinearOperator, parity: ops.LinearOperator,
     # a sector's chosen levels are its lowest ones, in order
     for s, (_, u), k in zip(sectors, solved, np.bincount(sector_of, minlength=2)):
         s.levels = int(k)
-        s.vectors = u[:, :k]
+        s._vectors = None if u is None else u[:, :k]
     return Spectrum(vals[order], [_SECTOR_LABELS[i] for i in sector_of],
                     sectors=sectors, sector_of=sector_of)
 
@@ -179,9 +184,7 @@ class _Sector:
 
     Block row k stands for the basis vector (e_a + sign e_pi(a)) / sqrt(2)
     of representative a = reps[k], or e_a alone when a is a fixed point.
-    A spectrum holds the block's `levels` lowest levels, and `vectors`,
-    their real block eigenvectors (dim x levels, in level order), as the
-    solve returned them.
+    A spectrum holds the block's `levels` lowest levels.
     """
 
     sign: float
@@ -192,11 +195,24 @@ class _Sector:
     offdiag: np.ndarray
     asym_sq: float  # squared Frobenius norm of block - block^T
     levels: int = 0
-    vectors: np.ndarray | None = None
+    _vectors: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
         return len(self.reps)
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """Real block eigenvectors of the held levels, dim x levels, in level order.
+
+        A sector solved in full or by Lanczos carries them from its solve;
+        one solved by bisection is solved again by index on first read,
+        this time with vectors (stebz, then inverse iteration by stein).
+        """
+        if self._vectors is None:
+            self._vectors = eigh_tridiagonal(self.diag, self.offdiag, select="i",
+                                             select_range=(0, self.levels - 1))[1]
+        return self._vectors
 
     def unfold(self, u: np.ndarray, out: np.ndarray, cols):
         """Write the full-space vectors of block eigenvectors u into out[:, cols].
@@ -369,25 +385,27 @@ def _sector(sign: float, perm: np.ndarray, reps: np.ndarray,
 
 
 def _lowest_levels(sector: _Sector, k: int):
-    """The k lowest eigenvalues of a sector block and their block eigenvectors.
+    """The k lowest eigenvalues of a sector block and their block eigenvectors (or None).
 
     A full block is one eigh_tridiagonal call, whose 'auto' driver is
     stevd (divide and conquer); its backward error puts the eigenvalues
     within a few eps * ||block||_1 of the exact ones. So is a block too
     small for the Lanczos basis of k levels to stay below its dimension
-    (_basis_cap). Any other block is solved by shift-invert Lanczos
-    (_krylov_levels), unless it is diagonal (the rotor's): then its levels
-    are its sorted diagonal, exactly, and its vectors unit vectors.
+    (_basis_cap). A block whose basis fits in _KRYLOV_BASIS_LIMIT is
+    solved by shift-invert Lanczos (_krylov_levels). Any other block, and
+    one on which Lanczos does not converge, is solved by bisection
+    (stebz) for the values alone, as accurate as stevd's; its vectors are
+    None, left to _Sector.vectors.
     """
     if _basis_cap(k) >= sector.dim:
         vals, vecs = eigh_tridiagonal(sector.diag, sector.offdiag)
         return vals[:k], vecs[:, :k]
-    if not np.any(sector.offdiag):
-        order = np.argsort(sector.diag, kind="stable")[:k]
-        vecs = np.zeros((sector.dim, k))
-        vecs[order, np.arange(k)] = 1.0
-        return sector.diag[order], vecs
-    return _krylov_levels(sector, k)
+    if _basis_cap(k) * sector.dim <= _KRYLOV_BASIS_LIMIT:
+        found = _krylov_levels(sector, k)
+        if found is not None:
+            return found
+    return eigh_tridiagonal(sector.diag, sector.offdiag, eigvals_only=True, select="i",
+                            select_range=(0, k - 1)), None
 
 
 def _count_at_or_below(sector: _Sector, x: float) -> int:
@@ -423,6 +441,19 @@ _RESIDUAL_EPS_FACTOR = 16.0
 _SHIFT_STEPS = 6        # most Collatz-Wielandt steps towards the lowest level
 _SHIFT_BACKOFF = 0.25   # sigma ends at least this fraction of the gap below the lowest level
 _START_SEED = 20040115  # fixed seed of the Lanczos start vectors
+
+
+# Most float64 entries (64 MiB) that a Lanczos basis may reserve; a larger
+# request is bisected. Lanczos holds the basis and the block vectors, which
+# no energy-only command reads, while bisection leaves the vectors until
+# they are read. At 10^5 points (blocks of 50001 rows), in fresh processes
+# on a 2-core x86-64 host, `spectrum --model box` for 32 levels (a basis of
+# 96 vectors per block) took 0.25-0.27 s and 121 MB peak RSS by Lanczos
+# against 0.39-0.43 s and 85 MB by bisection; for 48 levels (160 vectors)
+# 0.33-0.36 s and 135 MB against 0.55-0.57 s and 85 MB; for 64 levels (192
+# vectors, over the limit) 0.60-0.92 s and 150 MB against 0.72-0.89 s and
+# 85 MB; for 256 levels 5.1-5.3 s and 324 MB against 2.9-3.1 s and 85 MB.
+_KRYLOV_BASIS_LIMIT = 2 ** 23
 
 
 # The basis is taken from one block of at least 32 MiB of address space; its pages
@@ -474,13 +505,15 @@ def _krylov_levels(sector: _Sector, k: int):
     start vector barely holds; numeric_spectrum's count finds that and
     asks again for more levels.
 
-    If the basis reaches _basis_cap(k) vectors before the k levels
-    converge, the block falls back to bisection and inverse iteration for
-    exactly those levels (stebz and stein, through eigh_tridiagonal). That
-    happens when the top wanted levels lie in a dense continuum far above
-    a deep lowest level: on a 10^5-point delta well of coupling 5 in a box
-    of length 400 (lowest level -12.5), (T - sigma)^-1 separates its 32nd
-    and 33rd even levels by a relative gap of 5e-4.
+    None if the basis reaches _basis_cap(k) vectors before the k levels
+    converge. That happens when the top wanted levels lie in a dense
+    continuum far above a deep lowest level: on a 10^5-point delta well
+    of coupling 5 in a box of length 400 (lowest level -12.5),
+    (T - sigma)^-1 separates its 32nd and 33rd even levels by a relative
+    gap of 5e-4. It happens too when the second level lies far closer to
+    the lowest than the levels above do, as in a block of triply
+    degenerate levels: sigma then lies as close, and (T - sigma)^-1
+    amplifies the rounding of the upper levels past the residual bound.
     """
     d = sector.diag
     e = -np.abs(sector.offdiag)
@@ -492,8 +525,7 @@ def _krylov_levels(sector: _Sector, k: int):
     factors = _lower_shift(d, e, np.where(sector.fixed, 1.0, _SQRT2), start, norm)
     found = _lanczos(d, e, factors, k, _residual_bound(sector), start)
     if found is None:
-        return eigh_tridiagonal(sector.diag, sector.offdiag, select="i",
-                                select_range=(0, k - 1))
+        return None
     vals, vecs = found
     vecs *= flip[:, None]
     return vals, vecs
@@ -710,15 +742,17 @@ def detect_pairing(spectrum: Spectrum, pair_tol: float = PAIR_TOL) -> PairingMap
     """Match adjacent near-degenerate levels of opposite parity into pairs.
 
     Adjacent levels i and i + 1 are linked when their splitting d_i is
-    within pair_tol of max(|E_i|, |E_i+1|, the median level spacing) and
-    is also no larger than the gaps to their outer neighbours, d_i-1 and
-    d_i+1 (where those exist): a pair is a local minimum of the spacing.
-    Runs of linked levels are degeneracy clusters. Near the top of a fine
-    grid the relative spacing between pairs falls below any fixed
-    pair_tol, about (pi/n)^2 on the free particle (6e-7 at n = 4096), but
-    it stays far above the splitting within each pair, so the second
-    condition keeps those pairs apart. Clusters of three or more, where
-    equal splittings chain, are reported unpaired with a diagnostic flag.
+    within pair_tol of the scale max(|E_i|, |E_i+1|, the median level
+    spacing) and, unless it is within MACHINE_TOL of that scale (a
+    degeneracy exact but for rounding), no larger than the gaps to their
+    outer neighbours, d_i-1 and d_i+1 (where those exist): a pair is a
+    local minimum of the spacing. Runs of linked levels are degeneracy
+    clusters. Near the top of a fine grid the relative spacing between
+    pairs falls below any fixed pair_tol, about (pi/n)^2 on the free
+    particle (6e-7 at n = 4096), but it stays far above the splitting
+    within each pair, so the local-minimum condition keeps those pairs
+    apart. Clusters of three or more, where splittings of rounding size
+    or equal ones chain, are reported unpaired with a diagnostic flag.
     Stable under re-sorting: depends only on the sorted eigenvalue/parity
     sequence.
     """
@@ -735,6 +769,8 @@ def detect_pairing(spectrum: Spectrum, pair_tol: float = PAIR_TOL) -> PairingMap
         scale = max(abs(vals[j]), abs(vals[j + 1]), median_gap)
         if scale > 0 and gaps[j] > pair_tol * scale:
             return False
+        if gaps[j] <= MACHINE_TOL * scale:
+            return True
         return (j == 0 or gaps[j] <= gaps[j - 1]) and (j + 1 == len(gaps) or gaps[j] <= gaps[j + 1])
 
     # chain indices into degeneracy clusters first
