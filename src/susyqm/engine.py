@@ -448,11 +448,12 @@ _START_SEED = 20040115  # fixed seed of the Lanczos start vectors
 # no energy-only command reads, while bisection leaves the vectors until
 # they are read. At 10^5 points (blocks of 50001 rows), in fresh processes
 # on a 2-core x86-64 host, `spectrum --model box` for 32 levels (a basis of
-# 96 vectors per block) took 0.25-0.27 s and 121 MB peak RSS by Lanczos
-# against 0.39-0.43 s and 85 MB by bisection; for 48 levels (160 vectors)
-# 0.33-0.36 s and 135 MB against 0.55-0.57 s and 85 MB; for 64 levels (192
-# vectors, over the limit) 0.60-0.92 s and 150 MB against 0.72-0.89 s and
-# 85 MB; for 256 levels 5.1-5.3 s and 324 MB against 2.9-3.1 s and 85 MB.
+# 96 vectors per block) took 0.23-0.28 s and 120 MB peak RSS by Lanczos
+# against 0.38-0.45 s and 84 MB by bisection; for 48 levels (160 vectors)
+# 0.34-0.39 s and 133 MB against 0.59-0.63 s and 84 MB; for 64 levels (192
+# vectors, over the limit) 0.52-1.38 s and 149 MB against 0.71-0.79 s and
+# 84 MB; for 256 levels 5.0-5.5 s and 324 MB against 2.7-2.9 s and 84 MB
+# (BENCH_krylov_sectors.json, spectrum_levels).
 _KRYLOV_BASIS_LIMIT = 2 ** 23
 
 
