@@ -14,9 +14,12 @@ bundle:
 Spectra come from one path: every Hamiltonian here commutes with an
 exact parity permutation (x -> -x on the grid, m -> -m on the rotor
 basis), so numeric_spectrum folds it into an even and an odd block, both
-tridiagonal for the three-point stencil and the rotor, and solves each
-for values and vectors together: a block whose every level is wanted by
-divide and conquer (stevd, through eigh_tridiagonal); otherwise by
+tridiagonal for the three-point stencil and diagonal for the rotor.
+Diagonal blocks need no eigensolve: their levels are their sorted
+diagonals and their vectors unit vectors, kept as one row index per
+level. Other blocks are solved for values and vectors together: a block
+whose every level is wanted by divide and conquer (stevd, through
+eigh_tridiagonal); otherwise by
 shift-invert Lanczos on (T - sigma)^-1 for exactly the levels needed,
 with sigma a certified lower bound on the block's lowest level and one
 LDL^T factorization (pttrf) per solve, O(dim) work per Lanczos step
@@ -31,6 +34,8 @@ is odd under the same parity, so it folds, once, into a block from the
 even sector to the odd one and a block back; the pair leakage and the
 ground-state annihilation need the block eigenvectors and, for the
 ground state, one unfolded column, never the full-space eigenvectors.
+On unit block vectors the leakage is read off the folded blocks' entries
+in O(nnz).
 
 Algebra residuals are only meaningful on periodic grids (or the rotor
 basis); Dirichlet models get spectral checks instead, and build_check
@@ -55,7 +60,6 @@ MACHINE_TOL = 1e-12      # identities that hold exactly in the discretization
 ZERO_TOL = 1e-10         # least |E0| that criterion 1 takes as zero
 CONVERGENCE_TOL = 1e-4   # grid eigenvalues against analytic values, relative
 PAIR_TOL = 1e-6          # default relative degeneracy tolerance
-_CLUSTER_TOL = 1e-8      # relative gap below which levels share a cluster
 
 
 class Spectrum:
@@ -103,17 +107,19 @@ def numeric_spectrum(h: ops.LinearOperator, parity: ops.LinearOperator,
     involution, and h must be real and commute with it bit for bit
     (P h P == h). Then h folds into an even and an odd block over the
     representatives j <= pi(j); for the three-point stencil on Dirichlet
-    and periodic grids, and for the rotor's diagonal h, both blocks are
-    tridiagonal. Each block is solved with eigh_tridiagonal, so the
-    parity label of every level is the block it came from, and every
-    eigenvector is real and satisfies v[pi] == +/-v exactly. The
+    and periodic grids both blocks are tridiagonal, and for the rotor's
+    diagonal h both are diagonal. The parity label of every level is the
+    block it came from, and every eigenvector is real and satisfies
+    v[pi] == +/-v exactly. The
     Spectrum keeps both blocks with their eigenvectors, from which
     criterion 3 is computed without unfolding. An h that is not even
     under parity, or whose blocks are not tridiagonal, is refused with a
     ParameterError; a non-Hermitian h with a NumericalContractError.
 
-    A block whose every level is wanted is solved by divide and conquer;
-    a truncated one by shift-invert Lanczos (_krylov_levels), values and
+    When both blocks are diagonal their levels are exact: each block's
+    diagonal in stable order, each vector a unit vector (_diagonal_levels).
+    Otherwise a block whose every level is wanted is solved by divide and
+    conquer; a truncated one by shift-invert Lanczos (_krylov_levels), values and
     block vectors together, each value the Rayleigh quotient of a vector
     whose residual is at most c * eps * ||block||_1, unless its Lanczos
     basis would be too large or does not converge: then by bisection, with
@@ -134,6 +140,8 @@ def numeric_spectrum(h: ops.LinearOperator, parity: ops.LinearOperator,
         raise ParameterError(f"n_levels {n_levels} exceeds dimension {n}")
     perm = _involution(parity, n)
     sectors = _sectors(h, perm)
+    # a Hamiltonian diagonal in the parity basis (the rotor's) needs no eigensolve
+    solve = _lowest_levels if any(np.any(s.offdiag) for s in sectors) else _diagonal_levels
 
     # The even sector is asked for ceil(n_levels/2) levels and the odd one
     # for floor(n_levels/2), a sector too small for its share passing the
@@ -149,7 +157,7 @@ def numeric_spectrum(h: ops.LinearOperator, parity: ops.LinearOperator,
             min(dims[1], max(n_levels // 2, n_levels - dims[0]))]
     solved = [(np.empty(0), np.empty((s.dim, 0))) for s in sectors]
     while True:
-        solved = [sol if len(sol[0]) == k else _lowest_levels(s, k)
+        solved = [sol if len(sol[0]) == k else solve(s, k)
                   for s, k, sol in zip(sectors, want, solved)]
         values = [sol[0] for sol in solved]
         cut = np.sort(np.concatenate(values))[n_levels - 1]
@@ -202,12 +210,14 @@ class _Sector:
         return len(self.reps)
 
     @property
-    def vectors(self) -> np.ndarray:
+    def vectors(self) -> np.ndarray | sp.csc_array:
         """Real block eigenvectors of the held levels, dim x levels, in level order.
 
-        A sector solved in full or by Lanczos carries them from its solve;
-        one solved by bisection is solved again by index on first read,
-        this time with vectors (stebz, then inverse iteration by stein).
+        A sector solved in full or by Lanczos carries them from its solve,
+        as a dense array; a diagonal one as unit vectors, a CSC array with
+        one entry 1.0 per column (_diagonal_levels). One solved by bisection
+        is solved again by index on first read, this time with vectors
+        (stebz, then inverse iteration by stein).
         """
         if self._vectors is None:
             self._vectors = eigh_tridiagonal(self.diag, self.offdiag, select="i",
@@ -218,8 +228,18 @@ class _Sector:
         """Write the full-space vectors of block eigenvectors u into out[:, cols].
 
         v[a] = u / sqrt(2) and v[pi(a)] = sign * u / sqrt(2), or v[a] = u at a
-        fixed point, so every vector has its parity exactly.
+        fixed point, so every vector has its parity exactly. Unit vectors (a
+        sparse u) write only their one or two nonzero entries per column, so
+        out[:, cols] must hold zeros.
         """
+        if sp.issparse(u):
+            u = u.tocoo()
+            rows, col, x = self.reps[u.row], np.asarray(cols)[u.col], u.data
+            paired = ~self.fixed[u.row]
+            x = np.where(paired, x / _SQRT2, x)
+            out[rows, col] = x
+            out[self.perm[rows[paired]], col[paired]] = self.sign * x[paired]
+            return
         at_fixed = np.flatnonzero(self.fixed)
         paired = np.flatnonzero(~self.fixed)
         fixed_points = self.reps[at_fixed]
@@ -387,7 +407,9 @@ def _sector(sign: float, perm: np.ndarray, reps: np.ndarray,
 def _lowest_levels(sector: _Sector, k: int):
     """The k lowest eigenvalues of a sector block and their block eigenvectors (or None).
 
-    A full block is one eigh_tridiagonal call, whose 'auto' driver is
+    For the blocks of a Hamiltonian that is not diagonal in the parity
+    basis (those of one that is go to _diagonal_levels). A full block is
+    one eigh_tridiagonal call, whose 'auto' driver is
     stevd (divide and conquer); its backward error puts the eigenvalues
     within a few eps * ||block||_1 of the exact ones. So is a block too
     small for the Lanczos basis of k levels to stay below its dimension
@@ -406,6 +428,20 @@ def _lowest_levels(sector: _Sector, k: int):
             return found
     return eigh_tridiagonal(sector.diag, sector.offdiag, eigvals_only=True, select="i",
                             select_range=(0, k - 1)), None
+
+
+def _diagonal_levels(sector: _Sector, k: int):
+    """The k lowest levels of a diagonal sector block, exactly, with unit block vectors.
+
+    The levels are the diagonal in stable order, and level i's vector is
+    the unit vector at its row, held as a dim x k CSC array with one
+    entry per column: O(dim log dim) time and O(dim) memory, where a
+    dense solve would take O(dim^2) memory for the vectors (about 20 GB
+    for the rotor at m_max 50000).
+    """
+    rows = np.argsort(sector.diag, kind="stable")[:k]
+    return sector.diag[rows], sp.csc_array((np.ones(k), rows, np.arange(k + 1)),
+                                           shape=(sector.dim, k))
 
 
 def _count_at_or_below(sector: _Sector, x: float) -> int:
@@ -760,43 +796,32 @@ def detect_pairing(spectrum: Spectrum, pair_tol: float = PAIR_TOL) -> PairingMap
     if not 0 < pair_tol < np.inf:
         raise ParameterError(f"pair_tol must be positive and finite, got {pair_tol!r}")
     vals = spectrum.eigenvalues
+    n = len(vals)
     gaps = np.diff(vals)
     median_gap = float(np.median(gaps)) if len(gaps) else 0.0
-    pairs: list[tuple[int, int, float]] = []
-    unpaired: list[int] = []
-    triple = False
-
-    def linked(j):
-        scale = max(abs(vals[j]), abs(vals[j + 1]), median_gap)
-        if scale > 0 and gaps[j] > pair_tol * scale:
-            return False
-        if gaps[j] <= MACHINE_TOL * scale:
-            return True
-        return (j == 0 or gaps[j] <= gaps[j - 1]) and (j + 1 == len(gaps) or gaps[j] <= gaps[j + 1])
-
-    # chain indices into degeneracy clusters first
-    i = 0
-    n = len(vals)
-    while i < n:
-        j = i
-        while j + 1 < n and linked(j):
-            j += 1
-        cluster = list(range(i, j + 1))
-        if len(cluster) == 1:
-            unpaired.append(cluster[0])
-        elif len(cluster) == 2:
-            a, b = cluster
-            la, lb = spectrum.parity_labels[a], spectrum.parity_labels[b]
-            if {la, lb} == {"even", "odd"}:
-                even_idx, odd_idx = (a, b) if la == "even" else (b, a)
-                pairs.append((even_idx, odd_idx, float(abs(vals[b] - vals[a]))))
-            else:
-                unpaired.extend(cluster)
-        else:
-            triple = True
-            unpaired.extend(cluster)
-        i = j + 1
-    return PairingMap(pairs=pairs, unpaired=unpaired, triple_degeneracy_flag=triple)
+    scale = np.maximum(np.maximum(np.abs(vals[:-1]), np.abs(vals[1:])), median_gap)
+    # a gap no larger than its neighbours: the ends compare on one side only
+    local_min = np.ones(len(gaps), dtype=bool)
+    local_min[1:] &= gaps[1:] <= gaps[:-1]
+    local_min[:-1] &= gaps[:-1] <= gaps[1:]
+    linked = (~((scale > 0) & (gaps > pair_tol * scale))
+              & ((gaps <= MACHINE_TOL * scale) | local_min))
+    # degeneracy clusters are the runs of linked levels
+    ends = np.append(np.flatnonzero(~linked), n - 1)
+    starts = np.r_[0, ends[:-1] + 1]
+    size = ends - starts + 1
+    labels = np.asarray(spectrum.parity_labels)
+    first = starts[size == 2]
+    la, lb = labels[first], labels[first + 1]
+    opposite = ((la == "even") & (lb == "odd")) | ((la == "odd") & (lb == "even"))
+    paired = first[opposite]
+    even_idx = np.where(la[opposite] == "even", paired, paired + 1)
+    odd_idx = 2 * paired + 1 - even_idx  # the other member
+    pairs = list(zip(even_idx.tolist(), odd_idx.tolist(), np.abs(gaps[paired]).tolist()))
+    alone = np.ones(n, dtype=bool)
+    alone[paired] = alone[paired + 1] = False
+    return PairingMap(pairs=pairs, unpaired=np.flatnonzero(alone).tolist(),
+                      triple_degeneracy_flag=bool(np.any(size > 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -882,14 +907,19 @@ class GroundRecord:
     annihilation_residuals: dict[str, float]
 
 
-def ground_state_check(spectrum: Spectrum, charges,
-                       energy_shift: float = 0.0) -> GroundRecord:
-    """Lowest-level degeneracy and relative annihilation norms per charge."""
+def ground_state_check(spectrum: Spectrum, charges, energy_shift: float = 0.0,
+                       tol: float = ZERO_TOL) -> GroundRecord:
+    """Lowest-level degeneracy and relative annihilation norms per charge.
+
+    The lowest cluster ends at the first gap above tol, the eigensolver's
+    absolute accuracy: build_check passes criterion 1's zero tolerance,
+    max(ZERO_TOL, 4 eps ||H||_1). A tolerance relative to the top level
+    would tie the ground's degeneracy to the top of the spectrum: 1e-8 *
+    max |E| merged 27 rotor levels at m_max 50000 (max |E| = 1.25e9).
+    """
     if len(spectrum) == 0:
         raise ParameterError("spectrum is empty")
     vals = spectrum.eigenvalues
-    # the lowest cluster ends at the first gap above _CLUSTER_TOL * max(1, max |E|)
-    tol = _CLUSTER_TOL * max(1.0, float(np.max(np.abs(vals))))
     degeneracy = 1 + int(np.argmax(np.append(np.diff(vals) > tol, True)))
     psi0 = spectrum.vector(0)
     norm0 = np.linalg.norm(psi0)
@@ -1087,10 +1117,9 @@ def _pair_invariance(spectrum: Spectrum, pairing: PairingMap, charges) -> float:
     it folds into a block from the even sector to the odd one and a block
     back (_fold_charge), and for a pair of block eigenvectors (u_e, u_o)
     the leak of C u_e is ||C u_e - (u_o^T C u_e) u_o|| / ||C u_e||, and
-    likewise from u_o to u_e. The blocks act on the vectors of up to
-    _PAIR_CHUNK pairs at once. Images that the charge (nearly) annihilates
-    are skipped, as a nilpotent charge annihilates one member of each
-    pair.
+    likewise from u_o to u_e (_leaks). Images that the charge (nearly)
+    annihilates are skipped, as a nilpotent charge annihilates one member
+    of each pair.
     """
     if not pairing.pairs:
         return 0.0
@@ -1098,17 +1127,15 @@ def _pair_invariance(spectrum: Spectrum, pairing: PairingMap, charges) -> float:
     folded = [_fold_charge(action, even, odd) for _, action in _charges_of(charges)]
     pairs = np.array([(i, j) for i, j, _ in pairing.pairs], dtype=int)
     cols = _block_columns(spectrum.sector_of)[pairs]
+    floor = 1e-10 * (1.0 + np.sqrt(np.abs(spectrum.eigenvalues[pairs[:, 0]])))
     worst = 0.0
-    for start in range(0, len(pairs), _PAIR_CHUNK):
-        chunk = slice(start, start + _PAIR_CHUNK)
-        u_even, u_odd = even.vectors[:, cols[chunk, 0]], odd.vectors[:, cols[chunk, 1]]
-        floor = 1e-10 * (1.0 + np.sqrt(np.abs(spectrum.eigenvalues[pairs[chunk, 0]])))
-        for to_odd, to_even in folded:
-            for block, u, partner in ((to_odd, u_even, u_odd), (to_even, u_odd, u_even)):
-                image, leak = _leaks(block, u, partner)
-                live = image > floor
-                if np.any(live):
-                    worst = max(worst, float(np.max(leak[live] / image[live])))
+    for to_odd, to_even in folded:
+        for block, u, partner, at in ((to_odd, even.vectors, odd.vectors, cols),
+                                      (to_even, odd.vectors, even.vectors, cols[:, ::-1])):
+            image, leak = _leaks(block, u, partner, at)
+            live = image > floor
+            if np.any(live):
+                worst = max(worst, float(np.max(leak[live] / image[live])))
     return worst
 
 
@@ -1153,16 +1180,43 @@ def _real_parts(action: ops.Operator) -> tuple[sp.csr_array, sp.csr_array]:
     return split
 
 
-def _leaks(block, u: np.ndarray, partner: np.ndarray):
-    """Norms of the images of the columns of u, and of their parts off the partner columns."""
-    image_sq = leak_sq = np.zeros(u.shape[1])
-    for part in block:
-        w = part @ u
-        coef = np.einsum("ij,ij->j", partner, w)
-        image_sq = image_sq + np.einsum("ij,ij->j", w, w)
-        w -= partner * coef
-        leak_sq = leak_sq + np.einsum("ij,ij->j", w, w)
-    return np.sqrt(image_sq), np.sqrt(leak_sq)
+def _leaks(block, u: np.ndarray | sp.csc_array, partner: np.ndarray | sp.csc_array,
+           at: np.ndarray):
+    """Norms of the images C u of the pairs' vectors, and of their parts off the partners.
+
+    Row p of at holds the columns of pair p's vector in u and of its
+    partner in partner. Dense vectors are taken _PAIR_CHUNK pairs at a
+    time. Unit vectors (those of a diagonal Hamiltonian's blocks) need no
+    product: C e_r is column r of the block, and its leak is the sum of
+    squares of that column's entries off the partner's row, gathered from
+    the block's entries in O(nnz). It is never image^2 - coef^2, whose
+    cancellation would put a floor of about 1e-8 under leak / image.
+    """
+    if sp.issparse(u):
+        source = u.indices[at[:, 0]]
+        target = np.full(u.shape[0], -1)
+        target[source] = partner.indices[at[:, 1]]
+        image_sq, leak_sq = np.zeros(len(target)), np.zeros(len(target))
+        for part in block:
+            m = part.tocoo()
+            sq = m.data * m.data
+            off = m.row != target[m.col]
+            image_sq += np.bincount(m.col, sq, minlength=len(target))
+            leak_sq += np.bincount(m.col[off], sq[off], minlength=len(target))
+        return np.sqrt(image_sq[source]), np.sqrt(leak_sq[source])
+    image, leak = np.empty(len(at)), np.empty(len(at))
+    for start in range(0, len(at), _PAIR_CHUNK):
+        chunk = slice(start, start + _PAIR_CHUNK)
+        v, w_partner = u[:, at[chunk, 0]], partner[:, at[chunk, 1]]
+        image_sq = leak_sq = 0.0
+        for part in block:
+            w = part @ v
+            coef = np.einsum("ij,ij->j", w_partner, w)
+            image_sq = image_sq + np.einsum("ij,ij->j", w, w)
+            w -= w_partner * coef
+            leak_sq = leak_sq + np.einsum("ij,ij->j", w, w)
+        image[chunk], leak[chunk] = np.sqrt(image_sq), np.sqrt(leak_sq)
+    return image, leak
 
 
 _ZERO_TOL_EPS_FACTOR = 4.0
@@ -1216,7 +1270,7 @@ def build_check(model: ModelSpec, charge: str, *, n_points: int = 512,
     spectrum = numeric_spectrum(h_spec, parity, h_spec.dimension)
     zero_tol = max(ZERO_TOL, _ZERO_TOL_EPS_FACTOR * np.finfo(float).eps * _norm1(h_spec))
     shift = float(spectrum.eigenvalues[0]) if zero_point_reset else 0.0
-    ground = ground_state_check(spectrum, charges, energy_shift=shift)
+    ground = ground_state_check(spectrum, charges, energy_shift=shift, tol=zero_tol)
     pairing = detect_pairing(spectrum, pair_tol)
     algebra = algebra_residuals(h_alg, charges)
     invariance = _pair_invariance(spectrum, pairing, charges)

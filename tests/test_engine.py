@@ -1,3 +1,4 @@
+import json
 import time
 import tracemalloc
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 import susyqm.operators as ops
@@ -157,7 +158,7 @@ def _double_well(grid):
     ("split_triples", 8), ("deep_odd", 1),
 ])
 def test_exact_size_requests_return_the_lowest_levels(monkeypatch, name, n_levels):
-    if name == "rotor":  # a diagonal H: bisection splits every sector at every row
+    if name == "rotor":  # a diagonal H: sorted diagonals and unit vectors, no solve
         _, t, h = ops.rotor_basis_operators(8, 1.0)
         parity = t.linear_part
     elif name == "split_triples":
@@ -207,6 +208,70 @@ def test_exact_size_requests_return_the_lowest_levels(monkeypatch, name, n_level
     resid = h.to_dense() @ vecs - vecs * spec.eigenvalues
     assert np.max(np.abs(resid)) <= 1e-9 * np.max(np.abs(exact))
     np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(n_levels), rtol=0, atol=1e-9)
+
+
+def _traced_peak(run):
+    """The peak of Python-traced memory (numpy arrays included) while run() runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# The rotor's blocks are diagonal: their levels are read off and their vectors are
+# unit vectors, where one dense block of vectors at m_max 50000 would take 20 GB.
+# Peaks measured 55 MB for the check and 16 MB for the spectrum; 128 MiB is under 1%
+# of one dense block.
+_ROTOR_PEAK = 2 ** 27
+
+
+def test_rotor_spectrum_at_m_max_50000_is_exact_in_linear_memory(monkeypatch, tmp_path):
+    calls = _spy_solves(monkeypatch)
+    asked = _spy_krylov(monkeypatch)
+    out = tmp_path / "spectrum.csv"
+    argv = ["spectrum", "--model", "rotor", "--m-max", "50000", "--levels", "65"]
+    assert _traced_peak(lambda: main([*argv, "--out", str(out)])) < _ROTOR_PEAK
+    assert not asked
+    # at most the Sturm counts of the truncated request; no block is solved
+    assert all(c.get("select") == "v" and c.get("eigvals_only") for c in calls)
+    energies = [float(row.split(",")[1]) for row in out.read_text().splitlines()[-65:]]
+    assert energies == [m * m / 2.0 for m in range(33) for _ in range(1 + (m > 0))][:65]
+
+
+def test_rotor_check_at_m_max_50000_passes_in_linear_memory(monkeypatch, tmp_path):
+    calls = _spy_solves(monkeypatch)
+    asked = _spy_krylov(monkeypatch)
+    out = tmp_path / "check.json"
+    assert main(["check", "--model", "rotor", "--charge", "q", "--m-max", "50000",
+                 "--out", str(out)]) == 0
+    assert not calls and not asked
+    report = json.loads(out.read_text())
+    assert report["all_applicable_pass"]
+    assert report["pair_invariance_residual"] == 0.0
+    assert report["ground"]["degeneracy_count"] == 1
+    assert len(report["pairs"]) == 50000
+    # the report's text is not the engine's: trace the check alone
+    assert _traced_peak(lambda: build_check(PlanarRotor(1.0, 50000), "q")) < _ROTOR_PEAK
+
+
+def test_unit_vector_leakage_is_summed_off_the_partner_row():
+    # a charge leaking 1e-9 of each image to the neighbouring m: image^2 - coef^2
+    # would cancel to rounding (about 1e-8 after the square root), not 1e-9
+    lz, t, h = ops.rotor_basis_operators(40, 1.0)
+    spec = numeric_spectrum(h, t.linear_part, h.dimension)
+    assert sp.issparse(spec.sectors[1].vectors)
+    shift = sp.diags_array([np.ones(80), np.ones(80)], offsets=[-1, 1], format="csr")
+    # Lz is odd under m -> -m and the shift even, so their product is odd
+    action = ops.LinearOperator(lz.linear_matrix + 1e-9 * (lz.linear_matrix @ shift))
+    charge = ops.Supercharge(action=action, adjoint_action=action, label="C",
+                             nilpotent_by_design=False)
+    pairing = detect_pairing(spec)
+    leak = engine._pair_invariance(spec, pairing, charge)
+    expected = _pair_invariance_loop(spec, pairing, [action])
+    assert 1e-10 < expected < 1e-8
+    assert leak == pytest.approx(expected, rel=1e-6)
 
 
 def _krylov_block(name):
@@ -633,6 +698,68 @@ def test_pairing_stable_under_resorting(base, rng):
     assert len(pm0.unpaired) == len(pm1.unpaired)
 
 
+def _detect_pairing_loop(spectrum, pair_tol=engine.PAIR_TOL):
+    """The per-level form of engine.detect_pairing, kept as its reference."""
+    vals = spectrum.eigenvalues
+    gaps = np.diff(vals)
+    median_gap = float(np.median(gaps)) if len(gaps) else 0.0
+    pairs, unpaired, triple = [], [], False
+
+    def linked(j):
+        scale = max(abs(vals[j]), abs(vals[j + 1]), median_gap)
+        if scale > 0 and gaps[j] > pair_tol * scale:
+            return False
+        if gaps[j] <= engine.MACHINE_TOL * scale:
+            return True
+        return (j == 0 or gaps[j] <= gaps[j - 1]) and (j + 1 == len(gaps) or gaps[j] <= gaps[j + 1])
+
+    i, n = 0, len(vals)
+    while i < n:
+        j = i
+        while j + 1 < n and linked(j):
+            j += 1
+        cluster = list(range(i, j + 1))
+        if len(cluster) == 1:
+            unpaired.append(cluster[0])
+        elif len(cluster) == 2:
+            a, b = cluster
+            la, lb = spectrum.parity_labels[a], spectrum.parity_labels[b]
+            if {la, lb} == {"even", "odd"}:
+                even_idx, odd_idx = (a, b) if la == "even" else (b, a)
+                pairs.append((even_idx, odd_idx, float(abs(vals[b] - vals[a]))))
+            else:
+                unpaired.extend(cluster)
+        else:
+            triple = True
+            unpaired.extend(cluster)
+        i = j + 1
+    return engine.PairingMap(pairs=pairs, unpaired=unpaired, triple_degeneracy_flag=triple)
+
+
+# clusters of one to four levels: a base level, then splittings that are exact,
+# of rounding size, equal, or drawn at random
+_SPLITTING = st.one_of(st.sampled_from([0.0, 1e-13, 2.5e-13, 1e-9, 1e-7, 1e-3]),
+                       st.floats(min_value=0.0, max_value=2.0))
+_CLUSTERS = st.lists(st.tuples(st.floats(min_value=-50.0, max_value=1e4),
+                               st.lists(_SPLITTING, min_size=0, max_size=3)),
+                     min_size=0, max_size=12)
+
+
+@settings(deadline=None, max_examples=200)
+@given(clusters=_CLUSTERS, pair_tol=st.sampled_from([1e-12, 1e-6, 1e-3, 0.5]), data=st.data())
+@example(clusters=[(1.0, [1e-13, 1.5e-13]), (2.0, [])], pair_tol=1e-6, data=None)  # rounding triple
+@example(clusters=[(1.0, [1e-7, 1e-7]), (3.0, [1e-7])], pair_tol=1e-6, data=None)  # equal splittings
+def test_vectorized_pairing_matches_per_level_loop(clusters, pair_tol, data):
+    energies = np.sort([base + sum(splits[:k]) for base, splits in clusters
+                        for k in range(len(splits) + 1)])
+    labels = (["even", "odd", "odd", "even"] * len(energies))[:len(energies)]
+    if data is not None:
+        labels = data.draw(st.lists(st.sampled_from(["even", "odd"]), min_size=len(energies),
+                                    max_size=len(energies)))
+    spec = _analytic_spectrum(energies, labels)
+    assert detect_pairing(spec, pair_tol) == _detect_pairing_loop(spec, pair_tol)
+
+
 # ---------------------------------------------------------------------------
 # algebra residuals
 
@@ -699,6 +826,20 @@ def test_rotor_ground_state(rotor_setup):
     rec = ground_state_check(spec, q)
     assert rec.degeneracy_count == 1 and rec.energy == 0.0
     assert max(rec.annihilation_residuals.values()) == 0.0
+
+
+def test_ground_cluster_ends_at_the_solver_accuracy_not_the_top_level():
+    # the ground's degeneracy must not depend on the top of the spectrum: a gap
+    # tolerance of 1e-8 * max |E| = 10 merged every level below 1e9 with the ground
+    lz, t, _ = ops.rotor_basis_operators(4, 1.0)
+    h = ops.LinearOperator(sp.diags_array([1e9, 2.0, 1.0, 0.5, 0.0, 0.5, 1.0, 2.0, 1e9],
+                                          format="csr"))
+    spec = numeric_spectrum(h, t.linear_part, 9)
+    np.testing.assert_array_equal(spec.eigenvalues, [0, .5, .5, 1, 1, 2, 2, 1e9, 1e9])
+    rec = ground_state_check(spec, ops.supercharge_Q(lz, t, 1.0))
+    assert rec.degeneracy_count == 1 and rec.energy == 0.0
+    # gaps within the tolerance chain: 0, .5, .5, 1 and 1 share the cluster
+    assert ground_state_check(spec, ops.supercharge_Q(lz, t, 1.0), tol=0.5).degeneracy_count == 5
 
 
 # ---------------------------------------------------------------------------
@@ -869,7 +1010,8 @@ def _random_even_system(model, charge, rng):
         g, s, _ = ops.rotor_basis_operators(40, 0.7)
         mu = 0.7
         m = np.abs(np.arange(-40, 41))
-        e = rng.uniform(-1.0, 1.0, 40)
+        # a diagonal h (rotor_diagonal) has unit block vectors
+        e = np.zeros(40) if model == "rotor_diagonal" else rng.uniform(-1.0, 1.0, 40)
         # couplings symmetric under m -> -m keep h even and its blocks tridiagonal
         h = _tridiag(rng.uniform(0.0, 50.0, 41)[m], np.r_[e, e[::-1]])
         parity = s.linear_part
@@ -883,8 +1025,9 @@ def test_batched_pair_invariance_matches_per_vector_loop(charge):
     # parity-definite eigenvectors of random even Hamiltonians, paired by hand across
     # levels, leak at O(1), so the comparison is not rounding noise
     rng = np.random.default_rng(3)
-    for model in ("free", "rotor"):
+    for model in ("free", "rotor", "rotor_diagonal"):
         spec, q, qdag = _random_even_system(model, charge, rng)
+        assert sp.issparse(spec.sectors[0].vectors) == (model == "rotor_diagonal")
         actions = [q.action, q.adjoint_action if qdag is None else qdag.action]
         # the one-column unfold of the ground state, before any full unfold
         charges = q if qdag is None else (q, qdag)
