@@ -91,8 +91,9 @@ class Spectrum:
     def vector(self, i: int) -> np.ndarray:
         """The full-space eigenvector of level i, unfolding only that column."""
         sector = self.sectors[self.sector_of[i]]
+        col = _block_columns(self.sector_of)[i]
         out = np.zeros((len(sector.perm), 1))
-        sector.unfold(sector.vectors[:, _block_columns(self.sector_of)[i:i + 1]], out, [0])
+        sector.unfold(sector.vectors[:, col:col + 1], out, [0])
         return out[:, 0]
 
     def __len__(self) -> int:
@@ -229,13 +230,13 @@ class _Sector:
 
         v[a] = u / sqrt(2) and v[pi(a)] = sign * u / sqrt(2), or v[a] = u at a
         fixed point, so every vector has its parity exactly. Unit vectors (a
-        sparse u) write only their one or two nonzero entries per column, so
+        CSC u) write only their one or two nonzero entries per column, so
         out[:, cols] must hold zeros.
         """
         if sp.issparse(u):
-            u = u.tocoo()
-            rows, col, x = self.reps[u.row], np.asarray(cols)[u.col], u.data
-            paired = ~self.fixed[u.row]
+            rows, x = self.reps[u.indices], u.data
+            col = np.repeat(np.asarray(cols), np.diff(u.indptr))
+            paired = ~self.fixed[u.indices]
             x = np.where(paired, x / _SQRT2, x)
             out[rows, col] = x
             out[self.perm[rows[paired]], col[paired]] = self.sign * x[paired]

@@ -211,11 +211,11 @@ def test_exact_size_requests_return_the_lowest_levels(monkeypatch, name, n_level
 
 
 def _traced_peak(run):
-    """The peak of Python-traced memory (numpy arrays included) while run() runs."""
+    """run()'s result, and the peak of Python-traced memory (numpy arrays included) meanwhile."""
     tracemalloc.start()
     try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
@@ -232,7 +232,8 @@ def test_rotor_spectrum_at_m_max_50000_is_exact_in_linear_memory(monkeypatch, tm
     asked = _spy_krylov(monkeypatch)
     out = tmp_path / "spectrum.csv"
     argv = ["spectrum", "--model", "rotor", "--m-max", "50000", "--levels", "65"]
-    assert _traced_peak(lambda: main([*argv, "--out", str(out)])) < _ROTOR_PEAK
+    code, peak = _traced_peak(lambda: main([*argv, "--out", str(out)]))
+    assert code == 0 and peak < _ROTOR_PEAK
     assert not asked
     # at most the Sturm counts of the truncated request; no block is solved
     assert all(c.get("select") == "v" and c.get("eigvals_only") for c in calls)
@@ -253,7 +254,7 @@ def test_rotor_check_at_m_max_50000_passes_in_linear_memory(monkeypatch, tmp_pat
     assert report["ground"]["degeneracy_count"] == 1
     assert len(report["pairs"]) == 50000
     # the report's text is not the engine's: trace the check alone
-    assert _traced_peak(lambda: build_check(PlanarRotor(1.0, 50000), "q")) < _ROTOR_PEAK
+    assert _traced_peak(lambda: build_check(PlanarRotor(1.0, 50000), "q"))[1] < _ROTOR_PEAK
 
 
 def test_unit_vector_leakage_is_summed_off_the_partner_row():
