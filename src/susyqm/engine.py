@@ -15,9 +15,9 @@ Spectra come from one path: every Hamiltonian here commutes with an
 exact parity permutation (x -> -x on the grid, m -> -m on the rotor
 basis), so numeric_spectrum folds it into an even and an odd block, both
 tridiagonal for the three-point stencil and diagonal for the rotor.
-Diagonal blocks need no eigensolve: their levels are their sorted
-diagonals and their vectors unit vectors, kept as one row index per
-level. Other blocks are solved for values and vectors together: a block
+When both are diagonal they need no eigensolve: their levels are their
+sorted diagonals and their vectors unit vectors, kept as one row index
+per level. Other blocks are solved for values and vectors together: a block
 whose every level is wanted by divide and conquer (stevd, through
 eigh_tridiagonal); otherwise by
 shift-invert Lanczos on (T - sigma)^-1 for exactly the levels needed,
