@@ -16,6 +16,7 @@ files (floats printed with 17 significant digits). Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -44,13 +45,17 @@ def fmt(value: float) -> str:
 
 
 def _csv_rows(*columns) -> str:
-    """Rows of equal-length float columns, each value printed as fmt prints it.
+    """Rows of equal-length columns: a float column printed as fmt prints it, any other with %s.
 
     One %-formatting call over all values; a call to fmt per value costs
     more than the eigensolves at 10^5 grid points.
     """
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    return (row * len(columns[0])) % tuple(np.column_stack(columns).ravel().tolist())
+    columns = [np.asarray(c) for c in columns]
+    floats = [c.dtype.kind == "f" for c in columns]
+    row = ",".join("%.17g" if f else "%s" for f in floats) + "\n"
+    # an all-float table (the 10^5-row potentials) is stacked without object arrays
+    table = np.column_stack(columns if all(floats) else [c.astype(object) for c in columns])
+    return (row * len(table)) % tuple(table.ravel().tolist())
 
 
 def _write(path: str | None, text: str):
@@ -150,21 +155,17 @@ def cmd_spectrum(args) -> int:
         header.append(f"absent_at_base_even={str(absent['even']).lower()} "
                       f"absent_at_base_odd={str(absent['odd']).lower()}")
     pairing = detect_pairing(spec, args.pair_tol)
-    flags = {}
+    flags = [""] * len(spec)
     for pid, (i, j, _) in enumerate(pairing.pairs):
         flags[i] = flags[j] = f"pair{pid}"
     for i in pairing.unpaired:
         flags[i] = "unpaired"
-    rows = []
     # "bound" means genuinely negative, not a zero mode rounded below zero
     bound_cut = -1e-9 * max(1.0, float(np.max(np.abs(spec.eigenvalues))))
-    for i, e in enumerate(spec.eigenvalues):
-        flag = flags.get(i, "")
-        if e < bound_cut:
-            flag = (flag + ";" if flag else "") + "bound"
-        rows.append(f"{i},{fmt(float(e))},{spec.parity_labels[i]},{flag}")
-    text = _csv_header(header, ["n", "energy", "parity", "flag"]) + "\n".join(rows) + "\n"
-    _write(args.out, text)
+    for i in np.flatnonzero(spec.eigenvalues < bound_cut):
+        flags[i] = (flags[i] + ";" if flags[i] else "") + "bound"
+    _write(args.out, _csv_header(header, ["n", "energy", "parity", "flag"])
+           + _csv_rows(np.arange(len(spec)), spec.eigenvalues, spec.parity_labels, flags))
     return EXIT_OK
 
 
@@ -198,21 +199,17 @@ def cmd_partner(args) -> int:
     header = [
         f"command: partner model=box L={fmt(length)} points={n_points}",
         f"E0={fmt(result.e0)}",
-        f"missing_level_index={result.missing_level_index}",
+        "missing_level_index=0",
         f"v_minus_max_abs_deviation_from_analytic={fmt(max_dev)}",
         "section: potentials (x, W, V_minus, V_plus)",
     ]
-    lines = [_csv_header(header, ["x", "W", "V_minus", "V_plus"]),
-             _csv_rows(grid.points, result.w_samples, result.v_minus_samples,
-                       result.v_plus_samples)]
-    lines.append("# section: spectra (n, E_plus, E_minus; E_minus blank at n=1)\n")
-    lines.append("n,E_plus,E_minus\n")
-    n_levels = len(result.spectrum_plus.eigenvalues)
-    for n in range(n_levels):
-        e_plus = fmt(float(result.spectrum_plus.eigenvalues[n]))
-        e_minus = "" if n == 0 else fmt(float(result.spectrum_minus.eigenvalues[n - 1]))
-        lines.append(f"{n + 1},{e_plus},{e_minus}\n")
-    _write(args.out, "".join(lines))
+    e_plus, e_minus = result.spectrum_plus.eigenvalues, result.spectrum_minus.eigenvalues
+    _write(args.out, "".join([
+        _csv_header(header, ["x", "W", "V_minus", "V_plus"]),
+        _csv_rows(grid.points, result.w_samples, result.v_minus_samples, result.v_plus_samples),
+        "# section: spectra (n, E_plus, E_minus; E_minus blank at n=1)\n",
+        f"n,E_plus,E_minus\n1,{fmt(e_plus[0])},\n",
+        _csv_rows(np.arange(2, len(e_plus) + 1), e_plus[1:], e_minus[:-1])]))
     return EXIT_OK
 
 
@@ -234,13 +231,9 @@ def cmd_scan(args) -> int:
         f"e1_l2_target={fmt(target)} worst_rel_deviation={fmt(worst)}",
         f"pairing_preserved={str(all_paired).lower()}",
     ]
-    lines = [_csv_header(header, ["L", "points", "E1", "gap", "E1_L2",
-                                  "pairs_matched", "worst_pair_deviation"])]
-    for r in rows:
-        lines.append(f"{fmt(r.length)},{r.n_points},{fmt(r.e1)},{fmt(r.gap)},"
-                     f"{fmt(r.e1_times_l_squared)},{r.pairs_matched},"
-                     f"{fmt(r.worst_pair_deviation)}\n")
-    _write(args.out, "".join(lines))
+    _write(args.out, _csv_header(header, ["L", "points", "E1", "gap", "E1_L2",
+                                          "pairs_matched", "worst_pair_deviation"])
+           + _csv_rows(*zip(*map(dataclasses.astuple, rows))))
     if worst > 1e-3 or not all_paired:
         print(f"scan assertion failed: worst E1*L^2 deviation {worst:.3e}, "
               f"pairing_preserved={all_paired}", file=sys.stderr)

@@ -58,6 +58,8 @@ from .models import (DeltaWell, FreeParticle, ModelSpec, ParticleInBox,
 
 MACHINE_TOL = 1e-12      # identities that hold exactly in the discretization
 ZERO_TOL = 1e-10         # least |E0| that criterion 1 takes as zero
+ANNIHILATION_TOL = 1e-10  # criterion 3: most ||C psi0|| / ||psi0||; not yet scaled with n
+PAIR_LEAK_TOL = 1e-8      # criterion 3: most leak of C psi out of its pair; not yet scaled with n
 CONVERGENCE_TOL = 1e-4   # grid eigenvalues against analytic values, relative
 PAIR_TOL = 1e-6          # default relative degeneracy tolerance
 
@@ -450,11 +452,14 @@ def _count_at_or_below(sector: _Sector, x: float) -> int:
 
     numeric_spectrum counts a truncated sector after each solve, so that a
     level below the cut that the sector was not asked for, or that its
-    solve skipped, is found. eigh_tridiagonal selecting by value returns
+    solve skipped, is found. A diagonal block is counted exactly, with no
+    LAPACK call. Otherwise eigh_tridiagonal selecting by value returns
     one estimate per eigenvalue in the window; with a tolerance as wide
     as the window the bisection stops once it has counted at the window's
     ends. The window starts below -||block||_inf, under every eigenvalue.
     """
+    if not np.any(sector.offdiag):
+        return int(np.count_nonzero(sector.diag <= x))
     norm = np.max(np.abs(sector.diag)) + 2.0 * np.max(np.abs(sector.offdiag), initial=0.0)
     low = -2.0 * norm - 1.0
     if x <= low:
@@ -1070,39 +1075,23 @@ class SusyReport:
         return all(v.satisfied or v.by_design_failure for v in self.verdicts.values())
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "charge": self.charge,
-            "zero_point_reset": self.zero_point_reset,
-            "energy_shift": self.energy_shift,
-            "ground": {
-                "energy": self.ground.energy,
-                "raw_energy": self.ground.raw_energy,
-                "degeneracy_count": int(self.ground.degeneracy_count),
-                "annihilation_residuals": {k: float(v) for k, v
-                                           in self.ground.annihilation_residuals.items()},
-            },
-            "pairs": [{"index_even": int(i), "index_odd": int(j), "abs_delta_e": float(d)}
-                      for i, j, d in self.pairing.pairs],
-            "unpaired": [int(i) for i in self.pairing.unpaired],
-            "artifact_indices": [int(i) for i in self.artifact_indices],
-            "algebra": {
-                "comm_HQ": float(self.algebra.comm_HQ),
-                "comm_HQdag": float(self.algebra.comm_HQdag),
-                "anticomm_minus_H": float(self.algebra.anticomm_minus_H),
-                "nilpotency_q": None if self.algebra.nilpotency_q is None else float(self.algebra.nilpotency_q),
-                "nilpotency_qdag": None if self.algebra.nilpotency_qdag is None else float(self.algebra.nilpotency_qdag),
-                "closure": float(self.algebra.closure),
-            },
-            "pair_invariance_residual": float(self.pair_invariance_residual),
-            "verdict_per_criterion": {
-                str(n): {"satisfied": bool(v.satisfied),
-                         "by_design_failure": bool(v.by_design_failure),
-                         "detail": v.detail}
-                for n, v in sorted(self.verdicts.items())
-            },
-            "all_applicable_pass": bool(self.all_applicable_pass),
-        }
+        """The report as JSON data: each field under its own name, each record as its fields.
+
+        The records hold plain Python values, so a shallow copy of each
+        record's fields, dict(vars(record)), is JSON-ready; no returned
+        dict is a record's own, though lists and dicts inside are shared.
+        dataclasses.asdict would deep-copy every pair: 251 ms per rotor
+        report at m_max 50000, against 10 ms for the shallow copy.
+        """
+        out = dict(vars(self), ground=dict(vars(self.ground)),
+                   algebra=dict(vars(self.algebra)), pairs=[
+                       {"index_even": i, "index_odd": j, "abs_delta_e": d}
+                       for i, j, d in self.pairing.pairs],
+                   unpaired=self.pairing.unpaired,
+                   verdict_per_criterion={n: dict(vars(v)) for n, v in self.verdicts.items()},
+                   all_applicable_pass=self.all_applicable_pass)
+        del out["pairing"], out["verdicts"]
+        return out
 
 
 # pairs per batched block product, bounding the temporaries at O(dim * _PAIR_CHUNK);
@@ -1269,7 +1258,7 @@ def build_check(model: ModelSpec, charge: str, *, n_points: int = 512,
     charges = (ops.supercharge_Q(g, s, mu) if charge == "Q"
                else ops.supercharge_q_pair(g, s, mu))
     spectrum = numeric_spectrum(h_spec, parity, h_spec.dimension)
-    zero_tol = max(ZERO_TOL, _ZERO_TOL_EPS_FACTOR * np.finfo(float).eps * _norm1(h_spec))
+    zero_tol = max(ZERO_TOL, _ZERO_TOL_EPS_FACTOR * float(_EPS) * _norm1(h_spec))
     shift = float(spectrum.eigenvalues[0]) if zero_point_reset else 0.0
     ground = ground_state_check(spectrum, charges, energy_shift=shift, tol=zero_tol)
     pairing = detect_pairing(spectrum, pair_tol)
@@ -1277,7 +1266,6 @@ def build_check(model: ModelSpec, charge: str, *, n_points: int = 512,
     invariance = _pair_invariance(spectrum, pairing, charges)
 
     unpaired_excited = [i for i in pairing.unpaired if i != 0 and i not in artifacts]
-    ann_tol = 1e-10
     verdicts = {
         1: CriterionVerdict(
             satisfied=(ground.degeneracy_count == 1 and abs(ground.energy) <= zero_tol),
@@ -1286,8 +1274,8 @@ def build_check(model: ModelSpec, charge: str, *, n_points: int = 512,
             satisfied=not unpaired_excited and not pairing.triple_degeneracy_flag,
             detail=f"{len(pairing.pairs)} pairs, stray unpaired={unpaired_excited}"),
         3: CriterionVerdict(
-            satisfied=(max(ground.annihilation_residuals.values()) <= ann_tol
-                       and invariance <= 1e-8),
+            satisfied=(max(ground.annihilation_residuals.values()) <= ANNIHILATION_TOL
+                       and invariance <= PAIR_LEAK_TOL),
             detail=f"annihilation={max(ground.annihilation_residuals.values()):.3e}, "
                    f"pair leakage={invariance:.3e}"),
         4: CriterionVerdict(

@@ -216,7 +216,7 @@ def jump_condition_residual(coupling: float, k: float) -> float:
 # ---------------------------------------------------------------------------
 # free particle and rotor
 
-def free_particle_states(length: float, representation: str, k_list) -> list[AnalyticState]:
+def free_particle_states(representation: str, k_list) -> list[AnalyticState]:
     """Standing-wave (cos/sin) or traveling-wave (exp(+-ikx)) continuum samples.
 
     Exactly one state at k = 0: the constant, in the even sector for

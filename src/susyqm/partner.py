@@ -65,7 +65,6 @@ class PartnerResult:
     e0: float
     spectrum_plus: Spectrum
     spectrum_minus: Spectrum
-    missing_level_index: int
     pair_deviations: list[float]  # |E_minus[n] - E_plus[n+1]| / E_plus[n+1]
     wall_mask: np.ndarray  # True where V_minus residual checks are meaningful
 
@@ -114,8 +113,8 @@ def partner_potential(psi0, e0: float, grid: Grid1D, *,
     mask[-WALL_MASK_CELLS:] = False
     return PartnerResult(w_samples=w, v_minus_samples=v_minus, v_plus_samples=v_plus,
                          e0=float(e0), spectrum_plus=spectrum_plus,
-                         spectrum_minus=spectrum_minus, missing_level_index=0,
-                         pair_deviations=deviations, wall_mask=mask)
+                         spectrum_minus=spectrum_minus, pair_deviations=deviations,
+                         wall_mask=mask)
 
 
 @dataclass(frozen=True)

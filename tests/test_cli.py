@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,9 @@ from hypothesis import given, settings, strategies as st
 from susyqm import engine, operators as ops
 from susyqm.cli import _csv_rows, fmt, main
 from susyqm.grid import build_grid
+from susyqm.models import PlanarRotor
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(tmp_path, *argv, name="out.txt"):
@@ -150,6 +155,53 @@ def test_csv_rows_match_fmt_bytes():
     columns = np.reshape(values, (-1, 4)).T
     expected = "".join(",".join(fmt(v) for v in row) + "\n" for row in zip(*columns))
     assert _csv_rows(*columns) == expected
+
+
+def test_csv_rows_print_other_columns_with_str():
+    ints, floats, labels = np.arange(3), np.array([0.1, -2.0, np.inf]), ["even", "odd", ""]
+    expected = "".join(f"{i},{fmt(x)},{label}\n" for i, x, label in zip(ints, floats, labels))
+    assert _csv_rows(ints, floats, labels) == expected
+    assert _csv_rows(np.arange(0), np.empty(0)) == ""
+
+
+def test_check_dict_is_plain_json_data_that_aliases_no_record():
+    report = engine.build_check(PlanarRotor(1.0, 5000), "q")
+    data = report.to_dict()
+    # json refuses numpy scalars, such as a numpy.bool_ verdict
+    assert json.loads(json.dumps(data, sort_keys=True))["verdict_per_criterion"]["1"][
+        "satisfied"] is True
+    data["ground"]["energy"] = data["algebra"]["closure"] = None
+    data["verdict_per_criterion"][1]["satisfied"] = None
+    assert report.ground.energy == 0.0 and report.algebra.closure == 0.0
+    assert report.verdicts[1].satisfied is True
+
+
+# Reports whose every value is exact, so the eigensolver's last digits cannot
+# move them: their bytes pin the report format.
+@pytest.mark.parametrize("golden,argv", [
+    ("check_rotor_q_m2.json", ["check", "--model", "rotor", "--charge", "q", "--m-max", "2"]),
+    ("spectrum_rotor_m2.csv", ["spectrum", "--model", "rotor", "--m-max", "2",
+                               "--levels", "5"]),
+])
+def test_report_matches_golden_file(tmp_path, golden, argv):
+    code, text = run(tmp_path, *argv)
+    assert code == 0
+    assert text == (ROOT / "tests" / "data" / golden).read_text(encoding="utf-8")
+
+
+def _readme_commands():
+    """The susyqm lines of README's "Command line" block, without their comments."""
+    block = (ROOT / "README.md").read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("susyqm ")]
+
+
+def test_readme_command_examples_exit_zero(tmp_path):
+    commands = _readme_commands()
+    assert len(commands) == 10
+    for i, argv in enumerate(commands):
+        assert main([*argv, "--out", str(tmp_path / f"out{i}")]) == 0, argv
 
 
 def test_partner_rejects_other_models(tmp_path, capsys):

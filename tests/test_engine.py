@@ -234,9 +234,8 @@ def test_rotor_spectrum_at_m_max_50000_is_exact_in_linear_memory(monkeypatch, tm
     argv = ["spectrum", "--model", "rotor", "--m-max", "50000", "--levels", "65"]
     code, peak = _traced_peak(lambda: main([*argv, "--out", str(out)]))
     assert code == 0 and peak < _ROTOR_PEAK
-    assert not asked
-    # at most the Sturm counts of the truncated request; no block is solved
-    assert all(c.get("select") == "v" and c.get("eigvals_only") for c in calls)
+    # diagonal blocks are solved and counted exactly: no LAPACK call at all
+    assert not calls and not asked
     energies = [float(row.split(",")[1]) for row in out.read_text().splitlines()[-65:]]
     assert energies == [m * m / 2.0 for m in range(33) for _ in range(1 + (m > 0))][:65]
 
@@ -602,7 +601,8 @@ def test_energy_only_commands_compute_no_eigenvectors(monkeypatch, tmp_path, arg
     calls = _spy_solves(monkeypatch)
     asked = _spy_krylov(monkeypatch)
     assert main([*argv, "--out", str(tmp_path / "out.txt")]) == 0
-    assert calls or asked
+    # the rotor's diagonal blocks are solved and counted with no solver call at all
+    assert (not calls and not asked) if "rotor" in argv else (calls or asked)
     # truncated sectors go through the Krylov solver, whose vectors stay in block
     # coordinates; eigh_tridiagonal only solves whole blocks or counts
     assert all(not c or (c.get("select") == "v" and c.get("eigvals_only")) for c in calls)

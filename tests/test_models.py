@@ -125,17 +125,17 @@ def test_delta_well_states_counts():
 
 
 def test_free_particle_standing_k0_single_even_state():
-    states = models.free_particle_states(10.0, "standing", [0.0])
+    states = models.free_particle_states("standing", [0.0])
     assert len(states) == 1
     assert states[0].parity == "even"
 
 
 def test_free_particle_traveling_k0_single_state():
-    assert len(models.free_particle_states(10.0, "traveling", [0.0])) == 1
+    assert len(models.free_particle_states("traveling", [0.0])) == 1
 
 
 def test_free_particle_positive_k_pairs():
-    states = models.free_particle_states(10.0, "standing", [1.0])
+    states = models.free_particle_states("standing", [1.0])
     assert len(states) == 2
     assert {s.parity for s in states} == {"even", "odd"}
     assert all(s.energy == pytest.approx(0.5) for s in states)
@@ -171,6 +171,6 @@ def test_parity_labels_match_samples(x, n):
 
 def test_negative_wavenumber_rejected():
     with pytest.raises(ParameterError):
-        models.free_particle_states(1.0, "standing", [-1.0])
+        models.free_particle_states("standing", [-1.0])
     with pytest.raises(ParameterError):
         models.delta_well_states(1.0, [-0.5])

@@ -112,7 +112,6 @@ def test_v_plus_round_trips_to_box(box_partner):
 
 
 def test_partner_misses_the_ground_level(box_partner):
-    assert box_partner.missing_level_index == 0
     assert box_partner.spectrum_minus.eigenvalues[0] == pytest.approx(
         box_energy(np.pi, 2), rel=1e-4)
 
