@@ -25,9 +25,9 @@ with sigma a certified lower bound on the block's lowest level and one
 LDL^T factorization (pttrf) per solve, O(dim) work per Lanczos step
 besides the reorthogonalization. A request whose Lanczos basis would
 pass a memory limit, or on which Lanczos does not converge, is solved
-by bisection (stebz) for its values, and its vectors by inverse
-iteration (stein) only when read. Parity labels are the block a level
-came from, and every eigenvector is real.
+by bisection (stebz) for its values only, and reading its vectors is
+refused. Parity labels are the block a level came from, and every
+eigenvector is real.
 
 Criterion 3 is computed in those sector coordinates. Every supercharge
 is odd under the same parity, so it folds, once, into a block from the
@@ -60,6 +60,9 @@ MACHINE_TOL = 1e-12      # identities that hold exactly in the discretization
 ZERO_TOL = 1e-10         # least |E0| that criterion 1 takes as zero
 ANNIHILATION_TOL = 1e-10  # criterion 3: most ||C psi0|| / ||psi0||; not yet scaled with n
 PAIR_LEAK_TOL = 1e-8      # criterion 3: most leak of C psi out of its pair; not yet scaled with n
+# criterion 3: a pair image ||C psi|| under this times 1 + sqrt|E| counts as
+# annihilated and is skipped; not yet scaled with n
+ANNIHILATED_IMAGE_TOL = 1e-10
 CONVERGENCE_TOL = 1e-4   # grid eigenvalues against analytic values, relative
 PAIR_TOL = 1e-6          # default relative degeneracy tolerance
 
@@ -68,7 +71,7 @@ class Spectrum:
     """Sorted eigenvalues with parity labels, and eigenvectors built on first read.
 
     A spectrum from numeric_spectrum keeps the two parity blocks it
-    solved (sectors, each holding the block eigenvectors of its levels)
+    solved (sectors, each holding the block eigenvectors its solve made)
     and the block each level came from (sector_of, 0 even and 1 odd).
     Criterion 3 reads those block vectors; the full-space eigenvectors, a
     real float64 array of unit-norm columns, are unfolded from them only
@@ -87,16 +90,12 @@ class Spectrum:
     @property
     def eigenvectors(self) -> np.ndarray:
         if self._eigenvectors is None:
-            self._eigenvectors = _eigenvectors(self.sectors, self.sector_of)
+            self._eigenvectors = _eigenvectors(self, np.arange(len(self)))
         return self._eigenvectors
 
     def vector(self, i: int) -> np.ndarray:
         """The full-space eigenvector of level i, unfolding only that column."""
-        sector = self.sectors[self.sector_of[i]]
-        col = _block_columns(self.sector_of)[i]
-        out = np.zeros((len(sector.perm), 1))
-        sector.unfold(sector.vectors[:, col:col + 1], out, [0])
-        return out[:, 0]
+        return _eigenvectors(self, np.array([i]))[:, 0]
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
@@ -125,8 +124,8 @@ def numeric_spectrum(h: ops.LinearOperator, parity: ops.LinearOperator,
     conquer; a truncated one by shift-invert Lanczos (_krylov_levels), values and
     block vectors together, each value the Rayleigh quotient of a vector
     whose residual is at most c * eps * ||block||_1, unless its Lanczos
-    basis would be too large or does not converge: then by bisection, with
-    the block vectors solved for on first read (_lowest_levels).
+    basis would be too large or does not converge: then by bisection,
+    whose sectors hold no vectors, and reading one is refused.
 
     Eigenvalues are accurate to about eps * ||h||_1 in absolute terms
     (eps = 2.2e-16), not relative to each level. On a grid ||h||_1 is
@@ -179,8 +178,7 @@ def numeric_spectrum(h: ops.LinearOperator, parity: ops.LinearOperator,
     sector_of = np.repeat([0, 1], [len(v) for v in values])[order]
     # a sector's chosen levels are its lowest ones, in order
     for s, (_, u), k in zip(sectors, solved, np.bincount(sector_of, minlength=2)):
-        s.levels = int(k)
-        s._vectors = None if u is None else u[:, :k]
+        s.vectors = None if u is None else u[:, :k]
     return Spectrum(vals[order], [_SECTOR_LABELS[i] for i in sector_of],
                     sectors=sectors, sector_of=sector_of)
 
@@ -195,7 +193,9 @@ class _Sector:
 
     Block row k stands for the basis vector (e_a + sign e_pi(a)) / sqrt(2)
     of representative a = reps[k], or e_a alone when a is a fixed point.
-    A spectrum holds the block's `levels` lowest levels.
+    vectors holds the block eigenvectors of a spectrum's levels in this
+    sector, dim x levels, as the solve made them: dense from stevd or
+    Lanczos, unit CSC columns from _diagonal_levels, None from bisection.
     """
 
     sign: float
@@ -205,55 +205,35 @@ class _Sector:
     diag: np.ndarray
     offdiag: np.ndarray
     asym_sq: float  # squared Frobenius norm of block - block^T
-    levels: int = 0
-    _vectors: np.ndarray | None = None
+    vectors: np.ndarray | sp.csc_array | None = None
 
     @property
     def dim(self) -> int:
         return len(self.reps)
 
-    @property
-    def vectors(self) -> np.ndarray | sp.csc_array:
-        """Real block eigenvectors of the held levels, dim x levels, in level order.
-
-        A sector solved in full or by Lanczos carries them from its solve,
-        as a dense array; a diagonal one as unit vectors, a CSC array with
-        one entry 1.0 per column (_diagonal_levels). One solved by bisection
-        is solved again by index on first read, this time with vectors
-        (stebz, then inverse iteration by stein).
-        """
-        if self._vectors is None:
-            self._vectors = eigh_tridiagonal(self.diag, self.offdiag, select="i",
-                                             select_range=(0, self.levels - 1))[1]
-        return self._vectors
-
-    def unfold(self, u: np.ndarray, out: np.ndarray, cols):
-        """Write the full-space vectors of block eigenvectors u into out[:, cols].
+    def unfold(self, cols: np.ndarray) -> np.ndarray:
+        """The full-space vectors of the block eigenvectors in columns cols, as n x len(cols).
 
         v[a] = u / sqrt(2) and v[pi(a)] = sign * u / sqrt(2), or v[a] = u at a
-        fixed point, so every vector has its parity exactly. Unit vectors (a
-        CSC u) write only their one or two nonzero entries per column, so
-        out[:, cols] must hold zeros.
+        fixed point, so every vector has its parity exactly. One gather over
+        the full-space rows: row j reads the block row of its representative
+        min(j, pi(j)), divided by 1 at a fixed point, sqrt(2) at a
+        representative and sign * sqrt(2) at its mirror. Unit vectors are
+        made dense first, in the chosen columns only.
         """
+        u = self.vectors
         if sp.issparse(u):
-            rows, x = self.reps[u.indices], u.data
-            col = np.repeat(np.asarray(cols), np.diff(u.indptr))
-            paired = ~self.fixed[u.indices]
-            x = np.where(paired, x / _SQRT2, x)
-            out[rows, col] = x
-            out[self.perm[rows[paired]], col[paired]] = self.sign * x[paired]
-            return
-        at_fixed = np.flatnonzero(self.fixed)
-        paired = np.flatnonzero(~self.fixed)
-        fixed_points = self.reps[at_fixed]
-        a = self.reps[paired]
-        mirror = self.perm[a]
-        for col, vec in zip(cols, np.ascontiguousarray(u.T)):
-            v = out[:, col]
-            v[fixed_points] = vec[at_fixed]
-            w = vec[paired] / _SQRT2
-            v[a] = w
-            v[mirror] = w if self.sign > 0 else -w
+            u, cols = u[:, cols].toarray(), np.arange(len(cols))
+        j = np.arange(len(self.perm))
+        at_fixed = self.perm == j
+        row = np.zeros(len(j), dtype=np.intp)
+        row[self.reps] = np.arange(self.dim)
+        div = np.where(at_fixed, 1.0, np.where(j < self.perm, _SQRT2, self.sign * _SQRT2))
+        v = u[np.ix_(row[np.minimum(j, self.perm)], cols)]
+        v /= div[:, None]
+        if self.sign < 0:
+            v[at_fixed] = 0.0  # the odd sector has no row at a fixed point
+        return v
 
 
 def _involution(parity: ops.LinearOperator, n: int) -> np.ndarray:
@@ -420,7 +400,7 @@ def _lowest_levels(sector: _Sector, k: int):
     solved by shift-invert Lanczos (_krylov_levels). Any other block, and
     one on which Lanczos does not converge, is solved by bisection
     (stebz) for the values alone, as accurate as stevd's; its vectors are
-    None, left to _Sector.vectors.
+    None (inverse iteration's would fail criterion 3 at 10^5 points).
     """
     if _basis_cap(k) >= sector.dim:
         vals, vecs = eigh_tridiagonal(sector.diag, sector.offdiag)
@@ -751,24 +731,31 @@ def _refine(d: np.ndarray, e: np.ndarray, factors, basis: np.ndarray, s: np.ndar
     return vals, y.T, residual
 
 
-def _eigenvectors(sectors, sector_of: np.ndarray) -> np.ndarray:
-    """The real full-space eigenvectors of a spectrum's levels, as columns in level order."""
+def _eigenvectors(spectrum: Spectrum, levels: np.ndarray) -> np.ndarray:
+    """The real full-space eigenvectors of a spectrum's levels, as columns in that order."""
+    cols = _block_columns(spectrum, levels)
+    sector_of = spectrum.sector_of[levels]
     # columns are read one at a time, so the output is column-major
-    vecs = np.zeros((len(sectors[0].perm), len(sector_of)), order="F")
-    for i, s in enumerate(sectors):
-        cols = np.flatnonzero(sector_of == i)
-        if len(cols):
-            s.unfold(s.vectors, vecs, cols)
+    vecs = np.empty((len(spectrum.sectors[0].perm), len(levels)), order="F")
+    for i, s in enumerate(spectrum.sectors):
+        at = sector_of == i
+        if np.any(at):
+            vecs[:, at] = s.unfold(cols[at])
     return vecs
 
 
-def _block_columns(sector_of: np.ndarray) -> np.ndarray:
-    """Each level's column among the block eigenvectors of its own sector."""
-    cols = np.empty(len(sector_of), dtype=int)
-    for i in (0, 1):
-        at = sector_of == i
-        cols[at] = np.arange(np.count_nonzero(at))
-    return cols
+def _block_columns(spectrum: Spectrum, levels: np.ndarray) -> np.ndarray:
+    """Each level's column among the block eigenvectors of its own sector.
+
+    Every eigenvector read passes here, which refuses a level no solve gave
+    a vector: one of a bisected sector, or of an energies-only Spectrum.
+    """
+    of = spectrum.sector_of
+    if of is None or any(spectrum.sectors[i].vectors is None for i in np.unique(of[levels])):
+        raise ParameterError("no eigenvectors for these levels: the spectrum was built from "
+                             "energies alone, or their sector was bisected, which makes none")
+    odd_before = np.cumsum(of)  # odd levels up to and including each level
+    return np.where(of, odd_before - 1, np.arange(len(of)) - odd_before)[levels]
 
 
 # ---------------------------------------------------------------------------
@@ -1108,16 +1095,16 @@ def _pair_invariance(spectrum: Spectrum, pairing: PairingMap, charges) -> float:
     back (_fold_charge), and for a pair of block eigenvectors (u_e, u_o)
     the leak of C u_e is ||C u_e - (u_o^T C u_e) u_o|| / ||C u_e||, and
     likewise from u_o to u_e (_leaks). Images that the charge (nearly)
-    annihilates are skipped, as a nilpotent charge annihilates one member
-    of each pair.
+    annihilates, ||C u|| <= ANNIHILATED_IMAGE_TOL * (1 + sqrt|E|), are
+    skipped, as a nilpotent charge annihilates one member of each pair.
     """
     if not pairing.pairs:
         return 0.0
+    pairs = np.array([(i, j) for i, j, _ in pairing.pairs], dtype=int)
+    cols = _block_columns(spectrum, pairs)
     even, odd = spectrum.sectors
     folded = [_fold_charge(action, even, odd) for _, action in _charges_of(charges)]
-    pairs = np.array([(i, j) for i, j, _ in pairing.pairs], dtype=int)
-    cols = _block_columns(spectrum.sector_of)[pairs]
-    floor = 1e-10 * (1.0 + np.sqrt(np.abs(spectrum.eigenvalues[pairs[:, 0]])))
+    floor = ANNIHILATED_IMAGE_TOL * (1.0 + np.sqrt(np.abs(spectrum.eigenvalues[pairs[:, 0]])))
     worst = 0.0
     for to_odd, to_even in folded:
         for block, u, partner, at in ((to_odd, even.vectors, odd.vectors, cols),

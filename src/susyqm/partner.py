@@ -147,6 +147,10 @@ def box_to_free_scan(lengths, points_per_unit_length: float, *,
                 f"length {length!r} at {points_per_unit_length!r} points per unit "
                 "length gives no finite, positive point count")
         n_points = max(3, int(round(points)) - 1)
+        if n_levels + 1 > n_points:
+            raise ParameterError(
+                f"length {length!r} gets {n_points} grid points, fewer than the "
+                f"{n_levels + 1} box levels a scan of {n_levels} levels needs")
         grid = build_grid(length / 2.0, n_points, DIRICHLET)
         par = ops.parity_operator(grid)
         h_box = ops.hamiltonian(grid, lambda x: 0.0)

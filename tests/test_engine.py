@@ -134,6 +134,11 @@ def _spy_solves(monkeypatch):
     return calls
 
 
+def _assert_vectors_only_from_whole_blocks(calls):
+    """Every eigh_tridiagonal call that computes vectors solves a whole block (no select)."""
+    assert all(c.get("eigvals_only") or not c.get("select") for c in calls)
+
+
 def _spy_krylov(monkeypatch):
     """Record the level count of every truncated-sector Krylov solve the engine makes."""
     asked = []
@@ -208,6 +213,69 @@ def test_exact_size_requests_return_the_lowest_levels(monkeypatch, name, n_level
     resid = h.to_dense() @ vecs - vecs * spec.eigenvalues
     assert np.max(np.abs(resid)) <= 1e-9 * np.max(np.abs(exact))
     np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(n_levels), rtol=0, atol=1e-9)
+
+
+def _unfold_reference(sector, u, out, cols):
+    """The two-branch unfold that the one gather replaced, kept as its reference.
+
+    Writes the full-space vectors of block eigenvectors u into out[:, cols]:
+    a CSC u writes its one or two nonzero entries per column, so out must
+    hold zeros; a dense u is written column by column.
+    """
+    sqrt2 = np.sqrt(2.0)
+    if sp.issparse(u):
+        rows, x = sector.reps[u.indices], u.data
+        col = np.repeat(np.asarray(cols), np.diff(u.indptr))
+        paired = ~sector.fixed[u.indices]
+        x = np.where(paired, x / sqrt2, x)
+        out[rows, col] = x
+        out[sector.perm[rows[paired]], col[paired]] = sector.sign * x[paired]
+        return
+    at_fixed = np.flatnonzero(sector.fixed)
+    paired = np.flatnonzero(~sector.fixed)
+    fixed_points = sector.reps[at_fixed]
+    a = sector.reps[paired]
+    mirror = sector.perm[a]
+    for col, vec in zip(cols, np.ascontiguousarray(u.T)):
+        v = out[:, col]
+        v[fixed_points] = vec[at_fixed]
+        w = vec[paired] / sqrt2
+        v[a] = w
+        v[mirror] = w if sector.sign > 0 else -w
+
+
+@pytest.mark.parametrize("whole", [True, False])
+@pytest.mark.parametrize("name", ["dirichlet_odd", "dirichlet_even", "periodic", "rotor"])
+def test_gather_unfold_matches_the_two_branch_reference(monkeypatch, name, whole):
+    if name == "rotor":  # diagonal blocks: unit vectors in CSC form
+        _, t, h = ops.rotor_basis_operators(100, 1.0)
+        parity = t.linear_part
+    else:
+        boundary, n = {"dirichlet_odd": ("dirichlet", 201), "dirichlet_even": ("dirichlet", 200),
+                       "periodic": ("periodic", 200)}[name]
+        grid = build_grid(2.0, n, boundary)
+        h = ops.hamiltonian(grid, lambda x: np.polyval([3.0, -1.0, 2.0], abs(x)))
+        parity = ops.parity_operator(grid)
+    n_levels = h.dimension if whole else 9
+    calls = _spy_solves(monkeypatch)
+    asked = _spy_krylov(monkeypatch)
+    spec = numeric_spectrum(h, parity, n_levels)
+    # truncated grid spectra take Lanczos' dense vectors, whole ones stevd's
+    assert bool(asked) == (name != "rotor" and not whole)
+    assert sp.issparse(spec.sectors[0].vectors) == (name == "rotor")
+    reference = np.zeros((h.dimension, n_levels))
+    for i, s in enumerate(spec.sectors):
+        cols = np.flatnonzero(spec.sector_of == i)
+        if len(cols):
+            _unfold_reference(s, s.vectors, reference, cols)
+    vecs = spec.eigenvectors
+    np.testing.assert_array_equal(vecs, reference)
+    for i in (0, 1, n_levels - 1):
+        np.testing.assert_array_equal(spec.vector(i), reference[:, i])
+    # every vector has its parity exactly: v[pi] == +v or -v
+    sign = np.where(np.array(spec.parity_labels) == "even", 1.0, -1.0)
+    np.testing.assert_array_equal(vecs[parity.linear_matrix.indices], vecs * sign)
+    _assert_vectors_only_from_whole_blocks(calls)
 
 
 def _traced_peak(run):
@@ -398,13 +466,13 @@ def test_a_block_lanczos_cannot_resolve_falls_back_to_bisection(monkeypatch):
     spec = numeric_spectrum(h, parity, 32)
     assert any(c.get("select") == "i" for c in calls)
     _assert_near_bisection(spec.eigenvalues, h, parity)
-    vecs = spec.eigenvectors
-    resid = h.linear_matrix @ vecs - vecs * spec.eigenvalues
-    assert np.max(np.linalg.norm(resid, axis=0)) <= 1e-9 * engine._norm1(h)
-    np.testing.assert_allclose(vecs.T @ vecs, np.eye(32), rtol=0, atol=1e-9)
+    # bisection makes no vectors, and reading them makes no solve either
+    with pytest.raises(ParameterError, match="no eigenvectors"):
+        spec.eigenvectors
+    _assert_vectors_only_from_whole_blocks(calls)
 
 
-def test_a_basis_over_the_memory_limit_is_bisected_with_vectors_on_first_read(monkeypatch):
+def test_a_basis_over_the_memory_limit_is_bisected_without_vectors(monkeypatch):
     # 10^5 box points fold into blocks of 50001 rows. 16 levels of one block (a
     # basis of 128 vectors, as the benchmark's delta well asks) fit under the
     # limit; 32 levels (192 vectors, as 64 box levels ask) do not
@@ -422,20 +490,45 @@ def test_a_basis_over_the_memory_limit_is_bisected_with_vectors_on_first_read(mo
     np.testing.assert_allclose(lanczos, bisected[:16], rtol=0, atol=bound)
 
 
-def test_bisected_sectors_solve_their_vectors_when_first_read(monkeypatch):
+def _bisected_double_well(monkeypatch):
+    """The lowest 6 levels of a double well, both sectors bisected, and its Hamiltonian."""
     grid = build_grid(2.0, 401, "dirichlet")
     h = _double_well(grid)
     monkeypatch.setattr(engine, "_KRYLOV_BASIS_LIMIT", 0)
+    return numeric_spectrum(h, ops.parity_operator(grid), 6), h
+
+
+def test_bisected_sectors_hold_no_vectors(monkeypatch):
     calls = _spy_solves(monkeypatch)
     asked = _spy_krylov(monkeypatch)
-    spec = numeric_spectrum(h, ops.parity_operator(grid), 6)
+    spec, h = _bisected_double_well(monkeypatch)
     assert not asked
     assert all(c.get("eigvals_only") for c in calls)
-    vecs = spec.eigenvectors
-    assert sum(c.get("select") == "i" and not c.get("eigvals_only") for c in calls) == 2
-    resid = h.linear_matrix @ vecs - vecs * spec.eigenvalues
-    assert np.max(np.linalg.norm(resid, axis=0)) <= 1e-9 * engine._norm1(h)
-    np.testing.assert_allclose(vecs.T @ vecs, np.eye(6), rtol=0, atol=1e-9)
+    exact = np.linalg.eigvalsh(h.to_dense())[:6]
+    np.testing.assert_allclose(spec.eigenvalues, exact, rtol=0, atol=1e-9 * engine._norm1(h))
+    assert all(s.vectors is None for s in spec.sectors)
+    # a read is refused, not answered by a solve
+    with pytest.raises(ParameterError, match="no eigenvectors"):
+        spec.vector(0)
+    assert all(c.get("eigvals_only") for c in calls)
+
+
+@pytest.mark.parametrize("source", ["bisected", "energies_only"])
+def test_reading_a_vector_no_solve_made_is_refused(monkeypatch, source):
+    if source == "bisected":
+        spec = _bisected_double_well(monkeypatch)[0]
+    else:
+        spec = _analytic_spectrum([0.0, 1.0, 1.0], ["even", "even", "odd"])
+    grid = build_grid(np.pi, 8, "periodic")
+    charge = ops.supercharge_Q(ops.momentum(grid), ops.parity_operator(grid), 1.0)
+    labels = spec.parity_labels
+    pairing = engine.PairingMap(pairs=[(labels.index("even"), labels.index("odd"), 0.0)],
+                                unpaired=[])
+    for read in (lambda: spec.eigenvectors, lambda: spec.vector(0),
+                 lambda: ground_state_check(spec, charge),
+                 lambda: engine._pair_invariance(spec, pairing, charge)):
+        with pytest.raises(ParameterError, match="no eigenvectors"):
+            read()
 
 
 def test_spectrum_partner_and_scan_energies_match_bisection():
@@ -1059,11 +1152,11 @@ def test_check_never_unfolds_the_spectrum(monkeypatch, model, charge):
     widths = []
     unfold = engine._Sector.unfold
 
-    def one_column(self, u, out, cols):
-        widths.append(u.shape[1])
-        return unfold(self, u, out, cols)
+    def one_column(self, cols):
+        widths.append(len(cols))
+        return unfold(self, cols)
 
-    monkeypatch.setattr(engine, "_eigenvectors", refuse)
+    monkeypatch.setattr(engine.Spectrum, "eigenvectors", property(refuse))
     monkeypatch.setattr(engine._Sector, "unfold", one_column)
     report = build_check(model, charge, n_points=128)
     assert report.all_applicable_pass

@@ -169,3 +169,13 @@ def test_scan_pairing_survives_widening():
 def test_scan_rejects_non_increasing_lengths():
     with pytest.raises(ParameterError, match="increasing"):
         box_to_free_scan([4.0, 4.0], 100.0)
+
+
+def test_scan_refuses_a_length_with_fewer_points_than_its_levels():
+    # a length of 1 at 1 point per unit length gets the 3-point minimum, where the
+    # box must give n_levels + 1 = 5 levels
+    message = "length 1.0 gets 3 grid points, fewer than the 5 box levels a scan of 4 levels needs"
+    with pytest.raises(ParameterError, match=message):
+        box_to_free_scan([1.0, 2.0], 1.0, n_levels=4)
+    # the same grid is enough for 2 levels
+    assert [row.n_points for row in box_to_free_scan([1.0, 2.0], 1.0, n_levels=2)] == [3, 3]
