@@ -368,6 +368,10 @@ def main(argv=None) -> int:
     except SusyqmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"configuration error: the request is larger than this machine can hold: {exc}",
+              file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

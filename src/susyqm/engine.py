@@ -44,16 +44,18 @@ refuses them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh, eigh_tridiagonal, lapack
 
 from . import operators as ops
-from .errors import DirichletAlgebraError, NumericalContractError, ParameterError
+from .errors import (DirichletAlgebraError, NumericalContractError, ParameterError,
+                     require_positive)
 from .grid import PERIODIC, Grid1D, build_grid
-from .models import (DeltaWell, FreeParticle, ModelSpec, ParticleInBox,
+from .models import (EVEN, ODD, DeltaWell, FreeParticle, ModelSpec, ParticleInBox,
                      PlanarRotor, SecSquaredPartner)
 
 MACHINE_TOL = 1e-12      # identities that hold exactly in the discretization
@@ -68,30 +70,29 @@ PAIR_TOL = 1e-6          # default relative degeneracy tolerance
 
 
 class Spectrum:
-    """Sorted eigenvalues with parity labels, and eigenvectors built on first read.
+    """Sorted eigenvalues, the parity sector of each, and eigenvectors built on first read.
 
-    A spectrum from numeric_spectrum keeps the two parity blocks it
-    solved (sectors, each holding the block eigenvectors its solve made)
-    and the block each level came from (sector_of, 0 even and 1 odd).
-    Criterion 3 reads those block vectors; the full-space eigenvectors, a
-    real float64 array of unit-norm columns, are unfolded from them only
-    when .eigenvectors is first read, so a caller that reads only
-    eigenvalues, or only the blocks, never pays for them.
+    sector_of, the block each level came from (0 even, 1 odd), is the one
+    record of its parity. A spectrum from numeric_spectrum also keeps the
+    two parity blocks it solved (sectors, each built with the block
+    eigenvectors its solve made); one of eigenvalues and sector indices
+    alone refuses every vector read. Criterion 3 reads the block vectors;
+    the full-space eigenvectors, a real float64 array of unit-norm
+    columns, are unfolded from them only when .eigenvectors is first read.
     """
 
-    def __init__(self, eigenvalues: np.ndarray, parity_labels: list[str], *,
-                 sectors=(), sector_of: np.ndarray | None = None):
+    def __init__(self, eigenvalues: np.ndarray, sector_of: np.ndarray, *, sectors=()):
         self.eigenvalues = eigenvalues
-        self.parity_labels = parity_labels
-        self.sectors = sectors
         self.sector_of = sector_of
-        self._eigenvectors = None
+        self.sectors = sectors
 
     @property
+    def parity_labels(self) -> list[str]:
+        return [_SECTOR_LABELS[i] for i in self.sector_of]
+
+    @cached_property
     def eigenvectors(self) -> np.ndarray:
-        if self._eigenvectors is None:
-            self._eigenvectors = _eigenvectors(self, np.arange(len(self)))
-        return self._eigenvectors
+        return _eigenvectors(self, np.arange(len(self)))
 
     def vector(self, i: int) -> np.ndarray:
         """The full-space eigenvector of level i, unfolding only that column."""
@@ -112,11 +113,11 @@ def numeric_spectrum(h: ops.LinearOperator, parity: ops.LinearOperator,
     and periodic grids both blocks are tridiagonal, and for the rotor's
     diagonal h both are diagonal. The parity label of every level is the
     block it came from, and every eigenvector is real and satisfies
-    v[pi] == +/-v exactly. The
-    Spectrum keeps both blocks with their eigenvectors, from which
-    criterion 3 is computed without unfolding. An h that is not even
-    under parity, or whose blocks are not tridiagonal, is refused with a
-    ParameterError; a non-Hermitian h with a NumericalContractError.
+    v[pi] == +/-v exactly. The Spectrum keeps both blocks, each built
+    with the eigenvectors its solve made, from which criterion 3 is
+    computed without unfolding. An h that is not even under parity, or
+    whose blocks are not tridiagonal, is refused with a ParameterError; a
+    non-Hermitian h with a NumericalContractError.
 
     When both blocks are diagonal their levels are exact: each block's
     diagonal in stable order, each vector a unit vector (_diagonal_levels).
@@ -177,30 +178,29 @@ def numeric_spectrum(h: ops.LinearOperator, parity: ops.LinearOperator,
     order = np.argsort(vals, kind="stable")[:n_levels]
     sector_of = np.repeat([0, 1], [len(v) for v in values])[order]
     # a sector's chosen levels are its lowest ones, in order
-    for s, (_, u), k in zip(sectors, solved, np.bincount(sector_of, minlength=2)):
-        s.vectors = None if u is None else u[:, :k]
-    return Spectrum(vals[order], [_SECTOR_LABELS[i] for i in sector_of],
-                    sectors=sectors, sector_of=sector_of)
+    sectors = tuple(replace(s, vectors=None if u is None else u[:, :k]) for s, (_, u), k
+                    in zip(sectors, solved, np.bincount(sector_of, minlength=2)))
+    return Spectrum(vals[order], sector_of, sectors=sectors)
 
 
-_SECTOR_LABELS = ("even", "odd")
+_SECTOR_LABELS = (EVEN, ODD)
 _SQRT2 = np.sqrt(2.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Sector:
     """One parity block of a folded Hamiltonian, as a symmetric tridiagonal matrix.
 
     Block row k stands for the basis vector (e_a + sign e_pi(a)) / sqrt(2)
-    of representative a = reps[k], or e_a alone when a is a fixed point.
-    vectors holds the block eigenvectors of a spectrum's levels in this
-    sector, dim x levels, as the solve made them: dense from stevd or
-    Lanczos, unit CSC columns from _diagonal_levels, None from bisection.
+    of representative a = reps[k], or e_a alone when a is a fixed point
+    (perm[a] == a). vectors, given at construction, holds the block
+    eigenvectors of a spectrum's levels here, dim x levels, as the solve
+    made them: dense from stevd or Lanczos, unit CSC columns from
+    _diagonal_levels, None from bisection.
     """
 
     sign: float
     reps: np.ndarray
-    fixed: np.ndarray  # bool per block row: its representative is a fixed point
     perm: np.ndarray
     diag: np.ndarray
     offdiag: np.ndarray
@@ -382,8 +382,7 @@ def _sector(sign: float, perm: np.ndarray, reps: np.ndarray,
     diag = np.bincount(rows[step == 0], weights=vals[step == 0], minlength=dim)
     upper = np.bincount(rows[step == 1], weights=vals[step == 1], minlength=max(dim - 1, 0))
     lower = np.bincount(cols[step == -1], weights=vals[step == -1], minlength=max(dim - 1, 0))
-    return _Sector(sign=sign, reps=reps, fixed=perm[reps] == reps, perm=perm, diag=diag,
-                   offdiag=(upper + lower) / 2.0,
+    return _Sector(sign=sign, reps=reps, perm=perm, diag=diag, offdiag=(upper + lower) / 2.0,
                    asym_sq=2.0 * float(np.dot(upper - lower, upper - lower)))
 
 
@@ -545,7 +544,8 @@ def _krylov_levels(sector: _Sector, k: int):
     norm = _tridiag_norm1(d, e)
     start = np.random.default_rng(_START_SEED).standard_normal(len(d))
     # the block image of the constant function: a positive vector near the ground state
-    factors = _lower_shift(d, e, np.where(sector.fixed, 1.0, _SQRT2), start, norm)
+    fixed = sector.perm[sector.reps] == sector.reps
+    factors = _lower_shift(d, e, np.where(fixed, 1.0, _SQRT2), start, norm)
     found = _lanczos(d, e, factors, k, _residual_bound(sector), start)
     if found is None:
         return None
@@ -750,8 +750,8 @@ def _block_columns(spectrum: Spectrum, levels: np.ndarray) -> np.ndarray:
     Every eigenvector read passes here, which refuses a level no solve gave
     a vector: one of a bisected sector, or of an energies-only Spectrum.
     """
-    of = spectrum.sector_of
-    if of is None or any(spectrum.sectors[i].vectors is None for i in np.unique(of[levels])):
+    of, sectors = spectrum.sector_of, spectrum.sectors
+    if not sectors or any(sectors[i].vectors is None for i in np.unique(of[levels])):
         raise ParameterError("no eigenvectors for these levels: the spectrum was built from "
                              "energies alone, or their sector was bisected, which makes none")
     odd_before = np.cumsum(of)  # odd levels up to and including each level
@@ -782,12 +782,11 @@ def detect_pairing(spectrum: Spectrum, pair_tol: float = PAIR_TOL) -> PairingMap
     particle (6e-7 at n = 4096), but it stays far above the splitting
     within each pair, so the local-minimum condition keeps those pairs
     apart. Clusters of three or more, where splittings of rounding size
-    or equal ones chain, are reported unpaired with a diagnostic flag.
-    Stable under re-sorting: depends only on the sorted eigenvalue/parity
-    sequence.
+    or equal ones chain, are reported unpaired with a diagnostic flag. A
+    pair's levels lie in different sectors (sector_of). Stable under
+    re-sorting: depends only on the sorted eigenvalue/sector sequence.
     """
-    if not 0 < pair_tol < np.inf:
-        raise ParameterError(f"pair_tol must be positive and finite, got {pair_tol!r}")
+    require_positive("pair_tol", pair_tol)
     vals = spectrum.eigenvalues
     n = len(vals)
     gaps = np.diff(vals)
@@ -803,12 +802,10 @@ def detect_pairing(spectrum: Spectrum, pair_tol: float = PAIR_TOL) -> PairingMap
     ends = np.append(np.flatnonzero(~linked), n - 1)
     starts = np.r_[0, ends[:-1] + 1]
     size = ends - starts + 1
-    labels = np.asarray(spectrum.parity_labels)
+    of = spectrum.sector_of
     first = starts[size == 2]
-    la, lb = labels[first], labels[first + 1]
-    opposite = ((la == "even") & (lb == "odd")) | ((la == "odd") & (lb == "even"))
-    paired = first[opposite]
-    even_idx = np.where(la[opposite] == "even", paired, paired + 1)
+    paired = first[of[first] != of[first + 1]]
+    even_idx = paired + of[paired]  # the next level when the first is odd
     odd_idx = 2 * paired + 1 - even_idx  # the other member
     pairs = list(zip(even_idx.tolist(), odd_idx.tolist(), np.abs(gaps[paired]).tolist()))
     alone = np.ones(n, dtype=bool)
@@ -853,25 +850,24 @@ def algebra_residuals(h: ops.LinearOperator, charges) -> AlgebraResiduals:
     comm_hqdag = ops.frobenius_norm(ops.commutator(h, qdag)) / hn
     half_anti = ops.scale(ops.anticommutator(q, qdag), 0.5)
     anti = ops.frobenius_norm(ops.subtract(half_anti, h)) / hn
-    nil_q = nil_qdag = None
-    if lead.nilpotent_by_design:
-        nil_q = ops.frobenius_norm(ops.compose(q, q)) / hn
-        nil_qdag = ops.frobenius_norm(ops.compose(qdag, qdag)) / hn
-    closure = max(_closure_residual(h, q), _closure_residual(h, qdag))
+    squares = [ops.compose(q, q), ops.compose(qdag, qdag)]
+    nil_q, nil_qdag = ((ops.frobenius_norm(sq) / hn if lead.nilpotent_by_design else None)
+                       for sq in squares)
+    closure = max(_closure_residual(h, sq) for sq in squares)
     return AlgebraResiduals(comm_HQ=comm_hq, comm_HQdag=comm_hqdag,
                             anticomm_minus_H=anti, nilpotency_q=nil_q,
                             nilpotency_qdag=nil_qdag, closure=closure)
 
 
-def _closure_residual(h: ops.LinearOperator, charge_action) -> float:
-    """Distance of {C, C} from span{H, 1}, relative to ||H||_F.
+def _closure_residual(h: ops.LinearOperator, square: ops.Operator) -> float:
+    """Distance of {C, C} = 2 C^2 from span{H, 1}, relative to ||H||_F, given C^2.
 
     {Q, Q} = -2H for the parity/time-reversal charges and 0 for the
     nilpotent pairs; either way the anticommutator must not leave the
     algebra generated by H. The projection uses sparse Frobenius inner
     products, so it costs O(nnz).
     """
-    anti = ops.scale(ops.compose(charge_action, charge_action), 2.0)
+    anti = ops.scale(square, 2.0)
     a, b = anti.linear_matrix, anti.antilinear_matrix
     hm = h.linear_matrix
     resid_sq = 0.0
@@ -884,7 +880,7 @@ def _closure_residual(h: ops.LinearOperator, charge_action) -> float:
         g = np.array([[np.sum(np.abs(hm.data) ** 2), np.conj(tr_h)], [tr_h, n]])
         rhs = np.array([hm.conj().multiply(a).sum(), a.diagonal().sum()])
         coef = np.linalg.solve(g, rhs)
-        resid = a - coef[0] * hm - coef[1] * sp.eye_array(n, format="csr")
+        resid = a - coef[0] * hm - coef[1] * sp.diags_array(np.ones(n), format="csr")
         resid_sq += float(np.sum(np.abs(resid.data) ** 2))
     return float(np.sqrt(resid_sq) / ops.frobenius_norm(h))
 

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its one range check.
 
 Two families matter at the CLI boundary: configuration problems
 (exit code 2) and numerical contract violations (exit code 3).
@@ -11,6 +11,12 @@ class SusyqmError(Exception):
 
 class ParameterError(SusyqmError, ValueError):
     """A constructor or command received parameters violating a precondition."""
+
+
+def require_positive(name: str, value: float):
+    """Refuse a parameter that is not positive and finite, naming it in the message."""
+    if not 0 < value < float("inf"):
+        raise ParameterError(f"{name} must be positive and finite, got {value!r}")
 
 
 class PotentialEvaluationError(SusyqmError, ValueError):

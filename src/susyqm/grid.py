@@ -12,11 +12,11 @@ point set onto itself exactly:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_positive
 
 DIRICHLET = "dirichlet"
 PERIODIC = "periodic"
@@ -24,24 +24,21 @@ PERIODIC = "periodic"
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Immutable uniform grid on a symmetric interval [-L/2, L/2]."""
+    """Immutable uniform grid on [-L/2, L/2]; spacing and points derive from the three fields."""
 
     half_width: float
     n_points: int
     boundary: str
-    spacing: float = field(init=False)
-
-    def __post_init__(self):
-        length = 2.0 * self.half_width
-        if self.boundary == DIRICHLET:
-            h = length / (self.n_points + 1)
-        else:
-            h = length / self.n_points
-        object.__setattr__(self, "spacing", h)
 
     @property
     def length(self) -> float:
         return 2.0 * self.half_width
+
+    @property
+    def spacing(self) -> float:
+        if self.boundary == DIRICHLET:
+            return self.length / (self.n_points + 1)
+        return self.length / self.n_points
 
     @property
     def points(self) -> np.ndarray:
@@ -69,8 +66,7 @@ def build_grid(half_width: float, n_points: int, boundary: str) -> Grid1D:
     """Validate parameters and construct a Grid1D."""
     if boundary not in (DIRICHLET, PERIODIC):
         raise ParameterError(f"unknown boundary {boundary!r}; use 'dirichlet' or 'periodic'")
-    if not 0 < half_width < math.inf:
-        raise ParameterError(f"half_width must be positive and finite, got {half_width!r}")
+    require_positive("half_width", half_width)
     if n_points < 3:
         raise ParameterError(f"n_points must be at least 3, got {n_points}")
     if boundary == PERIODIC and n_points % 2 != 0:

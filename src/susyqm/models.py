@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_positive
 
 EVEN = "even"
 ODD = "odd"
@@ -37,27 +37,23 @@ class AnalyticState:
 # model parameter records
 
 @dataclass(frozen=True)
-class FreeParticle:
+class _LengthModel:
     length: float
 
     def __post_init__(self):
-        _require_positive("L", self.length)
+        require_positive("L", self.length)
 
 
-@dataclass(frozen=True)
-class ParticleInBox:
-    length: float
-
-    def __post_init__(self):
-        _require_positive("L", self.length)
+class FreeParticle(_LengthModel):
+    """The free particle on a periodic domain of length L."""
 
 
-@dataclass(frozen=True)
-class SecSquaredPartner:
-    length: float  # shared with its ParticleInBox partner
+class ParticleInBox(_LengthModel):
+    """The particle in a box of length L."""
 
-    def __post_init__(self):
-        _require_positive("L", self.length)
+
+class SecSquaredPartner(_LengthModel):
+    """The sec^2 partner of the box, sharing its length L."""
 
 
 @dataclass(frozen=True)
@@ -66,8 +62,8 @@ class DeltaWell:
     box_length: float
 
     def __post_init__(self):
-        _require_positive("lambda", self.coupling)
-        _require_positive("L_box", self.box_length)
+        require_positive("lambda", self.coupling)
+        require_positive("L_box", self.box_length)
 
 
 @dataclass(frozen=True)
@@ -76,7 +72,7 @@ class PlanarRotor:
     m_max: int
 
     def __post_init__(self):
-        _require_positive("I", self.inertia)
+        require_positive("I", self.inertia)
         if self.m_max < 1:
             raise ParameterError(f"m_max must be at least 1, got {self.m_max}")
         if not np.isfinite(self.m_max ** 2 / (2.0 * self.inertia)):
@@ -85,11 +81,6 @@ class PlanarRotor:
 
 
 ModelSpec = FreeParticle | ParticleInBox | SecSquaredPartner | DeltaWell | PlanarRotor
-
-
-def _require_positive(name: str, value: float):
-    if not 0 < value < np.inf:
-        raise ParameterError(f"{name} must be positive and finite, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +153,7 @@ def sec_squared_partner_levels(length: float, n_max: int) -> list[AnalyticState]
 def delta_well_bound_state(coupling: float) -> AnalyticState:
     """The single bound state: energy -lambda^2/2, sqrt(lambda) exp(-lambda |x|)."""
     lam = coupling
-    _require_positive("lambda", lam)
+    require_positive("lambda", lam)
     root = np.sqrt(lam)
     return AnalyticState(
         energy=-0.5 * lam ** 2, parity=EVEN,

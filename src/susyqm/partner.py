@@ -101,12 +101,7 @@ def partner_potential(psi0, e0: float, grid: Grid1D, *,
     n_levels = min(n_levels, grid.n_points)
     spectrum_plus = numeric_spectrum(h_plus, par, n_levels)
     spectrum_minus = numeric_spectrum(h_minus, par, n_levels)
-
-    deviations = []
-    for n in range(n_levels - 1):
-        ep = spectrum_plus.eigenvalues[n + 1]
-        em = spectrum_minus.eigenvalues[n]
-        deviations.append(float(abs(em - ep) / abs(ep)))
+    deviations = _pair_deviations(spectrum_plus, spectrum_minus, n_levels - 1)
 
     mask = np.ones(grid.n_points, dtype=bool)
     mask[:WALL_MASK_CELLS] = False
@@ -115,6 +110,13 @@ def partner_potential(psi0, e0: float, grid: Grid1D, *,
                          e0=float(e0), spectrum_plus=spectrum_plus,
                          spectrum_minus=spectrum_minus, pair_deviations=deviations,
                          wall_mask=mask)
+
+
+def _pair_deviations(plus: Spectrum, minus: Spectrum, count: int) -> list[float]:
+    """|E_minus[k] - E_plus[k + 1]| / |E_plus[k + 1]| for k < count: the partner
+    rule, H_minus holding every level of H_plus but its ground level."""
+    e_plus, e_minus = plus.eigenvalues[1:count + 1], minus.eigenvalues[:count]
+    return (np.abs(e_minus - e_plus) / np.abs(e_plus)).tolist()
 
 
 @dataclass(frozen=True)
@@ -157,8 +159,7 @@ def box_to_free_scan(lengths, points_per_unit_length: float, *,
         h_partner = ops.hamiltonian(grid, sec_squared_potential(length))
         box = numeric_spectrum(h_box, par, n_levels + 1)
         part = numeric_spectrum(h_partner, par, n_levels)
-        deviations = [abs(part.eigenvalues[n] - box.eigenvalues[n + 1])
-                      / abs(box.eigenvalues[n + 1]) for n in range(n_levels)]
+        deviations = _pair_deviations(box, part, n_levels)
         matched = sum(1 for d in deviations if d <= pair_rel_tol)
         e1 = float(box.eigenvalues[0])
         rows.append(ScanRow(length=length, n_points=n_points, e1=e1,

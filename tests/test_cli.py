@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from susyqm import engine, operators as ops
 from susyqm.cli import _csv_rows, fmt, main
+from susyqm.errors import NumericalContractError, PotentialEvaluationError
 from susyqm.grid import build_grid
 from susyqm.models import PlanarRotor
 
@@ -392,6 +393,10 @@ def test_bad_parameter_exits_with_config_code(tmp_path, capsys):
     ["scan", "--L-values", "3,6", "--convergence-tol", "-1"],
     ["scan", "--L-values", "3,6", "--convergence-tol", "nan"],
     ["scan", "--L-values", "3,6", "--convergence-tol", "inf"],
+    ["scan", "--L-values", "1,x"],
+    ["check", "--model", "free", "--charge", "q", "--pair-tol", "abc"],
+    # a step of 1e-150 squares to 1e-300: the Hamiltonian's entries overflow when squared
+    ["spectrum", "--model", "box", "--L", "1e-150", "--points", "11"],
 ])
 def test_degenerate_input_exits_with_config_code(tmp_path, capsys, argv):
     try:
@@ -399,7 +404,12 @@ def test_degenerate_input_exits_with_config_code(tmp_path, capsys, argv):
     except SystemExit as exc:  # argparse rejects the value while parsing
         code = exc.code
     assert code == 2
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    # one line names the refusal: the package's own, or argparse's after its usage text
+    lines = err.splitlines()
+    assert lines[-1].startswith(("configuration error: ", f"susyqm {argv[0]}: error: "))
+    assert len(lines) == 1 or lines[0].startswith("usage: ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -509,6 +519,28 @@ def test_solver_failure_exits_with_numerical_code(monkeypatch, tmp_path, capsys)
                  "--out", str(tmp_path / "x.csv")])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("owner,name,error,code,line", [
+    (engine, "_sectors", NumericalContractError("numeric_spectrum requires a Hermitian matrix"),
+     3, "numerical contract violation: numeric_spectrum requires a Hermitian matrix"),
+    (ops, "hamiltonian", PotentialEvaluationError(0.0, float("inf")),
+     2, "error: potential is not finite at x = 0.0 (value inf)"),
+    # an allocation the host refuses; a real one of that size could exhaust memory instead
+    (ops, "hamiltonian", MemoryError("Unable to allocate 72.8 TiB for an array with shape "
+                                     "(10000000000000,) and data type float64"),
+     2, "configuration error: the request is larger than this machine can hold: Unable to "
+        "allocate 72.8 TiB for an array with shape (10000000000000,) and data type float64"),
+], ids=["contract", "potential", "memory"])
+def test_layer_errors_exit_with_their_code_and_one_line(monkeypatch, tmp_path, capsys,
+                                                          owner, name, error, code, line):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(owner, name, fail)
+    assert main(["spectrum", "--model", "box", "--points", "101", "--levels", "4",
+                 "--out", str(tmp_path / "x.csv")]) == code
+    assert capsys.readouterr().err == line + "\n"
 
 
 @settings(deadline=None, max_examples=150)

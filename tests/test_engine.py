@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 import tracemalloc
@@ -223,16 +224,17 @@ def _unfold_reference(sector, u, out, cols):
     hold zeros; a dense u is written column by column.
     """
     sqrt2 = np.sqrt(2.0)
+    fixed = sector.perm[sector.reps] == sector.reps
     if sp.issparse(u):
         rows, x = sector.reps[u.indices], u.data
         col = np.repeat(np.asarray(cols), np.diff(u.indptr))
-        paired = ~sector.fixed[u.indices]
+        paired = ~fixed[u.indices]
         x = np.where(paired, x / sqrt2, x)
         out[rows, col] = x
         out[sector.perm[rows[paired]], col[paired]] = sector.sign * x[paired]
         return
-    at_fixed = np.flatnonzero(sector.fixed)
-    paired = np.flatnonzero(~sector.fixed)
+    at_fixed = np.flatnonzero(fixed)
+    paired = np.flatnonzero(~fixed)
     fixed_points = sector.reps[at_fixed]
     a = sector.reps[paired]
     mirror = sector.perm[a]
@@ -704,9 +706,33 @@ def test_energy_only_commands_compute_no_eigenvectors(monkeypatch, tmp_path, arg
 # ---------------------------------------------------------------------------
 # pairing
 
+def test_parity_is_stored_once_as_the_sector_index():
+    grid = build_grid(np.pi, 64, "periodic")
+    spec = numeric_spectrum(ops.hamiltonian(grid, lambda x: 0.0), ops.parity_operator(grid), 64)
+    assert "parity_labels" not in vars(spec)
+    assert spec.parity_labels == [("even", "odd")[i] for i in spec.sector_of]
+
+    class Unlabelled(Spectrum):
+        @property
+        def parity_labels(self):
+            raise AssertionError("pairing read the labels, not the sector indices")
+
+    unlabelled = Unlabelled(spec.eigenvalues, spec.sector_of)
+    pairing = detect_pairing(spec)
+    assert detect_pairing(unlabelled) == pairing
+    assert len(pairing.pairs) == 31 and pairing.unpaired == [0, 63]
+    assert all(spec.sector_of[i] == 0 and spec.sector_of[j] == 1 for i, j, _ in pairing.pairs)
+    # the sectors were built with their vectors, and no field changes afterwards
+    assert "fixed" not in [f.name for f in dataclasses.fields(engine._Sector)]
+    assert all(s.vectors is not None for s in spec.sectors)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.sectors[0].vectors = None
+
+
 def _analytic_spectrum(energies, parities):
-    return Spectrum(eigenvalues=np.asarray(energies, dtype=float),
-                    parity_labels=list(parities))
+    """A Spectrum of energies alone, each level in the sector its parity label names."""
+    sector_of = np.array([["even", "odd"].index(p) for p in parities], dtype=int)
+    return Spectrum(np.asarray(energies, dtype=float), sector_of)
 
 
 def test_rotor_pairing():
@@ -874,6 +900,26 @@ def test_free_q_pair_algebra(free_setup):
     assert res.nilpotency_q <= 1e-12
     assert res.nilpotency_qdag <= 1e-12
     assert res.comm_HQ <= 1e-12 and res.anticomm_minus_H <= 1e-12
+
+
+@pytest.mark.parametrize("charge", ["Q", "q"])
+@pytest.mark.parametrize("model", ["free", "rotor"])
+def test_algebra_residuals_compose_each_charge_square_once(monkeypatch, free_setup,
+                                                          rotor_setup, model, charge):
+    if model == "free":
+        _, g, s, _, h = free_setup
+    else:
+        g, s, h = rotor_setup
+    charges = (ops.supercharge_Q(g, s, 1.0) if charge == "Q"
+               else ops.supercharge_q_pair(g, s, 1.0))
+    calls = []
+    compose = ops.compose
+    monkeypatch.setattr(ops, "compose", lambda x, y: calls.append(x is y) or compose(x, y))
+    res = algebra_residuals(h, charges)
+    # two products each for [H, C], [H, Cdag] and {C, Cdag}, and one per square,
+    # read by both nilpotency (criterion 5) and closure (criterion 6)
+    assert len(calls) == 8 and sum(calls) == 2
+    assert (res.nilpotency_q is None) == (charge == "Q")
 
 
 def test_rotor_Q_algebra(rotor_setup):

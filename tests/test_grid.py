@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -21,6 +23,16 @@ def test_periodic_four_points():
 def test_dirichlet_spacing_formula():
     g = build_grid(np.pi / 2, 2000, "dirichlet")
     assert g.spacing == pytest.approx(np.pi / 2001, rel=1e-15)
+
+
+@pytest.mark.parametrize("n,boundary", [(2001, "dirichlet"), (2000, "dirichlet"),
+                                        (512, "periodic")])
+def test_grid_stores_three_fields_and_derives_its_spacing(n, boundary):
+    g = build_grid(np.pi / 2, n, boundary)
+    assert [f.name for f in dataclasses.fields(g)] == ["half_width", "n_points", "boundary"]
+    assert set(vars(g)) == {"half_width", "n_points", "boundary"}
+    # bit for bit the arithmetic of the spacing the grid used to store
+    assert g.spacing == 2.0 * (np.pi / 2) / (n + 1 if boundary == "dirichlet" else n)
 
 
 @pytest.mark.parametrize("half_width,n,boundary", [

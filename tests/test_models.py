@@ -4,8 +4,37 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from susyqm.engine import Spectrum, detect_pairing
 from susyqm.errors import ParameterError
+from susyqm.grid import build_grid
 from susyqm import models
+
+
+_ENERGIES_ONLY = Spectrum(np.array([0.0, 1.0, 1.0]), np.array([0, 0, 1]))
+
+
+@pytest.mark.parametrize("name,make", [
+    ("L", models.FreeParticle), ("L", models.ParticleInBox), ("L", models.SecSquaredPartner),
+    ("lambda", lambda v: models.DeltaWell(v, 1.0)),
+    ("L_box", lambda v: models.DeltaWell(1.0, v)),
+    ("I", lambda v: models.PlanarRotor(v, 4)),
+    ("lambda", models.delta_well_bound_state),
+    ("half_width", lambda v: build_grid(v, 11, "dirichlet")),
+    ("pair_tol", lambda v: detect_pairing(_ENERGIES_ONLY, v)),
+])
+@pytest.mark.parametrize("value", [0.0, -2.5, float("inf"), float("nan")])
+def test_a_parameter_not_positive_and_finite_is_refused_with_one_message(name, make, value):
+    with pytest.raises(ParameterError) as refused:
+        make(value)
+    assert str(refused.value) == f"{name} must be positive and finite, got {value!r}"
+
+
+def test_length_models_share_one_validated_length():
+    records = [cls(2.0) for cls in (models.FreeParticle, models.ParticleInBox,
+                                    models.SecSquaredPartner)]
+    assert [r.length for r in records] == [2.0] * 3
+    assert records[0] != records[1]  # same length, different models
+    assert records[0] == models.FreeParticle(2.0)
 
 
 def test_box_energies_for_pi_length():
