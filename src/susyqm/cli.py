@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -56,6 +58,45 @@ def _csv_rows(*columns) -> str:
     # an all-float table (the 10^5-row potentials) is stacked without object arrays
     table = np.column_stack(columns if all(floats) else [c.astype(object) for c in columns])
     return (row * len(table)) % tuple(table.ravel().tolist())
+
+
+def _json_array(items: list) -> str:
+    """A top-level list of the report as json.dumps(indent=2, sort_keys=True) writes it.
+
+    items are numbers, or dicts of numbers that share their keys. Each
+    column of numbers is written by json's C encoder, in one call without
+    indent, so every value keeps json's form (float.__repr__, NaN,
+    Infinity); the rows are laid out by one %-formatting call, as in
+    _csv_rows.
+    """
+    if not items:
+        return "[]"
+    if isinstance(items[0], dict):
+        keys = sorted(items[0])
+        row = "    {\n" + ",\n".join(f'      "{k}": %s' for k in keys) + "\n    }"
+        columns = [[item[k] for item in items] for k in keys]
+    else:
+        row, columns = "    %s", [items]
+    cells = zip(*(json.dumps(c)[1:-1].split(", ") for c in columns))
+    return "[\n" + ((row + ",\n") * len(items))[:-2] % tuple(chain.from_iterable(cells)) + "\n  ]"
+
+
+# the report's lists that grow with the level count
+_LONG_LISTS = ("pairs", "unpaired")
+
+
+def _report_json(payload: dict) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True), with the long lists written by _json_array.
+
+    With indent set, json encodes in pure Python, which took 0.29-0.40 s
+    of a 50000-pair rotor report's 1.2 s; the rest of the payload is small.
+    Each long list enters that dump as null and is spliced in at its key,
+    a line of its own at the top level.
+    """
+    text = json.dumps({**payload, **dict.fromkeys(_LONG_LISTS)}, indent=2, sort_keys=True)
+    for key in _LONG_LISTS:
+        text = text.replace(f'\n  "{key}": null', f'\n  "{key}": {_json_array(payload[key])}', 1)
+    return text
 
 
 def _write(path: str | None, text: str):
@@ -173,13 +214,17 @@ def cmd_spectrum(args) -> int:
 # check
 
 def cmd_check(args) -> int:
-    # Dirichlet models are refused by the engine with the boundary caveat
+    """Write the six-criteria report as indented JSON with sorted keys (_report_json).
+
+    Exits 0 when every applicable criterion passes, 3 otherwise. Dirichlet
+    models are refused by the engine with the boundary caveat.
+    """
     model, n_points = _build_model(args)
     report = build_check(model, args.charge, n_points=n_points,
                          zero_point_reset=args.zero_point_reset,
                          machine_tol=args.machine_tol, pair_tol=args.pair_tol)
     payload = {"units": UNITS, **report.to_dict()}
-    _write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write(args.out, _report_json(payload) + "\n")
     return EXIT_OK if report.all_applicable_pass else EXIT_NUMERICAL
 
 
@@ -302,7 +347,9 @@ def _add_model_flags(sub, models):
             sub.add_argument(flag, dest=dest, type=kind, help=help_)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="susyqm",
         description="Workbench for graded supersymmetry in simple quantum systems")

@@ -731,16 +731,24 @@ def _refine(d: np.ndarray, e: np.ndarray, factors, basis: np.ndarray, s: np.ndar
     return vals, y.T, residual
 
 
+# most bytes of full-space columns unfolded at once; bounds the temporaries of
+# a whole .eigenvectors read to a small share of its output (6 % at 2048 points)
+_UNFOLD_BYTES = 2 ** 21
+
+
 def _eigenvectors(spectrum: Spectrum, levels: np.ndarray) -> np.ndarray:
     """The real full-space eigenvectors of a spectrum's levels, as columns in that order."""
     cols = _block_columns(spectrum, levels)
     sector_of = spectrum.sector_of[levels]
+    n = len(spectrum.sectors[0].perm)
     # columns are read one at a time, so the output is column-major
-    vecs = np.empty((len(spectrum.sectors[0].perm), len(levels)), order="F")
+    vecs = np.empty((n, len(levels)), order="F")
+    step = max(1, _UNFOLD_BYTES // (8 * n))
     for i, s in enumerate(spectrum.sectors):
-        at = sector_of == i
-        if np.any(at):
-            vecs[:, at] = s.unfold(cols[at])
+        at = np.flatnonzero(sector_of == i)
+        for lo in range(0, len(at), step):
+            part = at[lo:lo + step]
+            vecs[:, part] = s.unfold(cols[part])
     return vecs
 
 
@@ -1064,7 +1072,10 @@ class SusyReport:
         record's fields, dict(vars(record)), is JSON-ready; no returned
         dict is a record's own, though lists and dicts inside are shared.
         dataclasses.asdict would deep-copy every pair: 251 ms per rotor
-        report at m_max 50000, against 10 ms for the shallow copy.
+        report at m_max 50000, against 10 ms for the shallow copy. The two
+        lists that grow with the level count, pairs (dicts of two int
+        indices and a float |dE|) and unpaired (int indices), hold Python
+        numbers only; cli.cmd_check writes them column by column.
         """
         out = dict(vars(self), ground=dict(vars(self.ground)),
                    algebra=dict(vars(self.algebra)), pairs=[

@@ -346,9 +346,10 @@ def supercharge_q_pair(g: Operator, s: Operator,
 
 
 def rotor_basis_operators(m_max: int, inertia: float):
-    """Angular momentum, time reversal, and Hamiltonian on exp(i m phi), m = -m_max..m_max."""
-    if m_max < 1:
-        raise ParameterError(f"m_max must be at least 1, got {m_max}")
+    """Angular momentum, time reversal, and Hamiltonian on exp(i m phi), m = -m_max..m_max.
+
+    m_max and inertia are taken as a PlanarRotor validates them.
+    """
     m = np.arange(-m_max, m_max + 1, dtype=float)
     lz = LinearOperator(sp.diags_array(m, format="csr"))
     h = LinearOperator(sp.diags_array(m ** 2 / (2.0 * inertia), format="csr"))

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from susyqm import engine, operators as ops
-from susyqm.cli import _csv_rows, fmt, main
-from susyqm.errors import NumericalContractError, PotentialEvaluationError
+from susyqm.cli import UNITS, _csv_rows, _report_json, build_parser, fmt, main
+from susyqm.errors import NumericalContractError, ParameterError, PotentialEvaluationError
 from susyqm.grid import build_grid
-from susyqm.models import PlanarRotor
+from susyqm.models import FreeParticle, PlanarRotor
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -175,6 +175,79 @@ def test_check_dict_is_plain_json_data_that_aliases_no_record():
     data["verdict_per_criterion"][1]["satisfied"] = None
     assert report.ground.energy == 0.0 and report.algebra.closure == 0.0
     assert report.verdicts[1].satisfied is True
+
+
+def _assert_same_text(text, expected):
+    """text == expected, shown by the first differing line; a diff of 4 MB strings takes minutes."""
+    assert text.splitlines(keepends=True) == expected.splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("zero_point_reset", [False, True])
+@pytest.mark.parametrize("charge", ["Q", "q"])
+@pytest.mark.parametrize("model,n_points", [(FreeParticle(6.0), 64), (PlanarRotor(0.7, 40), None)])
+def test_report_json_is_the_indenting_encoders_bytes(model, n_points, charge, zero_point_reset):
+    data = engine.build_check(model, charge, n_points=n_points,
+                              zero_point_reset=zero_point_reset).to_dict()
+    # %r would print a numpy scalar as np.float64(...); the long lists hold Python numbers
+    assert {type(v) for pair in data["pairs"] for v in pair.values()} == {int, float}
+    assert {type(i) for i in data["unpaired"]} == {int}
+    payload = {"units": UNITS, **data}
+    _assert_same_text(_report_json(payload), json.dumps(payload, indent=2, sort_keys=True))
+
+
+_SPREAD = (np.random.default_rng(7).random(50000) * 10.0 ** np.arange(-25, 25)[
+    np.arange(50000) % 50]).tolist()
+
+
+@pytest.mark.parametrize("deltas,unpaired", [
+    ([], []),
+    (_SPREAD, [0, 100001]),
+    ([float("nan"), float("inf"), -float("inf"), np.float64(0.1), -0.0, 1e300, 5e-324], [0]),
+], ids=["empty", "50000_pairs", "nonfinite"])
+def test_report_json_writes_any_long_lists_as_json_does(deltas, unpaired):
+    payload = {"units": UNITS, "model": "m", "ground": {"energy": 0.0, "degeneracy_count": 1},
+               "pairs": [{"index_even": 2 * k + 1, "index_odd": 2 * k + 2, "abs_delta_e": d}
+                         for k, d in enumerate(deltas)],
+               "unpaired": unpaired, "zero_point_reset": False}
+    _assert_same_text(_report_json(payload), json.dumps(payload, indent=2, sort_keys=True))
+
+
+def test_a_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    argvs = [
+        ["check", "--model", "rotor", "--charge", "q", "--m-max", "3", "--zero-point-reset"],
+        ["check", "--model", "rotor", "--charge", "q", "--m-max", "3"],
+        ["spectrum", "--model", "free", "--points", "16", "--levels", "5"],
+        ["check", "--model", "rotor", "--charge", "q", "--m-max", "0"],
+        ["check", "--model", "rotor", "--charge", "Q", "--m-max", "3"],
+    ]
+
+    def outcome(i, argv, fresh):
+        if fresh:
+            build_parser.cache_clear()
+        out = tmp_path / f"{'fresh' if fresh else 'reused'}{i}"
+        code = main([*argv, "--out", str(out)])
+        return code, out.read_bytes() if out.exists() else None, capsys.readouterr().err
+
+    assert build_parser() is build_parser()
+    reused = [outcome(i, argv, False) for i, argv in enumerate(argvs)]
+    fresh = [outcome(i, argv, True) for i, argv in enumerate(argvs)]
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 0, 2, 0]
+    assert reused[0][1] != reused[1][1]  # the reset flag did not carry over
+    for argv in argvs:
+        assert vars(build_parser().parse_args(argv)) == vars(
+            build_parser.__wrapped__().parse_args(argv))
+
+
+@pytest.mark.parametrize("m_max", [0, -2])
+def test_a_rotor_cutoff_below_one_is_refused_in_one_line(tmp_path, capsys, m_max):
+    with pytest.raises(ParameterError) as refused:
+        PlanarRotor(1.0, m_max)
+    line = f"m_max must be at least 1, got {m_max}"
+    assert str(refused.value) == line
+    for argv in (["spectrum", "--model", "rotor"], ["check", "--model", "rotor", "--charge", "q"]):
+        assert main([*argv, "--m-max", str(m_max), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"configuration error: {line}\n"
 
 
 # Reports whose every value is exact, so the eigensolver's last digits cannot
