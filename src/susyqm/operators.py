@@ -105,6 +105,23 @@ class LinearOperator(MixedOperator):
         n = len(perm)
         return cls(sp.csr_array((np.ones(n), perm, np.arange(n + 1)), shape=(n, n)))
 
+    @classmethod
+    def from_diagonal(cls, values) -> "LinearOperator":
+        """diag(values), built straight in CSR with the zero values left out.
+
+        The result equals sp.diags_array(values, format="csr") in data,
+        indices (int32 where they fit) and indptr, but skips the DIA
+        format that call goes through: about 37 us against 134 us at the
+        769 rows of a benchmark rotor.
+        """
+        values = np.asarray(values)
+        n = len(values)
+        index = np.int32 if n < 2 ** 31 else np.int64
+        cols = np.flatnonzero(values).astype(index)
+        indptr = np.zeros(n + 1, dtype=index)
+        np.cumsum(values != 0, out=indptr[1:])
+        return cls(sp.csr_array((values[cols], cols, indptr), shape=(n, n)))
+
 
 class AntilinearOperator(MixedOperator):
     """Action v -> linear_part(conj(v)); A(alpha v) = conj(alpha) A(v) by construction."""
@@ -158,16 +175,24 @@ def compose(x: Operator, y: Operator) -> Operator:
 
 
 def _combine(x: Operator, y: Operator, sign: float) -> Operator:
+    """x + sign * y, part by part, for sign +1 or -1.
+
+    Two present parts are added or subtracted by one sparse call, u + v or
+    u - v, never u + sign * v: the scaling by +-1 is a second call (about
+    25 us at 769 rows) whose result is known. A part present in y alone is
+    taken as it is, or negated. On real data the values are the old ones
+    bit for bit; on complex data numpy's -1.0 * v could give a zero real or
+    imaginary part the opposite sign, which -v does not, and no check reads
+    the sign of a zero.
+    """
     _check_dims(x, y)
 
     def merge(u, v):
-        if u is None and v is None:
-            return None
-        if u is None:
-            return sign * v
         if v is None:
             return u
-        return u + sign * v
+        if u is None:
+            return v if sign > 0 else -v
+        return u + v if sign > 0 else u - v
 
     return _wrap(merge(x.linear_matrix, y.linear_matrix),
                  merge(x.antilinear_matrix, y.antilinear_matrix))
@@ -348,11 +373,13 @@ def supercharge_q_pair(g: Operator, s: Operator,
 def rotor_basis_operators(m_max: int, inertia: float):
     """Angular momentum, time reversal, and Hamiltonian on exp(i m phi), m = -m_max..m_max.
 
-    m_max and inertia are taken as a PlanarRotor validates them.
+    m_max and inertia are taken as a PlanarRotor validates them. L_z and H
+    are diagonal in this basis and are built straight in CSR
+    (LinearOperator.from_diagonal), so the m = 0 entry of each is left out.
     """
     m = np.arange(-m_max, m_max + 1, dtype=float)
-    lz = LinearOperator(sp.diags_array(m, format="csr"))
-    h = LinearOperator(sp.diags_array(m ** 2 / (2.0 * inertia), format="csr"))
+    lz = LinearOperator.from_diagonal(m)
+    h = LinearOperator.from_diagonal(m ** 2 / (2.0 * inertia))
     reversal = np.arange(len(m))[::-1].copy()  # exp(i m phi) -> exp(-i m phi)
     t = AntilinearOperator(LinearOperator.from_permutation(reversal))
     return lz, t, h

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import shlex
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from susyqm import engine, operators as ops
 from susyqm.cli import UNITS, _csv_rows, _report_json, build_parser, fmt, main
 from susyqm.errors import NumericalContractError, ParameterError, PotentialEvaluationError
-from susyqm.grid import build_grid
+from susyqm.grid import MAX_POINTS, build_grid
 from susyqm.models import FreeParticle, PlanarRotor
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -254,6 +255,10 @@ def test_a_rotor_cutoff_below_one_is_refused_in_one_line(tmp_path, capsys, m_max
 # move them: their bytes pin the report format.
 @pytest.mark.parametrize("golden,argv", [
     ("check_rotor_q_m2.json", ["check", "--model", "rotor", "--charge", "q", "--m-max", "2"]),
+    ("check_rotor_charge_Q_m2.json", ["check", "--model", "rotor", "--charge", "Q",
+                                      "--m-max", "2"]),
+    ("check_rotor_charge_Q_m2_zero_point_reset.json",
+     ["check", "--model", "rotor", "--charge", "Q", "--m-max", "2", "--zero-point-reset"]),
     ("spectrum_rotor_m2.csv", ["spectrum", "--model", "rotor", "--m-max", "2",
                                "--levels", "5"]),
 ])
@@ -614,6 +619,20 @@ def test_layer_errors_exit_with_their_code_and_one_line(monkeypatch, tmp_path, c
     assert main(["spectrum", "--model", "box", "--points", "101", "--levels", "4",
                  "--out", str(tmp_path / "x.csv")]) == code
     assert capsys.readouterr().err == line + "\n"
+
+
+def test_a_grid_above_the_point_ceiling_is_refused_before_any_allocation(tmp_path, capsys):
+    tracemalloc.start()
+    try:
+        code = main(["spectrum", "--model", "box", "--points", "10000000000000", "--levels", "2",
+                     "--out", str(tmp_path / "x.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == (f"configuration error: n_points must be at most "
+                                       f"{MAX_POINTS}, got 10000000000000\n")
+    assert peak < 2 ** 20
 
 
 @settings(deadline=None, max_examples=150)

@@ -945,6 +945,51 @@ def test_rotor_Q_algebra(rotor_setup):
     np.testing.assert_allclose(-qq.to_dense(), h.to_dense(), atol=1e-15)
 
 
+def test_closure_residual_projects_a_linear_part_off_span_h_and_one(rotor_setup):
+    # a square whose linear part has a component outside span{H, 1}: skipping
+    # its projection would return 0.0
+    _, _, h = rotor_setup
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((7, 7)) * (rng.random((7, 7)) < 0.5)
+    a = a + a.T + 3.0 * h.to_dense() + 2.0 * np.eye(7)
+    resid = engine._closure_residual(h, ops.LinearOperator(sp.csr_array(a)))
+    basis = np.column_stack([h.to_dense().ravel(), np.eye(7).ravel()])
+    coef = np.linalg.lstsq(basis, 2.0 * a.ravel(), rcond=None)[0]
+    reference = np.linalg.norm(2.0 * a.ravel() - basis @ coef) / np.linalg.norm(h.to_dense())
+    assert reference > 1.0
+    assert resid == pytest.approx(reference, rel=1e-12)
+
+
+def test_closure_residual_of_the_nilpotent_squares_is_exactly_zero(free_setup, rotor_setup):
+    _, p, par, _, h_alg = free_setup
+    lz, t, h = rotor_setup
+    for g, s, hm in ((p, par, h_alg), (lz, t, h)):
+        for c in ops.supercharge_q_pair(g, s, 1.0):
+            assert engine._closure_residual(hm, ops.compose(c.action, c.action)) == 0.0
+
+
+def _random_csr(dtype):
+    rng = np.random.default_rng(11)
+    m = rng.standard_normal((97, 97)) * (rng.random((97, 97)) < 0.1)
+    if dtype == complex:
+        m = m + 1j * rng.standard_normal((97, 97)) * (m != 0)
+    return ops.LinearOperator(sp.csr_array(m))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ops.rotor_basis_operators(384, 0.7)[2],
+    lambda: ops.hamiltonian(build_grid(4.0, 1024, "periodic"), lambda x: 0.0),
+    lambda: ops.hamiltonian(build_grid(1.5, 1001, "dirichlet"), sec_squared_potential(3.0)),
+    lambda: ops.momentum_squared_hamiltonian(ops.momentum(build_grid(4.0, 1024, "periodic")),
+                                             1.0),
+    lambda: _random_csr(float),
+    lambda: _random_csr(complex),
+], ids=["rotor", "periodic", "dirichlet", "complex_p2", "random", "random_complex"])
+def test_norm1_matches_the_sparse_column_sum_bit_for_bit(make):
+    h = make()
+    assert engine._norm1(h) == float(np.max(abs(h.linear_matrix).sum(axis=0)))
+
+
 # ---------------------------------------------------------------------------
 # ground state
 

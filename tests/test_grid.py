@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from susyqm.errors import ParameterError
-from susyqm.grid import build_grid, parity_permutation
+from susyqm.grid import MAX_POINTS, build_grid, parity_permutation
 
 
 def test_dirichlet_three_points():
@@ -45,10 +45,18 @@ def test_grid_stores_three_fields_and_derives_its_spacing(n, boundary):
     (np.nan, 5, "dirichlet"),
     (5e-301, 64, "periodic"),  # 1/h^2 overflows
     (1e300, 101, "dirichlet"),  # 1/h^2 underflows to zero
+    (1.0, MAX_POINTS + 1, "dirichlet"),
+    (1.0, MAX_POINTS + 2, "periodic"),
 ])
 def test_build_grid_rejects_bad_parameters(half_width, n, boundary):
     with pytest.raises(ParameterError):
         build_grid(half_width, n, boundary)
+
+
+def test_build_grid_accepts_the_point_ceiling_without_allocating():
+    g = build_grid(1.0, MAX_POINTS, "periodic")
+    assert MAX_POINTS == 10 ** 8
+    assert g.n_points == MAX_POINTS and g.spacing == 2.0 / MAX_POINTS
 
 
 def test_parity_permutation_dirichlet_is_reversal():

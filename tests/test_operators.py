@@ -242,6 +242,35 @@ def test_supercharge_Q_refuses_an_involution_that_commutes_with_the_generator(
         ops.supercharge_Q(g, s, 1.0)
 
 
+@pytest.mark.parametrize("values", [
+    np.arange(-3.0, 4.0),
+    np.array([0.0, -0.0, 2.5, 0.0, -1.0]),
+    np.zeros(5),
+    np.array([7.0]),
+    np.array([-0.0]),
+    np.array([1.0 - 2.0j, 0.0, 3.0j]),
+], ids=["range", "signed_zeros", "all_zero", "single", "single_zero", "complex"])
+def test_from_diagonal_matches_diags_array(values):
+    built = ops.LinearOperator.from_diagonal(values).linear_matrix
+    reference = sp.diags_array(values, format="csr")
+    assert built.shape == reference.shape and built.data.dtype == reference.data.dtype
+    for field in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(built, field), getattr(reference, field))
+    assert built.indices.dtype == built.indptr.dtype == np.int32
+
+
+def test_combine_takes_a_part_of_y_alone_as_is_or_exactly_negated():
+    g = ops.LinearOperator(sp.csr_array(np.array([[0.0, 2.0], [1.0, 0.0]])))
+    y = ops.AntilinearOperator(ops.LinearOperator(sp.csr_array(
+        np.array([[0.0, -2.0j], [complex(-0.0, 1.0), 0.0]]))))
+    b = y.antilinear_matrix
+    assert ops.add(g, y).antilinear_matrix is b
+    neg = ops.subtract(g, y).antilinear_matrix
+    # -v, with every zero part's sign flipped too (-1.0 * v would not flip them all)
+    np.testing.assert_array_equal(np.signbit(neg.data.real), ~np.signbit(b.data.real))
+    np.testing.assert_array_equal(neg.data, -b.data)
+
+
 # ---------------------------------------------------------------------------
 # rotor basis
 
