@@ -255,12 +255,12 @@ def test_a_rotor_cutoff_below_one_is_refused_in_one_line(tmp_path, capsys, m_max
 # move them: their bytes pin the report format.
 @pytest.mark.parametrize("golden,argv", [
     ("check_rotor_q_m2.json", ["check", "--model", "rotor", "--charge", "q", "--m-max", "2"]),
+    ("spectrum_rotor_m2.csv", ["spectrum", "--model", "rotor", "--m-max", "2",
+                               "--levels", "5"]),
     ("check_rotor_charge_Q_m2.json", ["check", "--model", "rotor", "--charge", "Q",
                                       "--m-max", "2"]),
     ("check_rotor_charge_Q_m2_zero_point_reset.json",
      ["check", "--model", "rotor", "--charge", "Q", "--m-max", "2", "--zero-point-reset"]),
-    ("spectrum_rotor_m2.csv", ["spectrum", "--model", "rotor", "--m-max", "2",
-                               "--levels", "5"]),
 ])
 def test_report_matches_golden_file(tmp_path, golden, argv):
     code, text = run(tmp_path, *argv)
