@@ -167,18 +167,18 @@ def cmd_spectrum(args) -> int:
 
     if isinstance(model, PlanarRotor):
         lz, t, h = ops.rotor_basis_operators(model.m_max, model.inertia)
-        spec = numeric_spectrum(h, t.linear_part, min(levels, h.dimension))
+        parity = t.linear_part
         header.append(f"I={fmt(model.inertia)} m_max={model.m_max}")
     elif isinstance(model, FreeParticle):
         grid = build_grid(model.length / 2.0, n_points, PERIODIC)
         h = ops.hamiltonian(grid, lambda x: 0.0)
-        spec = numeric_spectrum(h, ops.parity_operator(grid), min(levels, n_points))
+        parity = ops.parity_operator(grid)
         header.append(f"L={fmt(model.length)} points={n_points} periodic")
         absent = {"even": False, "odd": True}
     elif isinstance(model, DeltaWell):
         grid = build_grid(model.box_length / 2.0, n_points, DIRICHLET)
         h = ops.delta_well_hamiltonian(grid, model.coupling)
-        spec = numeric_spectrum(h, ops.parity_operator(grid), min(levels, n_points))
+        parity = ops.parity_operator(grid)
         header.append(f"lambda={fmt(model.coupling)} L={fmt(model.box_length)} "
                       f"points={n_points} dirichlet")
         absent = {"even": True, "odd": True}
@@ -189,8 +189,9 @@ def cmd_spectrum(args) -> int:
             h = ops.hamiltonian(grid, sec_squared_potential(length))
         else:
             h = ops.hamiltonian(grid, lambda x: 0.0)
-        spec = numeric_spectrum(h, ops.parity_operator(grid), min(levels, n_points))
+        parity = ops.parity_operator(grid)
         header.append(f"L={fmt(length)} points={n_points} dirichlet")
+    spec = numeric_spectrum(h, parity, min(levels, h.dimension), vectors=False)
 
     if absent is not None:
         header.append(f"absent_at_base_even={str(absent['even']).lower()} "

@@ -27,7 +27,14 @@ besides the reorthogonalization. A request whose Lanczos basis would
 pass a memory limit, or on which Lanczos does not converge, is solved
 by bisection (stebz) for its values only, and reading its vectors is
 refused. Parity labels are the block a level came from, and every
-eigenvector is real.
+eigenvector is real. A caller that reads only energies asks for no
+vectors: its Lanczos solves stop at their Ritz values, and no sector
+keeps a vector.
+
+scipy.linalg is imported on the first solve that needs LAPACK
+(_load_lapack), not with this module: the rotor's diagonal blocks, the
+charges' folds and the eq5 table need none, and the import costs about
+8 MB resident and 40 ms.
 
 Criterion 3 is computed in those sector coordinates. Every supercharge
 is odd under the same parity, so it folds, once, into a block from the
@@ -49,7 +56,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh, eigh_tridiagonal, lapack
 
 from . import operators as ops
 from .errors import (DirichletAlgebraError, NumericalContractError, ParameterError,
@@ -68,6 +74,31 @@ ANNIHILATED_IMAGE_TOL = 1e-10
 CONVERGENCE_TOL = 1e-4   # grid eigenvalues against analytic values, relative
 PAIR_TOL = 1e-6          # default relative degeneracy tolerance
 
+# scipy.linalg's names that the solvers call, bound as module globals on first use
+_LAPACK_NAMES = ("eigh", "eigh_tridiagonal", "lapack")
+
+
+def _load_lapack() -> None:
+    """Bind scipy.linalg's eigh, eigh_tridiagonal and lapack here, importing it if need be.
+
+    A name already bound is kept: it may be a wrapper that a tracer or a
+    test put in its place, which must go on seeing every call. The
+    solvers call the bare global names, so every entry to a LAPACK solve
+    runs this first.
+    """
+    import scipy.linalg
+    names = globals()
+    for name in _LAPACK_NAMES:
+        names.setdefault(name, getattr(scipy.linalg, name))
+
+
+def __getattr__(name: str):
+    # reading engine.eigh_tridiagonal (say, to wrap it) loads the three names first
+    if name in _LAPACK_NAMES:
+        _load_lapack()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 class Spectrum:
     """Sorted eigenvalues, the parity sector of each, and eigenvectors built on first read.
@@ -75,8 +106,9 @@ class Spectrum:
     sector_of, the block each level came from (0 even, 1 odd), is the one
     record of its parity. A spectrum from numeric_spectrum also keeps the
     two parity blocks it solved (sectors, each built with the block
-    eigenvectors its solve made); one of eigenvalues and sector indices
-    alone refuses every vector read. Criterion 3 reads the block vectors;
+    eigenvectors its solve made, none for a caller that asked for
+    energies alone); one of eigenvalues and sector indices alone refuses
+    every vector read. Criterion 3 reads the block vectors;
     the full-space eigenvectors, a real float64 array of unit-norm
     columns, are unfolded from them only when .eigenvectors is first read.
     """
@@ -103,7 +135,7 @@ class Spectrum:
 
 
 def numeric_spectrum(h: ops.LinearOperator, parity: ops.LinearOperator,
-                     n_levels: int) -> Spectrum:
+                     n_levels: int, *, vectors: bool = True) -> Spectrum:
     """Lowest n_levels eigenpairs of h, each of definite parity.
 
     parity must be a permutation matrix whose permutation pi is an
@@ -127,6 +159,12 @@ def numeric_spectrum(h: ops.LinearOperator, parity: ops.LinearOperator,
     whose residual is at most c * eps * ||block||_1, unless its Lanczos
     basis would be too large or does not converge: then by bisection,
     whose sectors hold no vectors, and reading one is refused.
+
+    With vectors=False, for callers that read energies alone, a
+    truncated block's Lanczos stops at its Ritz values, each within half
+    the residual bound of an eigenvalue (_lanczos), with no refinement;
+    both sectors hold None, so every vector read is refused. The Sturm
+    counts below certify either way that no level was skipped.
 
     Eigenvalues are accurate to about eps * ||h||_1 in absolute terms
     (eps = 2.2e-16), not relative to each level. On a grid ||h||_1 is
@@ -158,9 +196,9 @@ def numeric_spectrum(h: ops.LinearOperator, parity: ops.LinearOperator,
     dims = [s.dim for s in sectors]
     want = [min(dims[0], max(-(-n_levels // 2), n_levels - dims[1])),
             min(dims[1], max(n_levels // 2, n_levels - dims[0]))]
-    solved = [(np.empty(0), np.empty((s.dim, 0))) for s in sectors]
+    solved = [(np.empty(0), np.empty((s.dim, 0)) if vectors else None) for s in sectors]
     while True:
-        solved = [sol if len(sol[0]) == k else solve(s, k)
+        solved = [sol if len(sol[0]) == k else solve(s, k, vectors)
                   for s, k, sol in zip(sectors, want, solved)]
         values = [sol[0] for sol in solved]
         cut = np.sort(np.concatenate(values))[n_levels - 1]
@@ -386,7 +424,7 @@ def _sector(sign: float, perm: np.ndarray, reps: np.ndarray,
                    asym_sq=2.0 * float(np.dot(upper - lower, upper - lower)))
 
 
-def _lowest_levels(sector: _Sector, k: int):
+def _lowest_levels(sector: _Sector, k: int, vectors: bool):
     """The k lowest eigenvalues of a sector block and their block eigenvectors (or None).
 
     For the blocks of a Hamiltonian that is not diagonal in the parity
@@ -400,28 +438,37 @@ def _lowest_levels(sector: _Sector, k: int):
     one on which Lanczos does not converge, is solved by bisection
     (stebz) for the values alone, as accurate as stevd's; its vectors are
     None (inverse iteration's would fail criterion 3 at 10^5 points).
+
+    Without vectors Lanczos stops at its Ritz values, and the vectors of
+    a full block are dropped. Such a block is still solved with them:
+    stevd for values alone runs sterf, 3 to 6 times faster at 257 to 2049
+    rows, but on the sec^2 partner's blocks at 4001 points its values lay
+    up to 43 eps * ||H||_1 from bisection's, where stevd's lay within 1.1.
     """
+    _load_lapack()
     if _basis_cap(k) >= sector.dim:
         vals, vecs = eigh_tridiagonal(sector.diag, sector.offdiag)
-        return vals[:k], vecs[:, :k]
+        return vals[:k], vecs[:, :k] if vectors else None
     if _basis_cap(k) * sector.dim <= _KRYLOV_BASIS_LIMIT:
-        found = _krylov_levels(sector, k)
+        found = _krylov_levels(sector, k, vectors)
         if found is not None:
             return found
     return eigh_tridiagonal(sector.diag, sector.offdiag, eigvals_only=True, select="i",
                             select_range=(0, k - 1)), None
 
 
-def _diagonal_levels(sector: _Sector, k: int):
+def _diagonal_levels(sector: _Sector, k: int, vectors: bool):
     """The k lowest levels of a diagonal sector block, exactly, with unit block vectors.
 
     The levels are the diagonal in stable order, and level i's vector is
     the unit vector at its row, held as a dim x k CSC array with one
     entry per column: O(dim log dim) time and O(dim) memory, where a
     dense solve would take O(dim^2) memory for the vectors (about 20 GB
-    for the rotor at m_max 50000).
+    for the rotor at m_max 50000). Without vectors, None.
     """
     rows = np.argsort(sector.diag, kind="stable")[:k]
+    if not vectors:
+        return sector.diag[rows], None
     return sector.diag[rows], sp.csc_array((np.ones(k), rows, np.arange(k + 1)),
                                            shape=(sector.dim, k))
 
@@ -436,6 +483,8 @@ def _count_at_or_below(sector: _Sector, x: float) -> int:
     one estimate per eigenvalue in the window; with a tolerance as wide
     as the window the bisection stops once it has counted at the window's
     ends. The window starts below -||block||_inf, under every eigenvalue.
+    numeric_spectrum counts such a block only after _lowest_levels has
+    solved one, which loaded LAPACK.
     """
     if not np.any(sector.offdiag):
         return int(np.count_nonzero(sector.diag <= x))
@@ -514,7 +563,7 @@ def _tridiag_apply(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _krylov_levels(sector: _Sector, k: int):
+def _krylov_levels(sector: _Sector, k: int, vectors: bool):
     """The k lowest eigenpairs of a sector block T, 0 < k < dim, by shift-invert Lanczos.
 
     The signature similarity D T D, D = diag(+-1), makes every
@@ -523,9 +572,10 @@ def _krylov_levels(sector: _Sector, k: int):
     factors D T D - sigma = L D' L^T once (pttrf), and _lanczos runs on
     (D T D - sigma)^-1, applied by pttrs in O(dim). Each returned energy is
     the Rayleigh quotient in T of its returned vector, whose residual is
-    at most _residual_bound. A solve can still skip a level that its
-    start vector barely holds; numeric_spectrum's count finds that and
-    asks again for more levels.
+    at most _residual_bound; without vectors, each is a Ritz value within
+    half that bound of an eigenvalue, and the vectors are None. A solve
+    can still skip a level that its start vector barely holds;
+    numeric_spectrum's count finds that and asks again for more levels.
 
     None if the basis reaches _basis_cap(k) vectors before the k levels
     converge. That happens when the top wanted levels lie in a dense
@@ -537,6 +587,7 @@ def _krylov_levels(sector: _Sector, k: int):
     degenerate levels: sigma then lies as close, and (T - sigma)^-1
     amplifies the rounding of the upper levels past the residual bound.
     """
+    _load_lapack()
     d = sector.diag
     e = -np.abs(sector.offdiag)
     # D[i + 1] is D[i], negated where offdiag[i] > 0: D[i] offdiag[i] D[i + 1] = -|offdiag[i]|
@@ -545,10 +596,10 @@ def _krylov_levels(sector: _Sector, k: int):
     start = np.random.default_rng(_START_SEED).standard_normal(len(d))
     # the block image of the constant function: a positive vector near the ground state
     fixed = sector.perm[sector.reps] == sector.reps
-    factors = _lower_shift(d, e, np.where(fixed, 1.0, _SQRT2), start, norm)
-    found = _lanczos(d, e, factors, k, _residual_bound(sector), start)
-    if found is None:
-        return None
+    sigma, *factors = _lower_shift(d, e, np.where(fixed, 1.0, _SQRT2), start, norm)
+    found = _lanczos(d, e, sigma, factors, k, _residual_bound(sector), start, vectors)
+    if found is None or not vectors:
+        return found
     vals, vecs = found
     vecs *= flip[:, None]
     return vals, vecs
@@ -556,7 +607,7 @@ def _krylov_levels(sector: _Sector, k: int):
 
 def _lower_shift(d: np.ndarray, e: np.ndarray, x: np.ndarray, start: np.ndarray,
                  norm: float):
-    """The LDL^T factors of T - sigma for a certified sigma below T's lowest level.
+    """sigma, certified below T's lowest level, and the LDL^T factors of T - sigma.
 
     T has off-diagonals <= 0, so for any positive x, min_i (T x)_i / x_i
     is at most its lowest eigenvalue lambda_1 (Collatz-Wielandt). sigma
@@ -601,7 +652,7 @@ def _lower_shift(d: np.ndarray, e: np.ndarray, x: np.ndarray, start: np.ndarray,
     below = lowest - _SHIFT_BACKOFF * gap
     if below < sigma:
         sigma, lower, off = _factor_below(d, e, below, _EPS * norm)
-    return lower, off
+    return sigma, lower, off
 
 
 def _factor_below(d: np.ndarray, e: np.ndarray, sigma: float, step: float):
@@ -637,7 +688,8 @@ def _collatz_wielandt(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> float:
     return bound if np.isfinite(bound) else -np.inf
 
 
-def _lanczos(d: np.ndarray, e: np.ndarray, factors, k: int, tol: float, start: np.ndarray):
+def _lanczos(d: np.ndarray, e: np.ndarray, sigma: float, factors, k: int, tol: float,
+             start: np.ndarray, vectors: bool):
     """The k lowest eigenpairs of T from Lanczos on A = (T - sigma)^-1, or None.
 
     Full reorthogonalization: every new direction is orthogonalized
@@ -647,13 +699,15 @@ def _lanczos(d: np.ndarray, e: np.ndarray, factors, k: int, tol: float, start: n
     repeatable bit for bit; if the Krylov space closes, the next
     direction is drawn from it too. With Ritz pairs (theta, s) of the
     projected tridiagonal matrix and beta the last coupling, applying A
-    once more to a Ritz vector y gives A y, whose residual in T is
-    |beta s_m| / theta^2. Once that is below tol for the k largest theta,
-    the k Ritz vectors are refined by that application and a
-    Rayleigh-Ritz projection of T (_refine); the pairs are returned if
-    every true residual ||T y - rho y|| is at most tol. The basis holds
-    at most _basis_cap(k) vectors (or the whole block); None if they do
-    not converge by then.
+    once more to a Ritz vector y gives A y, whose residual in T for the
+    energy sigma + 1/theta is at most |beta s_m| / theta^2. Once that is
+    below tol / 2 for the k largest theta, each such energy lies within
+    tol / 2 of an eigenvalue of T. Without vectors those k energies are
+    returned, with None. Otherwise the k Ritz vectors are refined by that
+    application and a Rayleigh-Ritz projection of T (_refine), and the
+    pairs are returned if every true residual ||T y - rho y|| is at most
+    tol. The basis holds at most _basis_cap(k) vectors (or the whole
+    block); None if they do not converge by then.
     """
     dim = len(d)
     cap = min(dim, _basis_cap(k))
@@ -675,6 +729,9 @@ def _lanczos(d: np.ndarray, e: np.ndarray, factors, k: int, tol: float, start: n
             theta, s = lapack.dstev(alpha[:m], beta[:max(m - 1, 1)], compute_v=1)[:2]
             theta, s = theta[::-1][:k], s[:, ::-1][:, :k]
             if np.all(np.abs(b * s[-1]) <= 0.5 * tol * theta ** 2):
+                if not vectors:
+                    # theta descends, so these ascend
+                    return sigma + 1.0 / theta, None
                 vals, vecs, residual = _refine(d, e, factors, basis[:m], s)
                 if np.all(residual <= tol):
                     return vals, vecs
@@ -1146,9 +1203,32 @@ def _fold_charge(action: ops.Operator, even: _Sector, odd: _Sector):
     folds = [list(_fold(perm, *_entries(part, "charge"), -1.0))
              for part in _real_parts(action) if part.nnz]
     shapes = [(odd.dim, even.dim), (even.dim, odd.dim)]
-    return [[sp.csr_array((v, (r, c)), shape=shape)
+    return [[_summed_csr(shape, r, c, v)
              for _, r, c, v in (blocks[i] for blocks in folds) if np.any(v)]
             for i, shape in enumerate(shapes)]
+
+
+def _summed_csr(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray,
+                vals: np.ndarray) -> sp.csr_array:
+    """The CSR matrix of entries (rows, cols, vals), duplicates summed, laid out directly.
+
+    One stable sort of the keys row * n_cols + col, one np.add.reduceat
+    over each run of equal keys and indptr by bincount: the canonical
+    arrays that sp.csr_array((vals, (rows, cols))) builds through COO,
+    equal to them entry for entry where no entry has more than two
+    duplicates (a fold's), whose sum is the same in either order. A
+    cancelling sum stays as an explicit zero, as there.
+    """
+    key = rows.astype(np.int64)
+    key *= shape[1]
+    key += cols
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    at = order[first]
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[at], minlength=shape[0]), out=indptr[1:])
+    return sp.csr_array((np.add.reduceat(vals[order], first), cols[at], indptr), shape=shape)
 
 
 def _real_parts(action: ops.Operator) -> tuple[sp.csr_array, sp.csr_array]:

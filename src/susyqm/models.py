@@ -4,7 +4,8 @@ The closed forms here are the oracles the grid computations are checked
 against: box levels n^2 pi^2 / 2L^2, the sec^2 partner with its missing
 ground level, the delta well's single bound state and deformed even
 continuum, free-particle standing/traveling waves, and the planar rotor.
-All in hbar = m = 1 units.
+Beside them, the exact levels of the grids' own three-point stencil, the
+oracle for the eigensolvers at any point count. All in hbar = m = 1 units.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, require_positive
+from .grid import DIRICHLET, Grid1D
 
 EVEN = "even"
 ODD = "odd"
@@ -112,6 +114,28 @@ def box_levels(length: float, n_max: int) -> list[AnalyticState]:
             energy=box_energy(length, n), parity=parity, evaluate=psi, label=f"box n={n}",
             derivative=dpsi, second_derivative=d2psi))
     return states
+
+
+def three_point_levels(grid: Grid1D) -> np.ndarray:
+    """Every level of the grid's three-point -1/2 D2 (no potential), ascending, exactly.
+
+    The discrete sine and cosine transforms diagonalize the stencil
+    (Strang, SIAM Review 41 (1999)): with n points of spacing h, the levels
+    are (1 - cos(j pi / (n + 1))) / h^2, j = 1..n, between Dirichlet walls,
+    and (1 - cos(2 pi j / n)) / h^2, j = 0..n-1, on a periodic grid. Each
+    is evaluated as 2 sin^2(theta / 2) / h^2, the same number without the
+    cancellation of 1 - cos(theta) at small theta, and with theta / 2 at
+    most pi / 2 (j and n - j give one periodic level, bit for bit), so
+    every level is accurate to a few eps relative to itself, where the
+    continuum levels differ from the grid's by O(h^2).
+    """
+    n = grid.n_points
+    j = np.arange(n)
+    if grid.boundary == DIRICHLET:
+        half_angle = (j + 1) * (np.pi / (2 * (n + 1)))
+    else:
+        half_angle = np.minimum(j, n - j) * (np.pi / n)
+    return np.sort(2.0 * np.sin(half_angle) ** 2 / grid.spacing ** 2)
 
 
 def sec_squared_potential(length: float) -> Callable[[float], float]:

@@ -63,7 +63,7 @@ class PartnerResult:
     v_minus_samples: np.ndarray
     v_plus_samples: np.ndarray
     e0: float
-    spectrum_plus: Spectrum
+    spectrum_plus: Spectrum  # energies only: reading a vector is refused
     spectrum_minus: Spectrum
     pair_deviations: list[float]  # |E_minus[n] - E_plus[n+1]| / E_plus[n+1]
     wall_mask: np.ndarray  # True where V_minus residual checks are meaningful
@@ -99,8 +99,8 @@ def partner_potential(psi0, e0: float, grid: Grid1D, *,
     h_minus = ops.hamiltonian(grid, v_minus)
     par = ops.parity_operator(grid)
     n_levels = min(n_levels, grid.n_points)
-    spectrum_plus = numeric_spectrum(h_plus, par, n_levels)
-    spectrum_minus = numeric_spectrum(h_minus, par, n_levels)
+    spectrum_plus = numeric_spectrum(h_plus, par, n_levels, vectors=False)
+    spectrum_minus = numeric_spectrum(h_minus, par, n_levels, vectors=False)
     deviations = _pair_deviations(spectrum_plus, spectrum_minus, n_levels - 1)
 
     mask = np.ones(grid.n_points, dtype=bool)
@@ -157,8 +157,8 @@ def box_to_free_scan(lengths, points_per_unit_length: float, *,
         par = ops.parity_operator(grid)
         h_box = ops.hamiltonian(grid, lambda x: 0.0)
         h_partner = ops.hamiltonian(grid, sec_squared_potential(length))
-        box = numeric_spectrum(h_box, par, n_levels + 1)
-        part = numeric_spectrum(h_partner, par, n_levels)
+        box = numeric_spectrum(h_box, par, n_levels + 1, vectors=False)
+        part = numeric_spectrum(h_partner, par, n_levels, vectors=False)
         deviations = _pair_deviations(box, part, n_levels)
         matched = sum(1 for d in deviations if d <= pair_rel_tol)
         e1 = float(box.eigenvalues[0])

@@ -3,6 +3,8 @@ import io
 import json
 import os
 import shlex
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -586,6 +588,31 @@ _ARGV = st.one_of(
                  _ANY_FLOAT, min_size=0, max_size=3).map(",".join))),
              st.sampled_from([[], ["--no-dispersion"]])]),
 )
+
+
+def _fresh_python(code: str) -> str:
+    """Run code in a new interpreter with the package on its path; its standard output."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout
+
+
+def test_lapack_is_loaded_only_by_a_solve_that_needs_it(tmp_path):
+    # the rotor's diagonal blocks, the folded charges, eq5 and a refusal make no
+    # LAPACK call, and scipy.linalg stays unimported; the box's solve imports it
+    out = _fresh_python(f"""
+import sys
+from susyqm.cli import main
+out = {str(tmp_path / "out.txt")!r}
+for argv in (["check", "--model", "rotor", "--charge", "q", "--m-max", "6"],
+             ["check", "--model", "rotor", "--charge", "Q", "--m-max", "6"],
+             ["eq5", "--points", "64"],
+             ["spectrum", "--model", "box", "--points", "0"],
+             ["spectrum", "--model", "box", "--points", "101", "--levels", "4"]):
+    print(main([*argv, "--out", out]), "scipy.linalg" in sys.modules)
+""")
+    assert out.split("\n") == ["0 False", "0 False", "0 False", "2 False", "0 True", ""]
 
 
 def test_solver_failure_exits_with_numerical_code(monkeypatch, tmp_path, capsys):

@@ -19,7 +19,7 @@ from susyqm.engine import (Spectrum, algebra_residuals, build_check,
 from susyqm.errors import DirichletAlgebraError, NumericalContractError, ParameterError
 from susyqm.grid import build_grid, parity_permutation
 from susyqm.models import (FreeParticle, ParticleInBox, PlanarRotor, box_energy, box_levels,
-                           sec_squared_potential)
+                           sec_squared_potential, three_point_levels)
 from susyqm.partner import box_to_free_scan, partner_potential
 
 
@@ -145,9 +145,9 @@ def _spy_krylov(monkeypatch):
     asked = []
     solve = engine._krylov_levels
 
-    def spy(sector, k):
+    def spy(sector, k, vectors):
         asked.append(k)
-        return solve(sector, k)
+        return solve(sector, k, vectors)
 
     monkeypatch.setattr(engine, "_krylov_levels", spy)
     return asked
@@ -392,7 +392,7 @@ def test_krylov_solver_matches_dense_eigvalsh(name):
     for k in (1, 2, 5, 8):
         if k >= block.dim:
             continue
-        found = engine._krylov_levels(block, k)
+        found = engine._krylov_levels(block, k, True)
         if found is None:
             # the second level lies within rounding (split) or 1e-6 (near_degenerate)
             # of the lowest, so sigma does too, and (T - sigma)^-1 amplifies the
@@ -409,6 +409,14 @@ def test_krylov_solver_matches_dense_eigvalsh(name):
 
 
 def test_a_solve_that_skips_a_level_is_caught_by_the_sector_count(monkeypatch):
+    _assert_a_skipped_level_is_caught(monkeypatch, vectors=True)
+
+
+def test_a_values_only_solve_that_skips_a_level_is_caught_by_the_sector_count(monkeypatch):
+    _assert_a_skipped_level_is_caught(monkeypatch, vectors=False)
+
+
+def _assert_a_skipped_level_is_caught(monkeypatch, vectors):
     grid = build_grid(2.0, 401, "dirichlet")
     h = _double_well(grid)
     parity = ops.parity_operator(grid)
@@ -416,19 +424,19 @@ def test_a_solve_that_skips_a_level_is_caught_by_the_sector_count(monkeypatch):
     solve = engine._krylov_levels
     asked, first = [], []
 
-    def skipping(sector, k):
+    def skipping(sector, k, vectors):
         # solve for one level more and drop the second one, as a solve whose
         # start vector barely held that level would
         asked.append(k)
         if k + 1 >= sector.dim:
-            return solve(sector, k)
-        vals, vecs = solve(sector, k + 1)
+            return solve(sector, k, vectors)
+        vals, vecs = solve(sector, k + 1, vectors)
         keep = np.r_[0, 2:k + 1]
         first.append(vals[keep])
-        return vals[keep], vecs[:, keep]
+        return vals[keep], None if vecs is None else vecs[:, keep]
 
     monkeypatch.setattr(engine, "_krylov_levels", skipping)
-    spec = numeric_spectrum(h, parity, 6)
+    spec = numeric_spectrum(h, parity, 6, vectors=vectors)
     # the mutant's first answer was wrong, and the count made the sectors regrow
     assert not np.allclose(np.sort(np.concatenate(first[:2]))[:6], exact, rtol=1e-6)
     assert max(asked) > 3
@@ -496,9 +504,9 @@ def test_a_basis_over_the_memory_limit_is_bisected_without_vectors(monkeypatch):
     assert engine._basis_cap(16) * even.dim <= engine._KRYLOV_BASIS_LIMIT
     assert engine._basis_cap(32) * even.dim > engine._KRYLOV_BASIS_LIMIT
     asked = _spy_krylov(monkeypatch)
-    lanczos, vecs = engine._lowest_levels(even, 16)
+    lanczos, vecs = engine._lowest_levels(even, 16, True)
     assert asked == [16] and vecs.shape == (even.dim, 16)
-    bisected, vecs = engine._lowest_levels(even, 32)
+    bisected, vecs = engine._lowest_levels(even, 32, True)
     assert asked == [16] and vecs is None
     bound = 4 * np.finfo(float).eps * engine._tridiag_norm1(even.diag, even.offdiag)
     np.testing.assert_allclose(lanczos, bisected[:16], rtol=0, atol=bound)
@@ -527,10 +535,13 @@ def test_bisected_sectors_hold_no_vectors(monkeypatch):
     assert all(c.get("eigvals_only") for c in calls)
 
 
-@pytest.mark.parametrize("source", ["bisected", "energies_only"])
+@pytest.mark.parametrize("source", ["bisected", "energies_only", "asked_without_vectors"])
 def test_reading_a_vector_no_solve_made_is_refused(monkeypatch, source):
     if source == "bisected":
         spec = _bisected_double_well(monkeypatch)[0]
+    elif source == "asked_without_vectors":
+        grid = build_grid(2.0, 401, "dirichlet")
+        spec = numeric_spectrum(_double_well(grid), ops.parity_operator(grid), 6, vectors=False)
     else:
         spec = _analytic_spectrum([0.0, 1.0, 1.0], ["even", "even", "odd"])
     grid = build_grid(np.pi, 8, "periodic")
@@ -543,6 +554,82 @@ def test_reading_a_vector_no_solve_made_is_refused(monkeypatch, source):
                  lambda: engine._pair_invariance(spec, pairing, charge)):
         with pytest.raises(ParameterError, match="no eigenvectors"):
             read()
+
+
+# Every solver path against the exact levels of the three-point stencil
+# (models.three_point_levels); see _assert_near_oracle for the bounds
+_WHOLE_EPS_FACTOR = 8.0
+_TRUNCATED_EPS_FACTOR = 2.0
+
+
+def _assert_near_oracle(spec, grid, h, factor):
+    """|E - E_exact| <= c * eps * ||H||_1 for every level, c = factor.
+
+    Whole blocks (stevd) measured up to 5.5 over 80 box and periodic grids
+    of 129 to 4096 points and lengths 0.05 to 20, so c = _WHOLE_EPS_FACTOR
+    = 8. Truncated blocks at 2 * 10^4 to 10^5 points, 1 to 48 levels,
+    measured up to 0.53 by bisection, 0.16 by Lanczos without vectors (its
+    Ritz values) and 0.0 with them (Rayleigh quotients of refined vectors),
+    so c = _TRUNCATED_EPS_FACTOR = 2; a Ritz value returned before the
+    stopping rule certifies it lies far outside that.
+    """
+    exact = three_point_levels(grid)[:len(spec)]
+    bound = factor * np.finfo(float).eps * engine._norm1(h)
+    np.testing.assert_allclose(spec.eigenvalues, exact, rtol=0, atol=bound)
+
+
+@pytest.mark.parametrize("path,boundary,n_points,n_levels,vectors", [
+    ("whole", "dirichlet", 1001, 1001, True),
+    ("whole", "dirichlet", 1001, 1001, False),
+    ("whole", "periodic", 1024, 1024, True),
+    ("whole", "periodic", 1024, 1024, False),
+    ("lanczos", "dirichlet", 100001, 16, True),
+    ("lanczos", "dirichlet", 100001, 16, False),
+    ("lanczos", "periodic", 100000, 33, False),
+    ("lanczos", "dirichlet", 20001, 1, False),
+    ("bisection", "dirichlet", 100001, 16, False),
+])
+def test_every_solver_path_meets_the_exact_discrete_levels(monkeypatch, path, boundary,
+                                                            n_points, n_levels, vectors):
+    grid = build_grid(2.0 if boundary == "dirichlet" else 4.71, n_points, boundary)
+    h = ops.hamiltonian(grid, lambda x: 0.0)
+    if path == "bisection":
+        monkeypatch.setattr(engine, "_KRYLOV_BASIS_LIMIT", 0)
+    if not vectors:
+        monkeypatch.setattr(engine, "_refine", lambda *args: pytest.fail("refined vectors"))
+    calls = _spy_solves(monkeypatch)
+    asked = _spy_krylov(monkeypatch)
+    spec = numeric_spectrum(h, ops.parity_operator(grid), n_levels, vectors=vectors)
+    # the path under test is the one that ran
+    solves = [c for c in calls if c.get("select") != "v"]
+    if path == "whole":
+        assert not asked and solves and all("select" not in c for c in solves)
+    elif path == "lanczos":
+        assert asked and not solves
+    else:
+        assert not asked and solves and all(c.get("select") == "i" for c in solves)
+    # a whole block is solved with its vectors either way (see _lowest_levels)
+    assert all(bool(c.get("eigvals_only")) == (path == "bisection") for c in solves)
+    assert all((s.vectors is None) == (path == "bisection" or not vectors)
+               for s in spec.sectors)
+    factor = _WHOLE_EPS_FACTOR if path == "whole" else _TRUNCATED_EPS_FACTOR
+    _assert_near_oracle(spec, grid, h, factor)
+
+
+@pytest.mark.parametrize("vectors", [True, False])
+def test_the_diagonal_path_meets_the_exact_discrete_levels(monkeypatch, vectors):
+    # the periodic stencil in its Fourier basis: mode m has level
+    # 2 sin^2(pi m / n) / h^2, and parity maps m to n - m
+    grid = build_grid(4.71, 4096, "periodic")
+    m = np.arange(grid.n_points)
+    half_angle = np.minimum(m, grid.n_points - m) * (np.pi / grid.n_points)
+    h = ops.LinearOperator.from_diagonal(2.0 * np.sin(half_angle) ** 2 / grid.spacing ** 2)
+    calls = _spy_solves(monkeypatch)
+    asked = _spy_krylov(monkeypatch)
+    spec = numeric_spectrum(h, ops.parity_operator(grid), grid.n_points, vectors=vectors)
+    assert not calls and not asked
+    assert all((s.vectors is None) != vectors for s in spec.sectors)
+    _assert_near_oracle(spec, grid, ops.hamiltonian(grid, lambda x: 0.0), _TRUNCATED_EPS_FACTOR)
 
 
 def test_spectrum_partner_and_scan_energies_match_bisection():
@@ -705,14 +792,42 @@ def test_energy_only_commands_compute_no_eigenvectors(monkeypatch, tmp_path, arg
         raise AssertionError("an energy-only command computed eigenvectors")
 
     monkeypatch.setattr(engine._Sector, "unfold", refuse)
+    monkeypatch.setattr(engine, "_refine", refuse)
     calls = _spy_solves(monkeypatch)
     asked = _spy_krylov(monkeypatch)
+    made = _spy_spectra(monkeypatch)
     assert main([*argv, "--out", str(tmp_path / "out.txt")]) == 0
     # the rotor's diagonal blocks are solved and counted with no solver call at all
     assert (not calls and not asked) if "rotor" in argv else (calls or asked)
-    # truncated sectors go through the Krylov solver, whose vectors stay in block
-    # coordinates; eigh_tridiagonal only solves whole blocks or counts
+    # truncated sectors go through the Krylov solver, which stops at its Ritz
+    # values (no _refine); eigh_tridiagonal only solves whole blocks or counts,
+    # and solves whole blocks only where the basis cap covers them (64 points)
     assert all(not c or (c.get("select") == "v" and c.get("eigvals_only")) for c in calls)
+    assert any(not c for c in calls) == ("64" in argv)
+    # no sector keeps vectors, so no vector can be read
+    assert made and all(s.vectors is None for spec in made for s in spec.sectors)
+
+
+def _spy_spectra(monkeypatch):
+    """Record every Spectrum the engine builds."""
+    made = []
+    init = Spectrum.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(Spectrum, "__init__", spy)
+    return made
+
+
+def test_the_check_reads_vectors_that_its_solves_made(monkeypatch, tmp_path):
+    made = _spy_spectra(monkeypatch)
+    for argv in (["--model", "free", "--points", "64", "--charge", "Q"],
+                 ["--model", "rotor", "--m-max", "6", "--charge", "q"]):
+        assert main(["check", *argv, "--out", str(tmp_path / "check.json")]) == 0
+    assert len(made) == 2
+    assert all(s.vectors is not None for spec in made for s in spec.sectors)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,32 @@ def test_length_models_share_one_validated_length():
     assert records[0] == models.FreeParticle(2.0)
 
 
+@pytest.mark.parametrize("boundary,n", [("dirichlet", 3), ("dirichlet", 4), ("dirichlet", 65),
+                                        ("periodic", 4), ("periodic", 64)])
+def test_three_point_levels_are_the_stencil_spectrum(boundary, n):
+    grid = build_grid(1.7, n, boundary)
+    inv_h2 = grid.spacing ** -2
+    # the stencil -1/2 D2 itself, wrapped on a periodic grid; its ||.||_1 is 2 / h^2
+    dense = inv_h2 * (np.eye(n) - 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1)))
+    if boundary == "periodic":
+        dense[0, -1] = dense[-1, 0] = -0.5 * inv_h2
+    levels = models.three_point_levels(grid)
+    assert np.all(np.diff(levels) >= 0)
+    np.testing.assert_allclose(levels, np.linalg.eigvalsh(dense), rtol=0,
+                               atol=8 * np.finfo(float).eps * 2 * inv_h2)
+
+
+def test_three_point_levels_are_accurate_relative_to_each_level():
+    # 1 - cos(theta) would lose all but a few digits of the lowest levels here
+    mpmath = pytest.importorskip("mpmath")
+    grid = build_grid(0.5, 10 ** 6 - 1, "dirichlet")
+    levels = models.three_point_levels(grid)
+    with mpmath.workdps(40):
+        for j in (1, 2, 3, 1000):
+            exact = (1 - mpmath.cos(j * mpmath.pi / 10 ** 6)) / mpmath.mpf(grid.spacing) ** 2
+            assert abs(levels[j - 1] - float(exact)) <= 4 * np.finfo(float).eps * levels[j - 1]
+
+
 def test_box_energies_for_pi_length():
     levels = models.box_levels(np.pi, 4)
     np.testing.assert_allclose([s.energy for s in levels], [0.5, 2.0, 4.5, 8.0],

@@ -7,6 +7,10 @@ this test, a rename of one of them would break only traced benchmark runs.
 """
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -58,3 +62,32 @@ def test_tracer_wraps_each_call_once_and_restores_the_package(tmp_path):
     assert summary["trace.spans"] == len(spans)
     assert (ops.MixedOperator.apply, engine.numeric_spectrum, engine.eigh_tridiagonal,
             np.linalg.eigh, cli.main) == originals
+
+
+def test_tracer_installs_and_removes_where_lapack_is_not_loaded_yet(tmp_path):
+    # the engine binds scipy.linalg's names on first use: wrapping one loads
+    # them, the traced solves go through the wrapper, and removal restores them
+    code = f"""
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("tracing", {str(TRACING)!r})
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+from susyqm import cli, engine
+before = "scipy.linalg" in sys.modules
+tracer = tracing.Tracer()
+tracer.install()
+try:
+    code = cli.main(["spectrum", "--model", "box", "--points", "101", "--levels", "4",
+                     "--out", {str(tmp_path / "out.txt")!r}])
+finally:
+    tracer.remove()
+import scipy.linalg
+print(json.dumps([before, code, [s[0] for s in tracer.spans].count("engine.eigh_tridiagonal"),
+                  engine.eigh_tridiagonal is scipy.linalg.eigh_tridiagonal]))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(TRACING.parents[1] / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    before, code, solves, restored = json.loads(proc.stdout)
+    assert not before and code == 0 and solves >= 1 and restored
