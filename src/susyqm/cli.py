@@ -24,10 +24,9 @@ from itertools import chain
 
 import numpy as np
 
-from . import operators as ops
 from .engine import (CONVERGENCE_TOL, MACHINE_TOL, PAIR_TOL, build_check,
                      commensurate_wavenumbers, detect_pairing, eq5_action_table,
-                     numeric_spectrum)
+                     model_operators, numeric_spectrum)
 from .errors import NumericalContractError, ParameterError, SusyqmError
 from .grid import DIRICHLET, PERIODIC, build_grid
 from .models import (DeltaWell, FreeParticle, ParticleInBox, PlanarRotor,
@@ -161,41 +160,20 @@ def _build_model(args):
 
 def cmd_spectrum(args) -> int:
     model, n_points = _build_model(args)
-    levels = args.levels
+    h, parity, grid = model_operators(model, n_points)
     header = [f"command: spectrum model={args.model}"]
-    absent = None
-
-    if isinstance(model, PlanarRotor):
-        lz, t, h = ops.rotor_basis_operators(model.m_max, model.inertia)
-        parity = t.linear_part
+    if grid is None:
         header.append(f"I={fmt(model.inertia)} m_max={model.m_max}")
-    elif isinstance(model, FreeParticle):
-        grid = build_grid(model.length / 2.0, n_points, PERIODIC)
-        h = ops.hamiltonian(grid, lambda x: 0.0)
-        parity = ops.parity_operator(grid)
-        header.append(f"L={fmt(model.length)} points={n_points} periodic")
-        absent = {"even": False, "odd": True}
     elif isinstance(model, DeltaWell):
-        grid = build_grid(model.box_length / 2.0, n_points, DIRICHLET)
-        h = ops.delta_well_hamiltonian(grid, model.coupling)
-        parity = ops.parity_operator(grid)
-        header.append(f"lambda={fmt(model.coupling)} L={fmt(model.box_length)} "
-                      f"points={n_points} dirichlet")
-        absent = {"even": True, "odd": True}
+        header += [f"lambda={fmt(model.coupling)} L={fmt(model.box_length)} "
+                   f"points={n_points} {grid.boundary}",
+                   "absent_at_base_even=true absent_at_base_odd=true"]
     else:
-        length = model.length
-        grid = build_grid(length / 2.0, n_points, DIRICHLET)
-        if isinstance(model, SecSquaredPartner):
-            h = ops.hamiltonian(grid, sec_squared_potential(length))
-        else:
-            h = ops.hamiltonian(grid, lambda x: 0.0)
-        parity = ops.parity_operator(grid)
-        header.append(f"L={fmt(length)} points={n_points} dirichlet")
-    spec = numeric_spectrum(h, parity, min(levels, h.dimension), vectors=False)
+        header.append(f"L={fmt(model.length)} points={n_points} {grid.boundary}")
+        if isinstance(model, FreeParticle):
+            header.append("absent_at_base_even=false absent_at_base_odd=true")
+    spec = numeric_spectrum(h, parity, min(args.levels, h.dimension), vectors=False)
 
-    if absent is not None:
-        header.append(f"absent_at_base_even={str(absent['even']).lower()} "
-                      f"absent_at_base_odd={str(absent['odd']).lower()}")
     pairing = detect_pairing(spec, args.pair_tol)
     flags = [""] * len(spec)
     for pid, (i, j, _) in enumerate(pairing.pairs):

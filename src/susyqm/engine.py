@@ -23,13 +23,12 @@ eigh_tridiagonal); otherwise by
 shift-invert Lanczos on (T - sigma)^-1 for exactly the levels needed,
 with sigma a certified lower bound on the block's lowest level and one
 LDL^T factorization (pttrf) per solve, O(dim) work per Lanczos step
-besides the reorthogonalization. A request whose Lanczos basis would
-pass a memory limit, or on which Lanczos does not converge, is solved
-by bisection (stebz) for its values only, and reading its vectors is
-refused. Parity labels are the block a level came from, and every
-eigenvector is real. A caller that reads only energies asks for no
-vectors: its Lanczos solves stop at their Ritz values, and no sector
-keeps a vector.
+besides the reorthogonalization. A block on which Lanczos does not
+converge is solved whole. Parity labels are the block a level came
+from, and every eigenvector is real. A caller that reads only energies
+asks for no vectors: its Lanczos stops at the Ritz values, a block whose
+Lanczos basis would pass a memory limit or that Lanczos cannot resolve
+is bisected (stebz), and its spectrum keeps no sectors.
 
 scipy.linalg is imported on the first solve that needs LAPACK
 (_load_lapack), not with this module: the rotor's diagonal blocks, the
@@ -60,9 +59,9 @@ import scipy.sparse as sp
 from . import operators as ops
 from .errors import (DirichletAlgebraError, NumericalContractError, ParameterError,
                      require_positive)
-from .grid import PERIODIC, Grid1D, build_grid
+from .grid import DIRICHLET, PERIODIC, Grid1D, build_grid
 from .models import (EVEN, ODD, DeltaWell, FreeParticle, ModelSpec, ParticleInBox,
-                     PlanarRotor, SecSquaredPartner)
+                     PlanarRotor, SecSquaredPartner, sec_squared_potential)
 
 MACHINE_TOL = 1e-12      # identities that hold exactly in the discretization
 ZERO_TOL = 1e-10         # least |E0| that criterion 1 takes as zero
@@ -104,12 +103,11 @@ class Spectrum:
     """Sorted eigenvalues, the parity sector of each, and eigenvectors built on first read.
 
     sector_of, the block each level came from (0 even, 1 odd), is the one
-    record of its parity. A spectrum from numeric_spectrum also keeps the
-    two parity blocks it solved (sectors, each built with the block
-    eigenvectors its solve made, none for a caller that asked for
-    energies alone); one of eigenvalues and sector indices alone refuses
-    every vector read. Criterion 3 reads the block vectors;
-    the full-space eigenvectors, a real float64 array of unit-norm
+    record of its parity. A spectrum that numeric_spectrum solved with
+    vectors also keeps the two parity blocks (sectors, each built with
+    the block eigenvectors of its levels); one of energies alone keeps no
+    sectors and refuses every vector read. Criterion 3 reads the block
+    vectors; the full-space eigenvectors, a real float64 array of unit-norm
     columns, are unfolded from them only when .eigenvectors is first read.
     """
 
@@ -134,6 +132,28 @@ class Spectrum:
         return len(self.eigenvalues)
 
 
+def model_operators(model: ModelSpec, n_points: int | None):
+    """The Hamiltonian, the parity operator and the grid of a catalog model.
+
+    Box, sec^2 partner and delta well lie on a Dirichlet grid of n_points,
+    the free particle on a periodic one. The rotor's basis, m = -m_max..m_max
+    with parity m -> -m, has no grid (None) and reads no n_points.
+    """
+    if isinstance(model, PlanarRotor):
+        _, t, h = ops.rotor_basis_operators(model.m_max, model.inertia)
+        return h, t.linear_part, None
+    if isinstance(model, DeltaWell):
+        grid = build_grid(model.box_length / 2.0, n_points, DIRICHLET)
+        return ops.delta_well_hamiltonian(grid, model.coupling), ops.parity_operator(grid), grid
+    if not isinstance(model, (FreeParticle, ParticleInBox, SecSquaredPartner)):
+        raise ParameterError(f"unsupported model {model!r}")
+    grid = build_grid(model.length / 2.0, n_points,
+                      PERIODIC if isinstance(model, FreeParticle) else DIRICHLET)
+    potential = (sec_squared_potential(model.length) if isinstance(model, SecSquaredPartner)
+                 else lambda x: 0.0)
+    return ops.hamiltonian(grid, potential), ops.parity_operator(grid), grid
+
+
 def numeric_spectrum(h: ops.LinearOperator, parity: ops.LinearOperator,
                      n_levels: int, *, vectors: bool = True) -> Spectrum:
     """Lowest n_levels eigenpairs of h, each of definite parity.
@@ -146,7 +166,7 @@ def numeric_spectrum(h: ops.LinearOperator, parity: ops.LinearOperator,
     diagonal h both are diagonal. The parity label of every level is the
     block it came from, and every eigenvector is real and satisfies
     v[pi] == +/-v exactly. The Spectrum keeps both blocks, each built
-    with the eigenvectors its solve made, from which criterion 3 is
+    with the eigenvectors of its levels, from which criterion 3 is
     computed without unfolding. An h that is not even under parity, or
     whose blocks are not tridiagonal, is refused with a ParameterError; a
     non-Hermitian h with a NumericalContractError.
@@ -156,15 +176,15 @@ def numeric_spectrum(h: ops.LinearOperator, parity: ops.LinearOperator,
     Otherwise a block whose every level is wanted is solved by divide and
     conquer; a truncated one by shift-invert Lanczos (_krylov_levels), values and
     block vectors together, each value the Rayleigh quotient of a vector
-    whose residual is at most c * eps * ||block||_1, unless its Lanczos
-    basis would be too large or does not converge: then by bisection,
-    whose sectors hold no vectors, and reading one is refused.
+    whose residual is at most c * eps * ||block||_1, or whole if Lanczos
+    does not converge (_lowest_levels). Every level has its vector.
 
     With vectors=False, for callers that read energies alone, a
     truncated block's Lanczos stops at its Ritz values, each within half
-    the residual bound of an eigenvalue (_lanczos), with no refinement;
-    both sectors hold None, so every vector read is refused. The Sturm
-    counts below certify either way that no level was skipped.
+    the residual bound of an eigenvalue (_lanczos), with no refinement,
+    or the block is bisected; the Spectrum keeps no sectors, so every
+    vector read is refused. The Sturm counts below certify either way
+    that no level was skipped.
 
     Eigenvalues are accurate to about eps * ||h||_1 in absolute terms
     (eps = 2.2e-16), not relative to each level. On a grid ||h||_1 is
@@ -196,7 +216,7 @@ def numeric_spectrum(h: ops.LinearOperator, parity: ops.LinearOperator,
     dims = [s.dim for s in sectors]
     want = [min(dims[0], max(-(-n_levels // 2), n_levels - dims[1])),
             min(dims[1], max(n_levels // 2, n_levels - dims[0]))]
-    solved = [(np.empty(0), np.empty((s.dim, 0)) if vectors else None) for s in sectors]
+    solved = [(np.empty(0), np.empty((s.dim, 0))) for s in sectors]
     while True:
         solved = [sol if len(sol[0]) == k else solve(s, k, vectors)
                   for s, k, sol in zip(sectors, want, solved)]
@@ -215,8 +235,10 @@ def numeric_spectrum(h: ops.LinearOperator, parity: ops.LinearOperator,
     vals = np.concatenate(values)
     order = np.argsort(vals, kind="stable")[:n_levels]
     sector_of = np.repeat([0, 1], [len(v) for v in values])[order]
+    if not vectors:
+        return Spectrum(vals[order], sector_of)
     # a sector's chosen levels are its lowest ones, in order
-    sectors = tuple(replace(s, vectors=None if u is None else u[:, :k]) for s, (_, u), k
+    sectors = tuple(replace(s, vectors=u[:, :k]) for s, (_, u), k
                     in zip(sectors, solved, np.bincount(sector_of, minlength=2)))
     return Spectrum(vals[order], sector_of, sectors=sectors)
 
@@ -234,7 +256,7 @@ class _Sector:
     (perm[a] == a). vectors, given at construction, holds the block
     eigenvectors of a spectrum's levels here, dim x levels, as the solve
     made them: dense from stevd or Lanczos, unit CSC columns from
-    _diagonal_levels, None from bisection.
+    _diagonal_levels.
     """
 
     sign: float
@@ -433,11 +455,16 @@ def _lowest_levels(sector: _Sector, k: int, vectors: bool):
     stevd (divide and conquer); its backward error puts the eigenvalues
     within a few eps * ||block||_1 of the exact ones. So is a block too
     small for the Lanczos basis of k levels to stay below its dimension
-    (_basis_cap). A block whose basis fits in _KRYLOV_BASIS_LIMIT is
-    solved by shift-invert Lanczos (_krylov_levels). Any other block, and
-    one on which Lanczos does not converge, is solved by bisection
-    (stebz) for the values alone, as accurate as stevd's; its vectors are
-    None (inverse iteration's would fail criterion 3 at 10^5 points).
+    (_basis_cap). Any other block is solved by shift-invert Lanczos
+    (_krylov_levels). With vectors, a block on which Lanczos does not
+    converge is solved whole, so every level keeps its vector. Without,
+    a block whose basis would pass _KRYLOV_BASIS_LIMIT, or on which
+    Lanczos does not converge, is solved by bisection (stebz), as
+    accurate as stevd, in O(dim) memory.
+
+    Peak memory for a block of dim rows: (4k + 64) * dim * 8 bytes for the
+    Lanczos basis, and two k x dim arrays more to refine its vectors; dim^2 * 8
+    bytes for a whole block's vectors, and as much for stevd's workspace.
 
     Without vectors Lanczos stops at its Ritz values, and the vectors of
     a full block are dropped. Such a block is still solved with them:
@@ -446,15 +473,16 @@ def _lowest_levels(sector: _Sector, k: int, vectors: bool):
     up to 43 eps * ||H||_1 from bisection's, where stevd's lay within 1.1.
     """
     _load_lapack()
-    if _basis_cap(k) >= sector.dim:
-        vals, vecs = eigh_tridiagonal(sector.diag, sector.offdiag)
-        return vals[:k], vecs[:, :k] if vectors else None
-    if _basis_cap(k) * sector.dim <= _KRYLOV_BASIS_LIMIT:
+    truncated = _basis_cap(k) < sector.dim
+    if truncated and (vectors or _basis_cap(k) * sector.dim <= _KRYLOV_BASIS_LIMIT):
         found = _krylov_levels(sector, k, vectors)
         if found is not None:
             return found
-    return eigh_tridiagonal(sector.diag, sector.offdiag, eigvals_only=True, select="i",
-                            select_range=(0, k - 1)), None
+    if truncated and not vectors:
+        return eigh_tridiagonal(sector.diag, sector.offdiag, eigvals_only=True, select="i",
+                                select_range=(0, k - 1)), None
+    vals, vecs = eigh_tridiagonal(sector.diag, sector.offdiag)
+    return vals[:k], vecs[:, :k] if vectors else None
 
 
 def _diagonal_levels(sector: _Sector, k: int, vectors: bool):
@@ -488,8 +516,7 @@ def _count_at_or_below(sector: _Sector, x: float) -> int:
     """
     if not np.any(sector.offdiag):
         return int(np.count_nonzero(sector.diag <= x))
-    norm = np.max(np.abs(sector.diag)) + 2.0 * np.max(np.abs(sector.offdiag), initial=0.0)
-    low = -2.0 * norm - 1.0
+    low = -2.0 * _tridiag_norm1(sector.diag, sector.offdiag) - 1.0
     if x <= low:
         return 0
     return len(eigh_tridiagonal(sector.diag, sector.offdiag, eigvals_only=True,
@@ -513,17 +540,14 @@ _SHIFT_BACKOFF = 0.25   # sigma ends at least this fraction of the gap below the
 _START_SEED = 20040115  # fixed seed of the Lanczos start vectors
 
 
-# Most float64 entries (64 MiB) that a Lanczos basis may reserve; a larger
-# request is bisected. Lanczos holds the basis and the block vectors, which
-# no energy-only command reads, while bisection leaves the vectors until
-# they are read. At 10^5 points (blocks of 50001 rows), in fresh processes
-# on a 2-core x86-64 host, `spectrum --model box` for 32 levels (a basis of
-# 96 vectors per block) took 0.23-0.28 s and 120 MB peak RSS by Lanczos
-# against 0.38-0.45 s and 84 MB by bisection; for 48 levels (160 vectors)
-# 0.34-0.39 s and 133 MB against 0.59-0.63 s and 84 MB; for 64 levels (192
-# vectors, over the limit) 0.52-1.38 s and 149 MB against 0.71-0.79 s and
-# 84 MB; for 256 levels 5.0-5.5 s and 324 MB against 2.7-2.9 s and 84 MB
-# (BENCH_krylov_sectors.json, spectrum_levels).
+# Most float64 entries (64 MiB) that the Lanczos basis of an energy-only
+# request may take; a larger request is bisected. A request for vectors takes
+# its basis at any size (_lowest_levels). Values only, on one 50001-row box
+# block (10^5 points), in single in-process runs on a 2-core x86-64 host, for
+# 24 / 32 / 48 / 64 / 128 levels: Lanczos took 128 / 187 / 311 / 512 / 2746 ms
+# at traced peaks of 64 / 76 / 101 / 125 / 223 MiB, and bisection 280 / 377 /
+# 575 / 779 / 1522 ms in O(dim) memory. The limit admits 24 levels of such a
+# block (a basis of 160 vectors) and bisects 32 (192 vectors).
 _KRYLOV_BASIS_LIMIT = 2 ** 23
 
 
@@ -812,13 +836,12 @@ def _eigenvectors(spectrum: Spectrum, levels: np.ndarray) -> np.ndarray:
 def _block_columns(spectrum: Spectrum, levels: np.ndarray) -> np.ndarray:
     """Each level's column among the block eigenvectors of its own sector.
 
-    Every eigenvector read passes here, which refuses a level no solve gave
-    a vector: one of a bisected sector, or of an energies-only Spectrum.
+    Every eigenvector read passes here, which refuses every read of a
+    Spectrum of energies alone: it keeps no sectors.
     """
-    of, sectors = spectrum.sector_of, spectrum.sectors
-    if not sectors or any(sectors[i].vectors is None for i in np.unique(of[levels])):
-        raise ParameterError("no eigenvectors for these levels: the spectrum was built from "
-                             "energies alone, or their sector was bisected, which makes none")
+    if not spectrum.sectors:
+        raise ParameterError("no eigenvectors: the spectrum was built from energies alone")
+    of = spectrum.sector_of
     odd_before = np.cumsum(of)  # odd levels up to and including each level
     return np.where(of, odd_before - 1, np.arange(len(of)) - odd_before)[levels]
 
@@ -1322,24 +1345,22 @@ def build_check(model: ModelSpec, charge: str, *, n_points: int = 512,
     """
     if charge not in ("Q", "q"):
         raise ParameterError(f"charge must be 'Q' or 'q', got {charge!r}")
-    if isinstance(model, FreeParticle):
-        grid = build_grid(model.length / 2.0, n_points, PERIODIC)
-        g, s, mu = ops.momentum(grid), ops.parity_operator(grid), 1.0
-        h_spec, parity = ops.hamiltonian(grid, lambda x: 0.0), s
-        h_alg = ops.momentum_squared_hamiltonian(g, mu)
-        artifacts = [grid.n_points - 1]  # the Nyquist level; periodic grids are even
-        model_name = f"free_particle(L={model.length:g})"
-    elif isinstance(model, PlanarRotor):
+    if isinstance(model, (ParticleInBox, SecSquaredPartner, DeltaWell)):
+        raise DirichletAlgebraError(
+            f"{type(model).__name__} lives on a Dirichlet grid; the six-criteria "
+            "algebra check is only run for periodic (free) or rotor models")
+    if isinstance(model, PlanarRotor):
+        # the charges need L_z and the time reversal T, which the parity alone does not give
         g, s, h_spec = ops.rotor_basis_operators(model.m_max, model.inertia)
         mu, parity, h_alg = model.inertia, s.linear_part, h_spec
         artifacts = []
         model_name = f"planar_rotor(I={model.inertia:g}, m_max={model.m_max})"
-    elif isinstance(model, (ParticleInBox, SecSquaredPartner, DeltaWell)):
-        raise DirichletAlgebraError(
-            f"{type(model).__name__} lives on a Dirichlet grid; the six-criteria "
-            "algebra check is only run for periodic (free) or rotor models")
     else:
-        raise ParameterError(f"unsupported model {model!r}")
+        h_spec, parity, grid = model_operators(model, n_points)
+        g, s, mu = ops.momentum(grid), parity, 1.0
+        h_alg = ops.momentum_squared_hamiltonian(g, mu)
+        artifacts = [grid.n_points - 1]  # the Nyquist level; periodic grids are even
+        model_name = f"free_particle(L={model.length:g})"
 
     charges = (ops.supercharge_Q(g, s, mu) if charge == "Q"
                else ops.supercharge_q_pair(g, s, mu))

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as ops
-from .engine import Spectrum, numeric_spectrum
-from .errors import ParameterError
-from .grid import DIRICHLET, Grid1D, build_grid
-from .models import AnalyticState, sec_squared_potential
+from .engine import Spectrum, model_operators, numeric_spectrum
+from .errors import ParameterError, require_positive
+from .grid import DIRICHLET, Grid1D
+from .models import AnalyticState, ParticleInBox, SecSquaredPartner
 
 WALL_MASK_CELLS = 3  # V_minus residuals are not meaningful within 3h of a wall
 
@@ -153,10 +153,10 @@ def box_to_free_scan(lengths, points_per_unit_length: float, *,
             raise ParameterError(
                 f"length {length!r} gets {n_points} grid points, fewer than the "
                 f"{n_levels + 1} box levels a scan of {n_levels} levels needs")
-        grid = build_grid(length / 2.0, n_points, DIRICHLET)
-        par = ops.parity_operator(grid)
-        h_box = ops.hamiltonian(grid, lambda x: 0.0)
-        h_partner = ops.hamiltonian(grid, sec_squared_potential(length))
+        # a length below zero (at a negative density) is refused as its grid refuses it
+        require_positive("half_width", length / 2.0)
+        h_box, par, _ = model_operators(ParticleInBox(length), n_points)
+        h_partner = model_operators(SecSquaredPartner(length), n_points)[0]  # on the same grid
         box = numeric_spectrum(h_box, par, n_levels + 1, vectors=False)
         part = numeric_spectrum(h_partner, par, n_levels, vectors=False)
         deviations = _pair_deviations(box, part, n_levels)

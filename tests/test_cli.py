@@ -311,6 +311,15 @@ def test_scan_needs_two_lengths(tmp_path, capsys):
     assert code == 2
 
 
+def test_a_negative_scan_length_is_refused_as_its_grid_refuses_it(tmp_path, capsys):
+    # a negative density makes the point count of a negative length positive
+    code = main(["scan", "--L-values=-3,-2", "--points-per-length=-200",
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "configuration error: half_width must be positive and finite, got -1.5\n")
+
+
 def test_scan_underresolved_grid_fails_numerically(tmp_path, capsys):
     code = main(["scan", "--L-values", "4,8", "--points-per-length", "3",
                  "--levels", "2", "--out", str(tmp_path / "s.csv")])

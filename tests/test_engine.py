@@ -18,8 +18,9 @@ from susyqm.engine import (Spectrum, algebra_residuals, build_check,
                            numeric_spectrum)
 from susyqm.errors import DirichletAlgebraError, NumericalContractError, ParameterError
 from susyqm.grid import build_grid, parity_permutation
-from susyqm.models import (FreeParticle, ParticleInBox, PlanarRotor, box_energy, box_levels,
-                           sec_squared_potential, three_point_levels)
+from susyqm.models import (DeltaWell, FreeParticle, ParticleInBox, PlanarRotor,
+                           SecSquaredPartner, box_energy, box_levels, sec_squared_potential,
+                           three_point_levels)
 from susyqm.partner import box_to_free_scan, partner_potential
 
 
@@ -478,20 +479,40 @@ def _assert_near_bisection(values, h, parity):
     np.testing.assert_allclose(values, oracle, rtol=0, atol=bound)
 
 
-def test_a_block_lanczos_cannot_resolve_falls_back_to_bisection(monkeypatch):
+def _delta_well_lanczos_cannot_resolve():
     # a deep bound state under a dense continuum: (T - sigma)^-1 separates the
     # top wanted even levels by relative gaps far too small for the basis cap
     grid = build_grid(100.0, 2001, "dirichlet")
-    h = ops.delta_well_hamiltonian(grid, 5.0)
-    parity = ops.parity_operator(grid)
+    return ops.delta_well_hamiltonian(grid, 5.0), ops.parity_operator(grid)
+
+
+def test_a_block_lanczos_cannot_resolve_falls_back_to_bisection(monkeypatch):
+    h, parity = _delta_well_lanczos_cannot_resolve()
     calls = _spy_solves(monkeypatch)
-    spec = numeric_spectrum(h, parity, 32)
+    spec = numeric_spectrum(h, parity, 32, vectors=False)
     assert any(c.get("select") == "i" for c in calls)
     _assert_near_bisection(spec.eigenvalues, h, parity)
-    # bisection makes no vectors, and reading them makes no solve either
+    # a spectrum of energies alone keeps no sectors, and a read makes no solve
+    assert spec.sectors == ()
     with pytest.raises(ParameterError, match="no eigenvectors"):
         spec.eigenvectors
     _assert_vectors_only_from_whole_blocks(calls)
+
+
+def test_a_block_lanczos_cannot_resolve_is_solved_whole_for_its_vectors(monkeypatch):
+    h, parity = _delta_well_lanczos_cannot_resolve()
+    calls = _spy_solves(monkeypatch)
+    asked = _spy_krylov(monkeypatch)
+    spec = numeric_spectrum(h, parity, 32)
+    # the even block's Lanczos gave up, and stevd solved it whole; nothing was bisected
+    assert asked and any(not c for c in calls)
+    assert not any(c.get("select") == "i" for c in calls)
+    oracle = _bisection_levels(h, parity, 32)
+    bound = _WHOLE_EPS_FACTOR * np.finfo(float).eps * engine._norm1(h)
+    np.testing.assert_allclose(spec.eigenvalues, oracle, rtol=0, atol=bound)
+    vecs = spec.eigenvectors
+    resid = h.to_dense() @ vecs - vecs * spec.eigenvalues
+    assert np.max(np.abs(resid)) <= 1e-9 * engine._norm1(h)
 
 
 def test_a_basis_over_the_memory_limit_is_bisected_without_vectors(monkeypatch):
@@ -504,12 +525,72 @@ def test_a_basis_over_the_memory_limit_is_bisected_without_vectors(monkeypatch):
     assert engine._basis_cap(16) * even.dim <= engine._KRYLOV_BASIS_LIMIT
     assert engine._basis_cap(32) * even.dim > engine._KRYLOV_BASIS_LIMIT
     asked = _spy_krylov(monkeypatch)
-    lanczos, vecs = engine._lowest_levels(even, 16, True)
-    assert asked == [16] and vecs.shape == (even.dim, 16)
-    bisected, vecs = engine._lowest_levels(even, 32, True)
+    lanczos, vecs = engine._lowest_levels(even, 16, False)
+    assert asked == [16] and vecs is None
+    bisected, vecs = engine._lowest_levels(even, 32, False)
     assert asked == [16] and vecs is None
     bound = 4 * np.finfo(float).eps * engine._tridiag_norm1(even.diag, even.offdiag)
     np.testing.assert_allclose(lanczos, bisected[:16], rtol=0, atol=bound)
+    # a request for vectors takes its Lanczos basis at any size
+    with_vectors, vecs = engine._lowest_levels(even, 32, True)
+    assert asked == [16, 32] and vecs.shape == (even.dim, 32)
+    np.testing.assert_allclose(with_vectors, bisected, rtol=0, atol=bound)
+
+
+def test_a_request_for_vectors_never_reads_the_memory_limit(monkeypatch):
+    monkeypatch.setattr(engine, "_KRYLOV_BASIS_LIMIT", 0)
+    grid = build_grid(2.0, 2001, "dirichlet")
+    calls = _spy_solves(monkeypatch)
+    asked = _spy_krylov(monkeypatch)
+    spec = numeric_spectrum(ops.hamiltonian(grid, lambda x: 0.0), ops.parity_operator(grid), 8)
+    assert asked and all(c.get("select") == "v" for c in calls)
+    assert spec.eigenvectors.shape == (2001, 8)
+
+
+# The solver calls of values-only requests, which alone read the basis limit:
+# (solver, block rows, level count or bisection's index range), "count" being
+# a Sturm count. Requests for vectors take other paths and must leave these as
+# they are.
+_VALUES_ONLY_CALLS = [
+    ((1.0, 1001, "dirichlet", None, 1001), [("stevd", 501, None), ("stevd", 500, None)]),
+    ((2.0, 100001, "dirichlet", None, 16),
+     [("lanczos", 50001, 8), ("lanczos", 50000, 8), ("count", 50001, None),
+      ("count", 50000, None)]),
+    ((2.0, 100001, "dirichlet", None, 64),
+     [("stebz", 50001, (0, 31)), ("stebz", 50000, (0, 31)), ("count", 50001, None),
+      ("count", 50000, None)]),
+    ((100.0, 2001, "dirichlet", 5.0, 32),
+     [("lanczos", 1001, 16), ("stebz", 1001, (0, 15)), ("lanczos", 1000, 16),
+      ("count", 1001, None), ("count", 1000, None)]),
+    ((np.pi, 4096, "periodic", None, 8),
+     [("lanczos", 2049, 4), ("lanczos", 2047, 4), ("count", 2049, None),
+      ("count", 2047, None), ("lanczos", 2049, 5), ("count", 2049, None),
+      ("count", 2047, None)]),
+]
+
+
+def test_values_only_requests_make_the_solver_calls_they_made_before(monkeypatch):
+    made = []
+    solve, krylov = engine.eigh_tridiagonal, engine._krylov_levels
+
+    def spy_solve(d, e, **kwargs):
+        kind = {"i": "stebz", "v": "count"}.get(kwargs.get("select"), "stevd")
+        made.append((kind, len(d), kwargs["select_range"] if kind == "stebz" else None))
+        return solve(d, e, **kwargs)
+
+    def spy_krylov(sector, k, vectors):
+        made.append(("lanczos", sector.dim, k))
+        return krylov(sector, k, vectors)
+
+    monkeypatch.setattr(engine, "eigh_tridiagonal", spy_solve)
+    monkeypatch.setattr(engine, "_krylov_levels", spy_krylov)
+    for (half_width, n, boundary, coupling, n_levels), expected in _VALUES_ONLY_CALLS:
+        grid = build_grid(half_width, n, boundary)
+        h = (ops.delta_well_hamiltonian(grid, coupling) if coupling
+             else ops.hamiltonian(grid, lambda x: 0.0))
+        made.clear()
+        numeric_spectrum(h, ops.parity_operator(grid), n_levels, vectors=False)
+        assert made == expected
 
 
 def _bisected_double_well(monkeypatch):
@@ -517,7 +598,7 @@ def _bisected_double_well(monkeypatch):
     grid = build_grid(2.0, 401, "dirichlet")
     h = _double_well(grid)
     monkeypatch.setattr(engine, "_KRYLOV_BASIS_LIMIT", 0)
-    return numeric_spectrum(h, ops.parity_operator(grid), 6), h
+    return numeric_spectrum(h, ops.parity_operator(grid), 6, vectors=False), h
 
 
 def test_bisected_sectors_hold_no_vectors(monkeypatch):
@@ -528,7 +609,7 @@ def test_bisected_sectors_hold_no_vectors(monkeypatch):
     assert all(c.get("eigvals_only") for c in calls)
     exact = np.linalg.eigvalsh(h.to_dense())[:6]
     np.testing.assert_allclose(spec.eigenvalues, exact, rtol=0, atol=1e-9 * engine._norm1(h))
-    assert all(s.vectors is None for s in spec.sectors)
+    assert spec.sectors == ()
     # a read is refused, not answered by a solve
     with pytest.raises(ParameterError, match="no eigenvectors"):
         spec.vector(0)
@@ -588,6 +669,8 @@ def _assert_near_oracle(spec, grid, h, factor):
     ("lanczos", "periodic", 100000, 33, False),
     ("lanczos", "dirichlet", 20001, 1, False),
     ("bisection", "dirichlet", 100001, 16, False),
+    # over the memory limit of energy-only requests, which a request for vectors never reads
+    ("lanczos", "dirichlet", 100001, 64, True),
 ])
 def test_every_solver_path_meets_the_exact_discrete_levels(monkeypatch, path, boundary,
                                                             n_points, n_levels, vectors):
@@ -610,8 +693,17 @@ def test_every_solver_path_meets_the_exact_discrete_levels(monkeypatch, path, bo
         assert not asked and solves and all(c.get("select") == "i" for c in solves)
     # a whole block is solved with its vectors either way (see _lowest_levels)
     assert all(bool(c.get("eigvals_only")) == (path == "bisection") for c in solves)
-    assert all((s.vectors is None) == (path == "bisection" or not vectors)
-               for s in spec.sectors)
+    # a spectrum of energies alone keeps no sectors; with vectors every level has one
+    assert len(spec.sectors) == (2 if vectors else 0)
+    if vectors:
+        assert spec.eigenvectors.shape == (n_points, n_levels)
+        assert all(spec.vector(i).shape == (n_points,) for i in range(n_levels))
+    if vectors and path == "lanczos":
+        for i, s in enumerate(spec.sectors):
+            rows = s.vectors.T
+            resid = (engine._tridiag_apply(s.diag, s.offdiag, rows)
+                     - rows * spec.eigenvalues[spec.sector_of == i][:, None])
+            assert np.all(np.linalg.norm(resid, axis=1) <= engine._residual_bound(s))
     factor = _WHOLE_EPS_FACTOR if path == "whole" else _TRUNCATED_EPS_FACTOR
     _assert_near_oracle(spec, grid, h, factor)
 
@@ -628,7 +720,8 @@ def test_the_diagonal_path_meets_the_exact_discrete_levels(monkeypatch, vectors)
     asked = _spy_krylov(monkeypatch)
     spec = numeric_spectrum(h, ops.parity_operator(grid), grid.n_points, vectors=vectors)
     assert not calls and not asked
-    assert all((s.vectors is None) != vectors for s in spec.sectors)
+    assert len(spec.sectors) == (2 if vectors else 0)
+    assert all(s.vectors is not None for s in spec.sectors)
     _assert_near_oracle(spec, grid, ops.hamiltonian(grid, lambda x: 0.0), _TRUNCATED_EPS_FACTOR)
 
 
@@ -804,8 +897,8 @@ def test_energy_only_commands_compute_no_eigenvectors(monkeypatch, tmp_path, arg
     # and solves whole blocks only where the basis cap covers them (64 points)
     assert all(not c or (c.get("select") == "v" and c.get("eigvals_only")) for c in calls)
     assert any(not c for c in calls) == ("64" in argv)
-    # no sector keeps vectors, so no vector can be read
-    assert made and all(s.vectors is None for spec in made for s in spec.sectors)
+    # no spectrum keeps sectors, so no vector can be read
+    assert made and all(spec.sectors == () for spec in made)
 
 
 def _spy_spectra(monkeypatch):
@@ -1403,6 +1496,30 @@ def test_charge_labels_name_the_papers_equations(model, charge, labels):
     # parity (linear) gives eqs. 3 and 4, time reversal (antilinear) eq. 7 and the rotor pair
     report = build_check(model, charge, n_points=64)
     assert list(report.ground.annihilation_residuals) == labels
+
+
+def test_model_operators_build_each_catalog_model():
+    for model, grid, hamiltonian in (
+            (ParticleInBox(2.0), build_grid(1.0, 63, "dirichlet"),
+             lambda g: ops.hamiltonian(g, lambda x: 0.0)),
+            (SecSquaredPartner(2.0), build_grid(1.0, 63, "dirichlet"),
+             lambda g: ops.hamiltonian(g, sec_squared_potential(2.0))),
+            (DeltaWell(1.5, 8.0), build_grid(4.0, 63, "dirichlet"),
+             lambda g: ops.delta_well_hamiltonian(g, 1.5)),
+            (FreeParticle(2.0), build_grid(1.0, 64, "periodic"),
+             lambda g: ops.hamiltonian(g, lambda x: 0.0))):
+        h, parity, built = engine.model_operators(model, grid.n_points)
+        assert built == grid
+        np.testing.assert_array_equal(h.to_dense(), hamiltonian(grid).to_dense())
+        np.testing.assert_array_equal(parity.to_dense(), ops.parity_operator(grid).to_dense())
+    # the rotor's basis has no grid, and its parity is the time reversal's linear part
+    _, t, h_rotor = ops.rotor_basis_operators(4, 0.5)
+    h, parity, grid = engine.model_operators(PlanarRotor(0.5, 4), None)
+    assert grid is None
+    np.testing.assert_array_equal(h.to_dense(), h_rotor.to_dense())
+    np.testing.assert_array_equal(parity.to_dense(), t.linear_part.to_dense())
+    with pytest.raises(ParameterError, match="unsupported model"):
+        engine.model_operators("box", 63)
 
 
 def test_build_check_refuses_dirichlet_models():
