@@ -17,18 +17,14 @@ basis), so numeric_spectrum folds it into an even and an odd block, both
 tridiagonal for the three-point stencil and diagonal for the rotor.
 When both are diagonal they need no eigensolve: their levels are their
 sorted diagonals and their vectors unit vectors, kept as one row index
-per level. Other blocks are solved for values and vectors together: a block
-whose every level is wanted by divide and conquer (stevd, through
-eigh_tridiagonal); otherwise by
-shift-invert Lanczos on (T - sigma)^-1 for exactly the levels needed,
-with sigma a certified lower bound on the block's lowest level and one
-LDL^T factorization (pttrf) per solve, O(dim) work per Lanczos step
-besides the reorthogonalization. A block on which Lanczos does not
-converge is solved whole. Parity labels are the block a level came
-from, and every eigenvector is real. A caller that reads only energies
-asks for no vectors: its Lanczos stops at the Ritz values, a block whose
-Lanczos basis would pass a memory limit or that Lanczos cannot resolve
-is bisected (stebz), and its spectrum keeps no sectors.
+per level. Other blocks are solved by divide and conquer (stevd) when
+every level is wanted; otherwise by shift-invert Lanczos for exactly the
+levels needed (_krylov_levels), or, where Lanczos does not converge, by
+bisection (stebz) and inverse iteration (stein); _lowest_levels states
+each path's memory. Parity labels are the block a level came from, and
+every eigenvector is real. An energy-only caller asks for no vectors:
+its Lanczos stops at the Ritz values, a block whose Lanczos basis would
+pass a memory limit is bisected, and its spectrum keeps no sectors.
 
 scipy.linalg is imported on the first solve that needs LAPACK
 (_load_lapack), not with this module: the rotor's diagonal blocks, the
@@ -174,10 +170,11 @@ def numeric_spectrum(h: ops.LinearOperator, parity: ops.LinearOperator,
     When both blocks are diagonal their levels are exact: each block's
     diagonal in stable order, each vector a unit vector (_diagonal_levels).
     Otherwise a block whose every level is wanted is solved by divide and
-    conquer; a truncated one by shift-invert Lanczos (_krylov_levels), values and
-    block vectors together, each value the Rayleigh quotient of a vector
-    whose residual is at most c * eps * ||block||_1, or whole if Lanczos
-    does not converge (_lowest_levels). Every level has its vector.
+    conquer; a truncated one by shift-invert Lanczos (_krylov_levels),
+    values and block vectors together, each value the Rayleigh quotient
+    of a vector whose residual is at most c * eps * ||block||_1, or by
+    bisection and inverse iteration if Lanczos does not converge
+    (_lowest_levels). Every level has its vector.
 
     With vectors=False, for callers that read energies alone, a
     truncated block's Lanczos stops at its Ritz values, each within half
@@ -255,7 +252,7 @@ class _Sector:
     of representative a = reps[k], or e_a alone when a is a fixed point
     (perm[a] == a). vectors, given at construction, holds the block
     eigenvectors of a spectrum's levels here, dim x levels, as the solve
-    made them: dense from stevd or Lanczos, unit CSC columns from
+    made them: dense from stevd, Lanczos or stein, unit CSC columns from
     _diagonal_levels.
     """
 
@@ -264,7 +261,6 @@ class _Sector:
     perm: np.ndarray
     diag: np.ndarray
     offdiag: np.ndarray
-    asym_sq: float  # squared Frobenius norm of block - block^T
     vectors: np.ndarray | sp.csc_array | None = None
 
     @property
@@ -332,9 +328,9 @@ def _sectors(h: ops.LinearOperator, perm: np.ndarray) -> tuple[_Sector, _Sector]
     blocks = _fold(perm, rows, cols, vals, 1.0)
     del rows, cols, vals  # the fold keeps only their rows on representatives
     # each block's entries are dropped before the fold builds the next
-    sectors = tuple(_sector(sign, perm, *next(blocks)) for sign in (1.0, -1.0))
+    sectors, asym_sq = zip(*(_sector(sign, perm, *next(blocks)) for sign in (1.0, -1.0)))
     # the fold is orthogonal, so the blocks' asymmetry is that of h itself
-    asym = np.sqrt(sum(s.asym_sq for s in sectors))
+    asym = np.sqrt(sum(asym_sq))
     if scale > 0 and asym > 1e-8 * scale:
         raise NumericalContractError("numeric_spectrum requires a Hermitian matrix")
     return sectors
@@ -431,8 +427,8 @@ def _commutes(perm: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.nda
 
 
 def _sector(sign: float, perm: np.ndarray, reps: np.ndarray,
-            rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> _Sector:
-    """A sector from its folded entries (block row, block column, value)."""
+            rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> tuple[_Sector, float]:
+    """A sector and ||block - block^T||_F^2, from its folded entries (row, column, value)."""
     dim = len(reps)
     step = cols - rows
     if np.any(np.abs(step) > 1):
@@ -442,8 +438,8 @@ def _sector(sign: float, perm: np.ndarray, reps: np.ndarray,
     diag = np.bincount(rows[step == 0], weights=vals[step == 0], minlength=dim)
     upper = np.bincount(rows[step == 1], weights=vals[step == 1], minlength=max(dim - 1, 0))
     lower = np.bincount(cols[step == -1], weights=vals[step == -1], minlength=max(dim - 1, 0))
-    return _Sector(sign=sign, reps=reps, perm=perm, diag=diag, offdiag=(upper + lower) / 2.0,
-                   asym_sq=2.0 * float(np.dot(upper - lower, upper - lower)))
+    return (_Sector(sign=sign, reps=reps, perm=perm, diag=diag, offdiag=(upper + lower) / 2.0),
+            2.0 * float(np.dot(upper - lower, upper - lower)))
 
 
 def _lowest_levels(sector: _Sector, k: int, vectors: bool):
@@ -451,20 +447,24 @@ def _lowest_levels(sector: _Sector, k: int, vectors: bool):
 
     For the blocks of a Hamiltonian that is not diagonal in the parity
     basis (those of one that is go to _diagonal_levels). A full block is
-    one eigh_tridiagonal call, whose 'auto' driver is
-    stevd (divide and conquer); its backward error puts the eigenvalues
-    within a few eps * ||block||_1 of the exact ones. So is a block too
-    small for the Lanczos basis of k levels to stay below its dimension
-    (_basis_cap). Any other block is solved by shift-invert Lanczos
-    (_krylov_levels). With vectors, a block on which Lanczos does not
-    converge is solved whole, so every level keeps its vector. Without,
-    a block whose basis would pass _KRYLOV_BASIS_LIMIT, or on which
-    Lanczos does not converge, is solved by bisection (stebz), as
-    accurate as stevd, in O(dim) memory.
+    one eigh_tridiagonal call, whose 'auto' driver is stevd (divide and
+    conquer); its backward error puts the eigenvalues within a few
+    eps * ||block||_1 of the exact ones. So is a block too small for the
+    Lanczos basis of k levels to stay below its dimension (_basis_cap).
+    Any other block is truncated: shift-invert Lanczos (_krylov_levels)
+    solves it, unless it asks for energies alone and its basis would pass
+    _KRYLOV_BASIS_LIMIT. Otherwise, or if Lanczos does not converge, it is
+    bisected (stebz) for its k lowest values, as accurate as stevd, and
+    with vectors inverse iteration (stein; Parlett, The Symmetric
+    Eigenvalue Problem, SIAM 1998) finds each level's vector. stein's
+    residuals measured 2 to 5 eps * ||T||_1 at 1001 to 4001 rows and 11 to
+    19 at 50001, around _residual_bound, which they are not held to.
 
-    Peak memory for a block of dim rows: (4k + 64) * dim * 8 bytes for the
-    Lanczos basis, and two k x dim arrays more to refine its vectors; dim^2 * 8
-    bytes for a whole block's vectors, and as much for stevd's workspace.
+    Peak memory for dim rows and k levels: (4k + 64) * dim * 8 bytes for
+    the Lanczos basis, and two k x dim arrays more to refine its vectors;
+    two k x dim arrays for bisection's vectors, O(dim) without them;
+    dim^2 * 8 bytes for a whole block's vectors, and as much for stevd's
+    workspace, only where dim <= 4k + 64. So every peak grows with k * dim.
 
     Without vectors Lanczos stops at its Ritz values, and the vectors of
     a full block are dropped. Such a block is still solved with them:
@@ -473,16 +473,16 @@ def _lowest_levels(sector: _Sector, k: int, vectors: bool):
     up to 43 eps * ||H||_1 from bisection's, where stevd's lay within 1.1.
     """
     _load_lapack()
-    truncated = _basis_cap(k) < sector.dim
-    if truncated and (vectors or _basis_cap(k) * sector.dim <= _KRYLOV_BASIS_LIMIT):
+    if _basis_cap(k) >= sector.dim:
+        vals, vecs = eigh_tridiagonal(sector.diag, sector.offdiag)
+        return vals[:k], vecs[:, :k] if vectors else None
+    if vectors or _basis_cap(k) * sector.dim <= _KRYLOV_BASIS_LIMIT:
         found = _krylov_levels(sector, k, vectors)
         if found is not None:
             return found
-    if truncated and not vectors:
-        return eigh_tridiagonal(sector.diag, sector.offdiag, eigvals_only=True, select="i",
-                                select_range=(0, k - 1)), None
-    vals, vecs = eigh_tridiagonal(sector.diag, sector.offdiag)
-    return vals[:k], vecs[:, :k] if vectors else None
+    found = eigh_tridiagonal(sector.diag, sector.offdiag, eigvals_only=not vectors,
+                             select="i", select_range=(0, k - 1))
+    return found if vectors else (found, None)
 
 
 def _diagonal_levels(sector: _Sector, k: int, vectors: bool):
@@ -602,14 +602,15 @@ def _krylov_levels(sector: _Sector, k: int, vectors: bool):
     numeric_spectrum's count finds that and asks again for more levels.
 
     None if the basis reaches _basis_cap(k) vectors before the k levels
-    converge. That happens when the top wanted levels lie in a dense
-    continuum far above a deep lowest level: on a 10^5-point delta well
-    of coupling 5 in a box of length 400 (lowest level -12.5),
-    (T - sigma)^-1 separates its 32nd and 33rd even levels by a relative
-    gap of 5e-4. It happens too when the second level lies far closer to
-    the lowest than the levels above do, as in a block of triply
-    degenerate levels: sigma then lies as close, and (T - sigma)^-1
-    amplifies the rounding of the upper levels past the residual bound.
+    converge; _lowest_levels then bisects the block. That happens when the
+    top wanted levels lie in a dense continuum far above a deep lowest
+    level: on a 10^5-point delta well of coupling 5 in a box of length 400
+    (lowest level -12.5), (T - sigma)^-1 separates its 32nd and 33rd even
+    levels by a relative gap of 5e-4. It happens too when the second level
+    lies far closer to the lowest than the levels above do, as in a block
+    of triply degenerate levels: sigma then lies as close, and
+    (T - sigma)^-1 amplifies the rounding of the upper levels past the
+    residual bound.
     """
     _load_lapack()
     d = sector.diag

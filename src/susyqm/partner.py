@@ -141,6 +141,7 @@ def box_to_free_scan(lengths, points_per_unit_length: float, *,
     lengths = [float(v) for v in lengths]
     if len(lengths) < 2 or any(b <= a for a, b in zip(lengths, lengths[1:])):
         raise ParameterError("need at least two strictly increasing lengths")
+    require_positive("points_per_length", points_per_unit_length)
     rows = []
     for length in lengths:
         points = length * points_per_unit_length
@@ -153,8 +154,6 @@ def box_to_free_scan(lengths, points_per_unit_length: float, *,
             raise ParameterError(
                 f"length {length!r} gets {n_points} grid points, fewer than the "
                 f"{n_levels + 1} box levels a scan of {n_levels} levels needs")
-        # a length below zero (at a negative density) is refused as its grid refuses it
-        require_positive("half_width", length / 2.0)
         h_box, par, _ = model_operators(ParticleInBox(length), n_points)
         h_partner = model_operators(SecSquaredPartner(length), n_points)[0]  # on the same grid
         box = numeric_spectrum(h_box, par, n_levels + 1, vectors=False)

@@ -312,12 +312,13 @@ def test_scan_needs_two_lengths(tmp_path, capsys):
 
 
 def test_a_negative_scan_length_is_refused_as_its_grid_refuses_it(tmp_path, capsys):
-    # a negative density makes the point count of a negative length positive
+    # a negative density would make the point count of a negative length
+    # positive: the scan refuses the density first, in its own words
     code = main(["scan", "--L-values=-3,-2", "--points-per-length=-200",
                  "--out", str(tmp_path / "s.csv")])
     assert code == 2
     assert capsys.readouterr().err == (
-        "configuration error: half_width must be positive and finite, got -1.5\n")
+        "configuration error: points_per_length must be positive and finite, got -200.0\n")
 
 
 def test_scan_underresolved_grid_fails_numerically(tmp_path, capsys):

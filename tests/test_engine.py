@@ -398,9 +398,11 @@ def test_krylov_solver_matches_dense_eigvalsh(name):
             # the second level lies within rounding (split) or 1e-6 (near_degenerate)
             # of the lowest, so sigma does too, and (T - sigma)^-1 amplifies the
             # rounding of the levels a spacing of 1 above past the residual bound:
-            # Lanczos gives up rather than return them, and _lowest_levels bisects
+            # Lanczos gives up rather than return them, and a truncated block's
+            # fallback, bisection and inverse iteration, must meet the same bounds
             assert name in ("split", "near_degenerate") and k > 2
-            continue
+            found = engine.eigh_tridiagonal(block.diag, block.offdiag, select="i",
+                                            select_range=(0, k - 1))
         vals, vecs = found
         # within a few eps * ||T||_1 of the dense solve, as bisection was
         np.testing.assert_allclose(vals, exact[:k], rtol=0, atol=4 * np.finfo(float).eps * norm)
@@ -486,33 +488,51 @@ def _delta_well_lanczos_cannot_resolve():
     return ops.delta_well_hamiltonian(grid, 5.0), ops.parity_operator(grid)
 
 
-def test_a_block_lanczos_cannot_resolve_falls_back_to_bisection(monkeypatch):
-    h, parity = _delta_well_lanczos_cannot_resolve()
-    calls = _spy_solves(monkeypatch)
-    spec = numeric_spectrum(h, parity, 32, vectors=False)
-    assert any(c.get("select") == "i" for c in calls)
-    _assert_near_bisection(spec.eigenvalues, h, parity)
-    # a spectrum of energies alone keeps no sectors, and a read makes no solve
-    assert spec.sectors == ()
-    with pytest.raises(ParameterError, match="no eigenvectors"):
-        spec.eigenvectors
-    _assert_vectors_only_from_whole_blocks(calls)
-
-
-def test_a_block_lanczos_cannot_resolve_is_solved_whole_for_its_vectors(monkeypatch):
+@pytest.mark.parametrize("vectors", [False, True])
+def test_a_block_lanczos_cannot_resolve_is_bisected(monkeypatch, vectors):
     h, parity = _delta_well_lanczos_cannot_resolve()
     calls = _spy_solves(monkeypatch)
     asked = _spy_krylov(monkeypatch)
-    spec = numeric_spectrum(h, parity, 32)
-    # the even block's Lanczos gave up, and stevd solved it whole; nothing was bisected
-    assert asked and any(not c for c in calls)
-    assert not any(c.get("select") == "i" for c in calls)
-    oracle = _bisection_levels(h, parity, 32)
-    bound = _WHOLE_EPS_FACTOR * np.finfo(float).eps * engine._norm1(h)
-    np.testing.assert_allclose(spec.eigenvalues, oracle, rtol=0, atol=bound)
-    vecs = spec.eigenvectors
-    resid = h.to_dense() @ vecs - vecs * spec.eigenvalues
-    assert np.max(np.abs(resid)) <= 1e-9 * engine._norm1(h)
+    spec = numeric_spectrum(h, parity, 32, vectors=vectors)
+    # the even block's Lanczos gave up and the block was bisected, for either
+    # kind of caller; no block was solved whole
+    assert asked and any(c.get("select") == "i" for c in calls)
+    assert all(c.get("select") for c in calls)
+    _assert_near_bisection(spec.eigenvalues, h, parity)
+    if not vectors:
+        # a spectrum of energies alone keeps no sectors, and a read makes no solve
+        assert spec.sectors == ()
+        with pytest.raises(ParameterError, match="no eigenvectors"):
+            spec.eigenvectors
+        assert all(c.get("eigvals_only") for c in calls)
+        return
+    # with vectors, inverse iteration gave every bisected level its vector
+    dense = h.to_dense()
+    for i, energy in enumerate(spec.eigenvalues):
+        v = spec.vector(i)
+        assert np.linalg.norm(dense @ v - energy * v) <= 1e-9 * engine._norm1(h)
+
+
+def test_a_bisected_block_of_50001_rows_keeps_its_vectors_in_bounded_memory(monkeypatch):
+    # the case of _krylov_levels' docstring: solved whole, its even block's vectors
+    # and stevd's workspace would take 20 GB. The request measured a traced peak of
+    # 72 MiB, most of it the 32 MiB Lanczos basis reserve and 25 MiB of vectors
+    grid = build_grid(200.0, 100001, "dirichlet")
+    h, parity = ops.delta_well_hamiltonian(grid, 5.0), ops.parity_operator(grid)
+    calls = _spy_solves(monkeypatch)
+    spec, peak = _traced_peak(lambda: numeric_spectrum(h, parity, 32))
+    assert peak < 2 ** 27
+    assert any(c.get("select") == "i" and not c.get("eigvals_only") for c in calls)
+    assert all(c.get("select") for c in calls)
+    _assert_near_bisection(spec.eigenvalues, h, parity)
+    # stein's residuals measured up to 14 eps * ||T||_1 here (see _lowest_levels)
+    for i, s in enumerate(spec.sectors):
+        rows = s.vectors.T
+        assert rows.shape == (np.count_nonzero(spec.sector_of == i), s.dim)
+        resid = (engine._tridiag_apply(s.diag, s.offdiag, rows)
+                 - rows * spec.eigenvalues[spec.sector_of == i][:, None])
+        assert np.all(np.linalg.norm(resid, axis=1) <= 2 * engine._residual_bound(s))
+    assert all(spec.vector(i).shape == (grid.n_points,) for i in range(32))
 
 
 def test_a_basis_over_the_memory_limit_is_bisected_without_vectors(monkeypatch):
@@ -659,6 +679,39 @@ def _assert_near_oracle(spec, grid, h, factor):
     np.testing.assert_allclose(spec.eigenvalues, exact, rtol=0, atol=bound)
 
 
+# sin of the angle between a computed and an exact eigenvector, at most
+# c * eps * ||H||_1 / gap; see _assert_near_exact_vectors
+_VECTOR_EPS_FACTOR = 1.0
+
+
+def _assert_near_exact_vectors(spec, grid, h):
+    """Every level's vector within c * eps * ||H||_1 / gap_j of the exact one, c = 1.
+
+    Between Dirichlet walls the stencil's level j = 1..n has the exact
+    vector sin(j pi (i + 1) / (n + 1)), i = 0..n-1, and gap_j is the
+    distance from its level to the nearest other one (Davis & Kahan,
+    SIAM J. Numer. Anal. 7 (1970)). sin(angle) is ||u - (u.v) v|| for unit
+    u and v: sqrt(1 - (u.v)^2) would cancel to about 1e-8, 10^4 in these
+    units at 10^5 points. It measured up to 0.43 eps * ||H||_1 / gap_j for
+    whole blocks (stevd, 1001 points), 0.15 for Lanczos and 0.09 for
+    bisection with inverse iteration (10^5 points, 16 and 64 levels), so
+    c = _VECTOR_EPS_FACTOR = 1.
+    """
+    n = grid.n_points
+    levels = three_point_levels(grid)
+    gaps = np.diff(levels)
+    gap = np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf])
+    i = np.arange(1, n + 1)
+    bound = _VECTOR_EPS_FACTOR * np.finfo(float).eps * engine._norm1(h)
+    for j in range(1, len(spec) + 1):
+        # the phase j (i + 1) / (n + 1) in half turns, reduced exactly below 2
+        exact = np.sin(np.pi * ((j * i) % (2 * (n + 1))) / (n + 1))
+        exact /= np.linalg.norm(exact)
+        u = spec.vector(j - 1)
+        sin_angle = np.linalg.norm(u - (u @ exact) * exact)
+        assert sin_angle <= bound / gap[j - 1]
+
+
 @pytest.mark.parametrize("path,boundary,n_points,n_levels,vectors", [
     ("whole", "dirichlet", 1001, 1001, True),
     ("whole", "dirichlet", 1001, 1001, False),
@@ -669,6 +722,7 @@ def _assert_near_oracle(spec, grid, h, factor):
     ("lanczos", "periodic", 100000, 33, False),
     ("lanczos", "dirichlet", 20001, 1, False),
     ("bisection", "dirichlet", 100001, 16, False),
+    ("bisection", "dirichlet", 100001, 16, True),
     # over the memory limit of energy-only requests, which a request for vectors never reads
     ("lanczos", "dirichlet", 100001, 64, True),
 ])
@@ -676,7 +730,9 @@ def test_every_solver_path_meets_the_exact_discrete_levels(monkeypatch, path, bo
                                                             n_points, n_levels, vectors):
     grid = build_grid(2.0 if boundary == "dirichlet" else 4.71, n_points, boundary)
     h = ops.hamiltonian(grid, lambda x: 0.0)
-    if path == "bisection":
+    if path == "bisection" and vectors:  # as if Lanczos did not converge
+        monkeypatch.setattr(engine, "_krylov_levels", lambda *args: None)
+    elif path == "bisection":
         monkeypatch.setattr(engine, "_KRYLOV_BASIS_LIMIT", 0)
     if not vectors:
         monkeypatch.setattr(engine, "_refine", lambda *args: pytest.fail("refined vectors"))
@@ -690,14 +746,18 @@ def test_every_solver_path_meets_the_exact_discrete_levels(monkeypatch, path, bo
     elif path == "lanczos":
         assert asked and not solves
     else:
-        assert not asked and solves and all(c.get("select") == "i" for c in solves)
+        assert bool(asked) == vectors and solves
+        assert all(c.get("select") == "i" for c in solves)
     # a whole block is solved with its vectors either way (see _lowest_levels)
-    assert all(bool(c.get("eigvals_only")) == (path == "bisection") for c in solves)
+    assert all(bool(c.get("eigvals_only")) == (path == "bisection" and not vectors)
+               for c in solves)
     # a spectrum of energies alone keeps no sectors; with vectors every level has one
     assert len(spec.sectors) == (2 if vectors else 0)
     if vectors:
         assert spec.eigenvectors.shape == (n_points, n_levels)
         assert all(spec.vector(i).shape == (n_points,) for i in range(n_levels))
+    if vectors and boundary == "dirichlet":
+        _assert_near_exact_vectors(spec, grid, h)
     if vectors and path == "lanczos":
         for i, s in enumerate(spec.sectors):
             rows = s.vectors.T
@@ -798,6 +858,58 @@ def test_non_tridiagonal_sector_is_refused():
     h = ops.LinearOperator(d2)
     with pytest.raises(ParameterError, match="not tridiagonal"):
         numeric_spectrum(h, ops.LinearOperator.from_permutation(np.arange(6)[::-1]), 2)
+
+
+def _box_hamiltonian_and_parity():
+    grid = build_grid(1.0, 101, "dirichlet")
+    return ops.hamiltonian(grid, lambda x: 0.0), ops.parity_operator(grid)
+
+
+def _with_entry(m, value):
+    """A copy of a CSR matrix whose first stored entry is value."""
+    m = m.copy()
+    m.data = m.data.astype(np.result_type(m.data, value))
+    m.data[0] = value
+    return m
+
+
+@pytest.mark.parametrize("case,message", [
+    ("too_many_levels", "n_levels 102 exceeds dimension 101"),
+    ("scaled_parity", "parity must be a linear 101x101 permutation matrix"),
+    ("antilinear", "needs a complex-linear Hamiltonian"),
+    ("imaginary_entry", "needs a real Hamiltonian"),
+    ("non_finite_entry", "the Hamiltonian has a non-finite entry"),
+])
+def test_numeric_spectrum_refuses_what_it_cannot_fold(case, message):
+    h, parity = _box_hamiltonian_and_parity()
+    n_levels = 102 if case == "too_many_levels" else 4
+    if case == "scaled_parity":  # twice a permutation matrix
+        parity = ops.LinearOperator(2.0 * parity.linear_matrix)
+    elif case == "antilinear":
+        h = ops.AntilinearOperator(h)
+    elif case == "imaginary_entry":
+        h = ops.LinearOperator(_with_entry(h.linear_matrix, 1.0 + 1e-3j))
+    elif case == "non_finite_entry":
+        h = ops.LinearOperator(_with_entry(h.linear_matrix, np.inf))
+    with pytest.raises(ParameterError, match=message):
+        numeric_spectrum(h, parity, n_levels)
+
+
+def test_a_complex_hamiltonian_with_real_entries_and_explicit_zeros_folds_as_its_real_part():
+    h, parity = _box_hamiltonian_and_parity()
+    expected = numeric_spectrum(h, parity, 8)
+    # complex entries whose imaginary parts are all zero are taken as real
+    as_complex = numeric_spectrum(ops.LinearOperator(h.linear_matrix.astype(complex)), parity, 8)
+    np.testing.assert_array_equal(as_complex.eigenvalues, expected.eigenvalues)
+    # explicit zeros two places off the diagonal couple nothing: dropped, they
+    # do not make the blocks look wider than tridiagonal
+    m = h.linear_matrix.tocoo()
+    far = np.arange(99)
+    rows, cols = np.r_[m.row, far, far + 2], np.r_[m.col, far + 2, far]
+    padded = sp.csr_array((np.r_[m.data, np.zeros(198)], (rows, cols)), shape=m.shape)
+    assert padded.nnz == m.nnz + 198
+    with_zeros = numeric_spectrum(ops.LinearOperator(padded), parity, 8)
+    np.testing.assert_array_equal(with_zeros.eigenvalues, expected.eigenvalues)
 
 
 @pytest.mark.parametrize("perm", [
@@ -1520,6 +1632,31 @@ def test_model_operators_build_each_catalog_model():
     np.testing.assert_array_equal(parity.to_dense(), t.linear_part.to_dense())
     with pytest.raises(ParameterError, match="unsupported model"):
         engine.model_operators("box", 63)
+
+
+def test_build_check_refuses_an_unknown_charge():
+    with pytest.raises(ParameterError, match="charge must be 'Q' or 'q', got 'x'"):
+        build_check(FreeParticle(2 * np.pi), "x", n_points=16)
+
+
+def test_ground_state_check_refuses_an_empty_spectrum():
+    empty = Spectrum(np.empty(0), np.empty(0, dtype=int))
+    with pytest.raises(ParameterError, match="spectrum is empty"):
+        ground_state_check(empty, charges=None)
+
+
+def test_the_action_table_is_refused_on_a_dirichlet_grid():
+    with pytest.raises(ParameterError, match="periodic grids"):
+        eq5_action_table(build_grid(1.0, 11, "dirichlet"), [0.0])
+
+
+def test_pair_invariance_without_pairs_is_zero_and_reads_no_vector():
+    # a spectrum of energies alone refuses every vector read: none is made
+    spec = _analytic_spectrum([0.0, 1.0, 2.0], ["even", "even", "odd"])
+    grid = build_grid(np.pi, 8, "periodic")
+    charge = ops.supercharge_Q(ops.momentum(grid), ops.parity_operator(grid), 1.0)
+    pairing = engine.PairingMap(pairs=[], unpaired=[0, 1, 2])
+    assert engine._pair_invariance(spec, pairing, charge) == 0.0
 
 
 def test_build_check_refuses_dirichlet_models():

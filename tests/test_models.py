@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from susyqm.engine import Spectrum, detect_pairing
 from susyqm.errors import ParameterError
 from susyqm.grid import build_grid
+from susyqm.partner import box_to_free_scan
 from susyqm import models
 
 
@@ -21,6 +22,9 @@ _ENERGIES_ONLY = Spectrum(np.array([0.0, 1.0, 1.0]), np.array([0, 0, 1]))
     ("lambda", models.delta_well_bound_state),
     ("half_width", lambda v: build_grid(v, 11, "dirichlet")),
     ("pair_tol", lambda v: detect_pairing(_ENERGIES_ONLY, v)),
+    # before any length's point count, which a negative density would make
+    # positive for a negative length
+    ("points_per_length", lambda v: box_to_free_scan([-3.0, -2.0], v)),
 ])
 @pytest.mark.parametrize("value", [0.0, -2.5, float("inf"), float("nan")])
 def test_a_parameter_not_positive_and_finite_is_refused_with_one_message(name, make, value):
@@ -187,6 +191,23 @@ def test_free_particle_standing_k0_single_even_state():
 
 def test_free_particle_traveling_k0_single_state():
     assert len(models.free_particle_states("traveling", [0.0])) == 1
+
+
+def test_free_particle_traveling_positive_k_gives_two_waves_of_no_parity():
+    k = 1.5
+    forward, backward = models.free_particle_states("traveling", [k])
+    assert (forward.label, backward.label) == ("exp(+ik x) k=1.5", "exp(-ik x) k=1.5")
+    assert forward.energy == backward.energy == 0.5 * k ** 2
+    assert forward.parity == backward.parity == models.NO_PARITY
+    x = np.linspace(-3.0, 3.0, 13)
+    np.testing.assert_array_equal(backward.evaluate(x), np.exp(-1j * k * x))
+    # each wave is the other's mirror image, and together they span the standing pair
+    np.testing.assert_array_equal(backward.evaluate(x), forward.evaluate(-x))
+    cos, sin = models.free_particle_states("standing", [k])
+    np.testing.assert_allclose((forward.evaluate(x) + backward.evaluate(x)) / 2,
+                               cos.evaluate(x), rtol=0, atol=1e-15)
+    np.testing.assert_allclose((forward.evaluate(x) - backward.evaluate(x)) / 2j,
+                               sin.evaluate(x), rtol=0, atol=1e-15)
 
 
 def test_free_particle_positive_k_pairs():

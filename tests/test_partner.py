@@ -133,6 +133,19 @@ def test_sampled_psi0_round_trip(box_grid, box_ground):
     assert max(result.pair_deviations) < 1e-3
 
 
+def test_partner_refuses_a_grid_with_no_points_off_the_wall_mask(box_ground):
+    grid = build_grid(np.pi / 2, 6, "dirichlet")
+    with pytest.raises(ParameterError, match="more than 6 grid points, got 6"):
+        partner_potential(box_ground, box_ground.energy, grid)
+
+
+def test_an_analytic_ground_state_without_a_derivative_is_refused(box_grid, box_ground):
+    samples_only = AnalyticState(energy=box_ground.energy, parity=box_ground.parity,
+                                 evaluate=box_ground.evaluate)
+    with pytest.raises(ParameterError, match="needs evaluate and derivative"):
+        superpotential(samples_only, box_grid)
+
+
 def test_partner_refuses_periodic_grid(box_ground):
     grid = build_grid(np.pi / 2, 64, "periodic")
     with pytest.raises(ParameterError, match="Dirichlet"):
