@@ -90,8 +90,10 @@ def partner_potential(psi0, e0: float, grid: Grid1D, *,
         wprime = -np.asarray(psi0.second_derivative(x), dtype=float) / vals + w ** 2
     else:
         wprime = np.gradient(w, grid.spacing, edge_order=1)
-    v_minus = 0.5 * (w ** 2 + wprime) + e0
-    v_plus = 0.5 * (w ** 2 - wprime) + e0
+    # a steep sampled state overflows W^2: the finiteness checks refuse it, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_minus = 0.5 * (w ** 2 + wprime) + e0
+        v_plus = 0.5 * (w ** 2 - wprime) + e0
     if not np.all(np.isfinite(v_minus)):
         raise ParameterError("partner potential is not finite at an interior point")
 
@@ -149,6 +151,10 @@ def box_to_free_scan(lengths, points_per_unit_length: float, *,
             raise ParameterError(
                 f"length {length!r} at {points_per_unit_length!r} points per unit "
                 "length gives no finite, positive point count")
+        # only the least length, the first, can be positive with a half that rounds to 0
+        if not length / 2 > 0:
+            raise ParameterError(
+                f"length {length!r} is too small for a grid: its half width rounds to zero")
         n_points = max(3, int(round(points)) - 1)
         if n_levels + 1 > n_points:
             raise ParameterError(

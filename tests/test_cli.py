@@ -463,6 +463,7 @@ def test_bad_parameter_exits_with_config_code(tmp_path, capsys):
     ["partner", "--model", "box", "--points", "101", "--levels", "0"],
     ["scan", "--L-values", "2,4", "--points-per-length", "20", "--levels", "0"],
     ["scan", "--L-values", "1,2", "--points-per-length", "1"],
+    ["scan", "--L-values", "5e-324,1", "--points-per-length", "1e300", "--levels", "2"],
     ["spectrum", "--model", "box", "--points", "101", "--L", "inf"],
     ["check", "--model", "free", "--charge", "q", "--points", "64", "--L", "1e-300"],
     ["eq5", "--points", "64", "--k-values", "nan"],

@@ -1288,6 +1288,52 @@ def test_closure_residual_of_the_nilpotent_squares_is_exactly_zero(free_setup, r
             assert engine._closure_residual(hm, ops.compose(c.action, c.action)) == 0.0
 
 
+def _closure_residual_of_the_doubled_square(h, square):
+    """The closure residual projected from 2 C^2 = ops.scale(square, 2.0), kept as its reference."""
+    anti = ops.scale(square, 2.0)
+    a, b = anti.linear_matrix, anti.antilinear_matrix
+    hm = h.linear_matrix
+    resid_sq = 0.0
+    if b is not None:
+        resid_sq += float(np.sum(np.abs(b.data) ** 2))
+    if a is not None and a.nnz:
+        n = hm.shape[0]
+        tr_h = hm.diagonal().sum()
+        g = np.array([[np.sum(np.abs(hm.data) ** 2), np.conj(tr_h)], [tr_h, n]])
+        rhs = np.array([hm.conj().multiply(a).sum(), a.diagonal().sum()])
+        coef = np.linalg.solve(g, rhs)
+        eye = ops.LinearOperator.from_diagonal(np.ones(n)).linear_matrix
+        resid = a - coef[0] * hm - coef[1] * eye
+        resid_sq += float(np.sum(np.abs(resid.data) ** 2))
+    return float(np.sqrt(resid_sq) / ops.frobenius_norm(h))
+
+
+@pytest.mark.parametrize("model", [FreeParticle(2 * np.pi), PlanarRotor(0.7, 40)])
+@pytest.mark.parametrize("charge", ["Q", "q"])
+def test_closure_residual_doubles_the_projection_of_the_square_bit_for_bit(model, charge):
+    # doubling is exact in binary floating point: projecting C^2 and doubling the
+    # distance gives the projection of 2 C^2 to the last bit
+    if isinstance(model, PlanarRotor):
+        g, s, h = ops.rotor_basis_operators(model.m_max, model.inertia)
+        mu = model.inertia
+    else:
+        _, s, grid = engine.model_operators(model, 128)
+        g, mu = ops.momentum(grid), 1.0
+        h = ops.momentum_squared_hamiltonian(g, mu)
+    charges = ops.supercharge_Q(g, s, mu) if charge == "Q" else ops.supercharge_q_pair(g, s, mu)
+    (_, c), (_, cdag) = engine._charges_of(charges)
+    # a square with a linear part off span{H, 1} and an antilinear part, so that
+    # every term of the residual is nonzero
+    rng = np.random.default_rng(13)
+    n = h.dimension
+    off = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.05)
+    squares = [ops.compose(c, c), ops.compose(cdag, cdag),
+               ops.MixedOperator(sp.csr_array(off + 1j * off.T), sp.csr_array(off))]
+    resids = [engine._closure_residual(h, sq) for sq in squares]
+    assert resids == [_closure_residual_of_the_doubled_square(h, sq) for sq in squares]
+    assert resids[2] > 0.0
+
+
 def _random_csr(dtype):
     rng = np.random.default_rng(11)
     m = rng.standard_normal((97, 97)) * (rng.random((97, 97)) < 0.1)
@@ -1596,6 +1642,71 @@ def test_charge_that_is_not_parity_odd_is_refused(rotor_setup):
                                  nilpotent_by_design=False)
         with pytest.raises(ParameterError, match="odd under parity"):
             engine._pair_invariance(spec, pairing, charge)
+
+
+def _sector_basis(sector):
+    """The full-space vectors of a sector's basis, n x dim."""
+    return dataclasses.replace(sector, vectors=np.eye(sector.dim)).unfold(np.arange(sector.dim))
+
+
+@pytest.mark.parametrize("system", ["rotor", "periodic"])
+def test_a_mixed_charge_whose_parts_share_entries_folds_as_their_sum(system):
+    # the rotor's reversal has one fixed point, a periodic grid's reflection two
+    if system == "rotor":
+        _, t, h = ops.rotor_basis_operators(6, 1.0)
+        parity = t.linear_part
+    else:
+        grid = build_grid(np.pi, 14, "periodic")
+        h, parity = ops.hamiltonian(grid, lambda x: 0.0), ops.parity_operator(grid)
+    even, odd = numeric_spectrum(h, parity, h.dimension).sectors
+    perm = even.perm
+    rng = np.random.default_rng(5)
+    n = len(perm)
+    mask = rng.random((n, n)) < 0.5
+
+    def odd_part():
+        # m - P m P over 2 is bit-exactly odd under parity
+        m = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * mask
+        return (m - m[np.ix_(perm, perm)]) / 2
+
+    a, b = odd_part(), odd_part()  # one mask: the parts share their places
+    assert np.count_nonzero((a != 0) & (b != 0)) > n
+    charge = ops.MixedOperator(sp.csr_array(a), sp.csr_array(b))
+    for block, source, target in zip(engine._fold_charge(charge, even, odd),
+                                     (even, odd), (odd, even)):
+        real, imag = block  # the nonzero real and the nonzero imaginary entries
+        x = rng.standard_normal((source.dim, 3))
+        # on real vectors A v + B conj(v) = (A + B) v
+        reference = _sector_basis(target).T @ ((a + b) @ (_sector_basis(source) @ x))
+        np.testing.assert_allclose(real @ x + 1j * (imag @ x), reference, rtol=0, atol=1e-13)
+
+
+def _spy(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+def test_fold_charge_reads_each_part_once_and_folds_once(monkeypatch, free_setup, rotor_setup):
+    grid, p, par, h_spec, _ = free_setup
+    lz, t, h = rotor_setup
+    calls = []
+    _spy(monkeypatch, engine, "_entries", calls)
+    _spy(monkeypatch, engine, "_fold", calls)
+    for (g, s, hm, parity), parts in (((lz, t, h, t.linear_part), {"Q": 1, "q": 2}),
+                                      ((p, par, h_spec, par), {"Q": 1, "q": 1})):
+        even, odd = numeric_spectrum(hm, parity, hm.dimension).sectors
+        for charge, count in parts.items():
+            charges = (ops.supercharge_Q(g, s, 1.0) if charge == "Q"
+                       else ops.supercharge_q_pair(g, s, 1.0))
+            for _, action in engine._charges_of(charges):
+                calls.clear()
+                engine._fold_charge(action, even, odd)
+                assert calls == ["_entries"] * count + ["_fold"], charge
 
 
 @pytest.mark.parametrize("model,charge,labels", [

@@ -245,6 +245,17 @@ def test_parity_labels_match_samples(x, n):
             assert state.evaluate(-x) == pytest.approx(-state.evaluate(x), abs=1e-12)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: models.box_levels(1.0, 0), "n_max must be at least 1, got 0"),
+    (lambda: models.sec_squared_partner_levels(1.0, 1), "n_max must be at least 2, got 1"),
+    (lambda: models.free_particle_states("bogus", [1.0]), "unknown representation 'bogus'"),
+    (lambda: models.rotor_states(1.0, -1), "m_max must be non-negative, got -1"),
+])
+def test_catalog_refuses_a_level_count_or_representation_it_has_no_states_for(call, message):
+    with pytest.raises(ParameterError, match=message):
+        call()
+
+
 def test_negative_wavenumber_rejected():
     with pytest.raises(ParameterError):
         models.free_particle_states("standing", [-1.0])

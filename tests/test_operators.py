@@ -165,6 +165,20 @@ def test_delta_well_requires_zero_point():
         ops.delta_well_hamiltonian(g, 1.0)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: ops.MixedOperator(None, None), "an operator needs at least one part"),
+    (lambda: ops.rotor_basis_operators(2, 1.0)[1].to_dense(),
+     "an operator with an antilinear part has no complex matrix"),
+    (lambda: ops.delta_well_hamiltonian(build_grid(5.0, 101, "dirichlet"), -1.0),
+     "delta-well coupling must be non-negative, got -1.0"),
+    (lambda: ops.delta_well_hamiltonian(build_grid(5.0, 100, "periodic"), 1.0),
+     "delta well is discretized on a Dirichlet grid"),
+])
+def test_an_operator_that_cannot_be_built_or_densified_is_refused(call, message):
+    with pytest.raises(ParameterError, match=message):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # supercharges on the periodic grid
 

@@ -1,3 +1,5 @@
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ from susyqm.errors import ParameterError
 from susyqm.grid import build_grid
 from susyqm.models import (AnalyticState, box_energy, box_levels,
                            delta_well_bound_state, sec_squared_potential)
+from susyqm import partner
 from susyqm.partner import box_to_free_scan, partner_potential, superpotential
 
 
@@ -146,6 +149,18 @@ def test_an_analytic_ground_state_without_a_derivative_is_refused(box_grid, box_
         superpotential(samples_only, box_grid)
 
 
+def test_a_sampled_state_whose_square_overflows_is_refused_without_warnings():
+    # W is about -2.5e301 at the sample of 1e-300: W^2 overflows, and the
+    # finiteness check refuses V_minus with no numpy warning first
+    grid = build_grid(1.0, 101, "dirichlet")
+    samples = np.cos(grid.points)
+    samples[50], samples[51] = 1e-300, 2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="partner potential is not finite"):
+            partner_potential(samples, 0.5, grid)
+
+
 def test_partner_refuses_periodic_grid(box_ground):
     grid = build_grid(np.pi / 2, 64, "periodic")
     with pytest.raises(ParameterError, match="Dirichlet"):
@@ -192,3 +207,19 @@ def test_scan_refuses_a_length_with_fewer_points_than_its_levels():
         box_to_free_scan([1.0, 2.0], 1.0, n_levels=4)
     # the same grid is enough for 2 levels
     assert [row.n_points for row in box_to_free_scan([1.0, 2.0], 1.0, n_levels=2)] == [3, 3]
+
+
+@pytest.mark.parametrize("lengths,per_length,message", [
+    ([1e300, 2e300], 1e300,
+     "length 1e+300 at 1e+300 points per unit length gives no finite, positive point count"),
+    ([5e-324, 1.0], 1e300,
+     "length 5e-324 is too small for a grid: its half width rounds to zero"),
+], ids=["no-point-count", "half-underflows"])
+def test_scan_refuses_a_first_length_in_its_own_words_before_any_grid(monkeypatch, lengths,
+                                                                      per_length, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scan built a grid before refusing a length")
+
+    monkeypatch.setattr(partner, "model_operators", refuse)
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        box_to_free_scan(lengths, per_length, n_levels=2)
