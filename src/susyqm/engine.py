@@ -1052,12 +1052,14 @@ def eq5_action_table(grid: Grid1D, k_list, *,
     modes = np.array([_whole_mode(k, grid.length) % n for k in ks], dtype=np.int64)
     ks = np.array(ks)
     kd = np.sin(ks * grid.spacing) / grid.spacing if substitute_dispersion else ks
-    pair = ops.supercharge_q_pair(ops.momentum(grid), ops.parity_operator(grid), 1.0)
-    q, qdag = ([sp.csr_array((d, m.indices, m.indptr), shape=m.shape, copy=True)
-                for d in (m.data.real, m.data.imag)]
-               for m in (charge.action.linear_matrix for charge in pair))
-    for part in (*q, *qdag):
-        part.eliminate_zeros()
+    q, qdag = [], []
+    for charge, split in zip(ops.supercharge_q_pair(ops.momentum(grid),
+                                                    ops.parity_operator(grid), 1.0), (q, qdag)):
+        m = charge.action.linear_matrix
+        # copies: .real and .imag share their data with the charge
+        split += [m.real.copy(), m.imag.copy()]
+        for part in split:
+            part.eliminate_zeros()
     # sample by modular phase: k*x_j = 2 pi * mode * (j - n/2) / n up to whole
     # turns, so reducing the integer phase keeps every argument below 2 pi
     # and the samples accurate to machine epsilon even near Nyquist
