@@ -31,9 +31,11 @@ scipy.linalg is imported on the first solve that needs LAPACK
 charges' folds and the eq5 table need none, and the import costs about
 8 MB resident and 40 ms.
 
-Criterion 3 is computed in those sector coordinates. Every supercharge
-is odd under the same parity, so the entries of its parts fold together,
-in one pass, into a block from the even sector to the odd one and a block
+Every charge set is a labelled pair (C, C^+), (Q, -Q) or (q, qdag): the
+criteria iterate it and read nilpotent_by_design from its first charge.
+Criterion 3 is computed in the sector coordinates. Every supercharge is
+odd under the same parity, so the entries of its parts fold together, in
+one pass, into a block from the even sector to the odd one and a block
 back; the pair leakage and the ground-state annihilation need the block
 eigenvectors and, for the ground state, one unfolded column, never the
 full-space eigenvectors. On unit block vectors the leakage is read off
@@ -137,7 +139,7 @@ def model_operators(model: ModelSpec, n_points: int | None):
     """
     if isinstance(model, PlanarRotor):
         _, t, h = ops.rotor_basis_operators(model.m_max, model.inertia)
-        return h, t.linear_part, None
+        return h, ops.LinearOperator(t.antilinear_matrix), None
     if isinstance(model, DeltaWell):
         grid = build_grid(model.box_length / 2.0, n_points, DIRICHLET)
         return ops.delta_well_hamiltonian(grid, model.coupling), ops.parity_operator(grid), grid
@@ -150,7 +152,7 @@ def model_operators(model: ModelSpec, n_points: int | None):
     return ops.hamiltonian(grid, potential), ops.parity_operator(grid), grid
 
 
-def numeric_spectrum(h: ops.LinearOperator, parity: ops.LinearOperator,
+def numeric_spectrum(h: ops.Operator, parity: ops.Operator,
                      n_levels: int, *, vectors: bool = True) -> Spectrum:
     """Lowest n_levels eigenpairs of h, each of definite parity.
 
@@ -292,7 +294,7 @@ class _Sector:
         return v
 
 
-def _involution(parity: ops.LinearOperator, n: int) -> np.ndarray:
+def _involution(parity: ops.Operator, n: int) -> np.ndarray:
     """The permutation pi of a parity operator P v = v[pi], required to be an involution."""
     m = parity.linear_matrix
     if (parity.antilinear_matrix is not None or m.shape != (n, n)
@@ -305,7 +307,7 @@ def _involution(parity: ops.LinearOperator, n: int) -> np.ndarray:
     return perm
 
 
-def _sectors(h: ops.LinearOperator, perm: np.ndarray) -> tuple[_Sector, _Sector]:
+def _sectors(h: ops.Operator, perm: np.ndarray) -> tuple[_Sector, _Sector]:
     """Even and odd tridiagonal blocks of h, folded from its CSR arrays in O(nnz)."""
     a = h.linear_matrix
     if a is None or h.antilinear_matrix is not None:
@@ -442,6 +444,14 @@ def _sector(sign: float, perm: np.ndarray, reps: np.ndarray,
             2.0 * float(np.dot(upper - lower, upper - lower)))
 
 
+# Most bytes a whole-block solve may take: stevd's dim x dim eigenvectors and
+# its workspace of as much again, about 16 * dim^2 bytes. Fixed, not read from
+# the machine, so that the exit code does not depend on the host. 2 GiB admits
+# the every-level check at 16384 points (even block 8193 rows: 16 * 8193^2 =
+# 1.07 GB) and refuses 32768 points (16385 rows: 16 * 16385^2 = 4.30 GB).
+_WHOLE_BLOCK_BYTES = 2 ** 31
+
+
 def _lowest_levels(sector: _Sector, k: int, vectors: bool):
     """The k lowest eigenvalues of a sector block and their block eigenvectors (or None).
 
@@ -465,6 +475,7 @@ def _lowest_levels(sector: _Sector, k: int, vectors: bool):
     two k x dim arrays for bisection's vectors, O(dim) without them;
     dim^2 * 8 bytes for a whole block's vectors, and as much for stevd's
     workspace, only where dim <= 4k + 64. So every peak grows with k * dim.
+    A whole block over _WHOLE_BLOCK_BYTES is refused before it is solved.
 
     Without vectors Lanczos stops at its Ritz values, and the vectors of
     a full block are dropped. Such a block is still solved with them:
@@ -472,8 +483,14 @@ def _lowest_levels(sector: _Sector, k: int, vectors: bool):
     rows, but on the sec^2 partner's blocks at 4001 points its values lay
     up to 43 eps * ||H||_1 from bisection's, where stevd's lay within 1.1.
     """
+    whole = _basis_cap(k) >= sector.dim
+    if whole and (need := 16 * sector.dim ** 2) > _WHOLE_BLOCK_BYTES:
+        raise ParameterError(
+            f"a whole parity block of {sector.dim} rows needs about {need / 1e9:.1f} GB of "
+            "eigenvectors and solver workspace, above the whole-block limit of "
+            f"{_WHOLE_BLOCK_BYTES / 1e9:.1f} GB; ask for fewer levels or points")
     _load_lapack()
-    if _basis_cap(k) >= sector.dim:
+    if whole:
         vals, vecs = eigh_tridiagonal(sector.diag, sector.offdiag)
         return vals[:k], vecs[:, :k] if vectors else None
     if vectors or _basis_cap(k) * sector.dim <= _KRYLOV_BASIS_LIMIT:
@@ -918,37 +935,29 @@ class AlgebraResiduals:
     closure: float
 
 
-def _charges_of(charges) -> list[tuple[str, ops.Operator]]:
-    """The two labelled actions of a charge set: q and qdag, or Q and its adjoint."""
-    if isinstance(charges, ops.Supercharge):
-        return [(charges.label, charges.action),
-                (charges.label + "_adjoint", charges.adjoint_action)]
-    return [(c.label, c.action) for c in charges]
-
-
-def algebra_residuals(h: ops.LinearOperator, charges) -> AlgebraResiduals:
+def algebra_residuals(h: ops.Operator, charges) -> AlgebraResiduals:
     """Residuals of the commutation, anticommutation, and nilpotency identities.
 
-    Antilinear charges are handled by action composition; products mixing
-    linear and antilinear parts conjugate the matrices they pass through.
+    charges is a pair (C, C^+). Antilinear charges are handled by action
+    composition; products mixing linear and antilinear parts conjugate the
+    matrices they pass through.
     """
-    (_, q), (_, qdag) = _charges_of(charges)
-    lead = charges if isinstance(charges, ops.Supercharge) else charges[0]
+    q, qdag = (c.action for c in charges)
     hn = ops.frobenius_norm(h)
     comm_hq = ops.frobenius_norm(ops.commutator(h, q)) / hn
     comm_hqdag = ops.frobenius_norm(ops.commutator(h, qdag)) / hn
     half_anti = ops.scale(ops.anticommutator(q, qdag), 0.5)
     anti = ops.frobenius_norm(ops.subtract(half_anti, h)) / hn
     squares = [ops.compose(q, q), ops.compose(qdag, qdag)]
-    nil_q, nil_qdag = ((ops.frobenius_norm(sq) / hn if lead.nilpotent_by_design else None)
-                       for sq in squares)
+    nilpotent = charges[0].nilpotent_by_design
+    nil_q, nil_qdag = (ops.frobenius_norm(sq) / hn if nilpotent else None for sq in squares)
     closure = max(_closure_residual(h, sq) for sq in squares)
     return AlgebraResiduals(comm_HQ=comm_hq, comm_HQdag=comm_hqdag,
                             anticomm_minus_H=anti, nilpotency_q=nil_q,
                             nilpotency_qdag=nil_qdag, closure=closure)
 
 
-def _closure_residual(h: ops.LinearOperator, square: ops.Operator) -> float:
+def _closure_residual(h: ops.Operator, square: ops.Operator) -> float:
     """Distance of {C, C} = 2 C^2 from span{H, 1}, relative to ||H||_F, given C^2.
 
     {Q, Q} = -2H for the parity/time-reversal charges and 0 for the
@@ -971,7 +980,7 @@ def _closure_residual(h: ops.LinearOperator, square: ops.Operator) -> float:
         g = np.array([[np.sum(np.abs(hm.data) ** 2), np.conj(tr_h)], [tr_h, n]])
         rhs = np.array([hm.conj().multiply(a).sum(), a.diagonal().sum()])
         coef = np.linalg.solve(g, rhs)
-        eye = ops.LinearOperator.from_diagonal(np.ones(n)).linear_matrix
+        eye = ops.from_diagonal(np.ones(n)).linear_matrix
         resid = a - coef[0] * hm - coef[1] * eye
         resid_sq += float(np.sum(np.abs(resid.data) ** 2))
     return 2.0 * float(np.sqrt(resid_sq) / ops.frobenius_norm(h))
@@ -1004,8 +1013,8 @@ def ground_state_check(spectrum: Spectrum, charges, energy_shift: float = 0.0,
     degeneracy = 1 + int(np.argmax(np.append(np.diff(vals) > tol, True)))
     psi0 = spectrum.vector(0)
     norm0 = np.linalg.norm(psi0)
-    residuals = {label: float(np.linalg.norm(action.apply(psi0)) / norm0)
-                 for label, action in _charges_of(charges)}
+    residuals = {c.label: float(np.linalg.norm(c.action.apply(psi0)) / norm0)
+                 for c in charges}
     return GroundRecord(energy=float(vals[0] - energy_shift), raw_energy=float(vals[0]),
                         degeneracy_count=degeneracy, annihilation_residuals=residuals)
 
@@ -1201,7 +1210,7 @@ def _pair_invariance(spectrum: Spectrum, pairing: PairingMap, charges) -> float:
     pairs = np.array([(i, j) for i, j, _ in pairing.pairs], dtype=int)
     cols = _block_columns(spectrum, pairs)
     even, odd = spectrum.sectors
-    folded = [_fold_charge(action, even, odd) for _, action in _charges_of(charges)]
+    folded = [_fold_charge(c.action, even, odd) for c in charges]
     floor = ANNIHILATED_IMAGE_TOL * (1.0 + np.sqrt(np.abs(spectrum.eigenvalues[pairs[:, 0]])))
     worst = 0.0
     for to_odd, to_even in folded:
@@ -1305,7 +1314,7 @@ def _leaks(block, u: np.ndarray | sp.csc_array, partner: np.ndarray | sp.csc_arr
 _ZERO_TOL_EPS_FACTOR = 4.0
 
 
-def _norm1(h: ops.LinearOperator) -> float:
+def _norm1(h: ops.Operator) -> float:
     """||h||_1, the largest absolute column sum, in O(nnz).
 
     One bincount over the CSR entries adds each column's |entries| in
@@ -1343,7 +1352,7 @@ def build_check(model: ModelSpec, charge: str, *, n_points: int = 512,
     if isinstance(model, PlanarRotor):
         # the charges need L_z and the time reversal T, which the parity alone does not give
         g, s, h_spec = ops.rotor_basis_operators(model.m_max, model.inertia)
-        mu, parity, h_alg = model.inertia, s.linear_part, h_spec
+        mu, parity, h_alg = model.inertia, ops.LinearOperator(s.antilinear_matrix), h_spec
         artifacts = []
         model_name = f"planar_rotor(I={model.inertia:g}, m_max={model.m_max})"
     else:
@@ -1353,8 +1362,7 @@ def build_check(model: ModelSpec, charge: str, *, n_points: int = 512,
         artifacts = [grid.n_points - 1]  # the Nyquist level; periodic grids are even
         model_name = f"free_particle(L={model.length:g})"
 
-    charges = (ops.supercharge_Q(g, s, mu) if charge == "Q"
-               else ops.supercharge_q_pair(g, s, mu))
+    charges = (ops.supercharge_Q if charge == "Q" else ops.supercharge_q_pair)(g, s, mu)
     spectrum = numeric_spectrum(h_spec, parity, h_spec.dimension)
     zero_tol = max(ZERO_TOL, _ZERO_TOL_EPS_FACTOR * float(_EPS) * _norm1(h_spec))
     shift = float(spectrum.eigenvalues[0]) if zero_point_reset else 0.0

@@ -1,10 +1,11 @@
 """Discrete operators and the supercharge construction.
 
-Every operator is one real-linear map v -> A v + B conj(v), with A and B
-held as scipy.sparse CSR matrices, or None when a part is absent.
-Complex-linear operators (LinearOperator) have B = None; antilinear ones
-(AntilinearOperator, such as time reversal) have A = None; sums of the
-two (MixedOperator) carry both. Stencils, parity and the rotor basis are
+Every operator is one class, MixedOperator (alias Operator): the
+real-linear map v -> A v + B conj(v), with A and B held as scipy.sparse
+CSR matrices, or None when a part is absent. LinearOperator(matrix)
+builds a complex-linear one (B = None) and AntilinearOperator(linear)
+an antilinear one such as time reversal (A = None); sums and products
+carry whichever parts arise. Stencils, parity and the rotor basis are
 built directly in CSR, so composing and applying them costs O(nnz), and
 nothing is densified unless an eigensolver needs a full matrix.
 
@@ -16,7 +17,8 @@ and an involution S that anticommutes with it give
 
 with G = p and S = parity (linear) for the free particle, and G = L_z and
 S = time reversal (antilinear) for the planar rotor; compose carries the
-antilinearity through.
+antilinearity through. Either way a charge set is one labelled pair
+(C, C^+): (Q, -Q) or (q, qdag).
 """
 
 from __future__ import annotations
@@ -39,10 +41,9 @@ def _csr(m):
 class MixedOperator:
     """Real-linear operator v -> A v + B conj(v) with sparse CSR parts.
 
-    Arises from sums of linear and antilinear operators (the rotor's
-    nilpotent charge pair) and from closing the algebra under
-    composition; linear and antilinear operators are the B = None and
-    A = None special cases.
+    The one operator class: a linear operator has B = None, an antilinear
+    one A = None, and sums and products of the two (the rotor's nilpotent
+    charge pair, the closed algebra) carry both.
     """
 
     def __init__(self, linear_matrix=None, antilinear_matrix=None):
@@ -89,60 +90,44 @@ class MixedOperator:
         # <A^+ w, v> = <A v, w> forces the transpose (not conjugate transpose)
         # on the antilinear part.
         a, b = self.linear_matrix, self.antilinear_matrix
-        return _wrap(None if a is None else a.conj().T, None if b is None else b.T)
-
-
-class LinearOperator(MixedOperator):
-    """Complex-linear operator: the B = None case."""
-
-    def __init__(self, matrix):
-        super().__init__(matrix, None)
-
-    @classmethod
-    def from_permutation(cls, perm) -> "LinearOperator":
-        """Permutation matrix acting as v -> v[perm]."""
-        perm = np.asarray(perm, dtype=int)
-        n = len(perm)
-        return cls(sp.csr_array((np.ones(n), perm, np.arange(n + 1)), shape=(n, n)))
-
-    @classmethod
-    def from_diagonal(cls, values) -> "LinearOperator":
-        """diag(values), built straight in CSR with the zero values left out.
-
-        The result equals sp.diags_array(values, format="csr") in data,
-        indices (int32 where they fit) and indptr, but skips the DIA
-        format that call goes through: about 37 us against 134 us at the
-        769 rows of a benchmark rotor.
-        """
-        values = np.asarray(values)
-        n = len(values)
-        index = np.int32 if n < 2 ** 31 else np.int64
-        cols = np.flatnonzero(values).astype(index)
-        indptr = np.zeros(n + 1, dtype=index)
-        np.cumsum(values != 0, out=indptr[1:])
-        return cls(sp.csr_array((values[cols], cols, indptr), shape=(n, n)))
-
-
-class AntilinearOperator(MixedOperator):
-    """Action v -> linear_part(conj(v)); A(alpha v) = conj(alpha) A(v) by construction."""
-
-    def __init__(self, linear_part: LinearOperator):
-        super().__init__(None, linear_part.linear_matrix)
-
-    @property
-    def linear_part(self) -> LinearOperator:
-        return LinearOperator(self.antilinear_matrix)
+        return MixedOperator(None if a is None else a.conj().T, None if b is None else b.T)
 
 
 Operator = MixedOperator
 
 
-def _wrap(a, b) -> Operator:
-    if b is None:
-        return LinearOperator(a)
-    if a is None:
-        return AntilinearOperator(LinearOperator(b))
-    return MixedOperator(a, b)
+def LinearOperator(matrix) -> Operator:
+    """The complex-linear operator v -> matrix v: the B = None case."""
+    return MixedOperator(matrix)
+
+
+def AntilinearOperator(linear: Operator) -> Operator:
+    """v -> linear(conj(v)), the A = None case; A(alpha v) = conj(alpha) A(v) by construction."""
+    return MixedOperator(None, linear.linear_matrix)
+
+
+def from_permutation(perm) -> Operator:
+    """Permutation matrix acting as v -> v[perm]."""
+    perm = np.asarray(perm, dtype=int)
+    n = len(perm)
+    return LinearOperator(sp.csr_array((np.ones(n), perm, np.arange(n + 1)), shape=(n, n)))
+
+
+def from_diagonal(values) -> Operator:
+    """diag(values), built straight in CSR with the zero values left out.
+
+    The result equals sp.diags_array(values, format="csr") in data,
+    indices (int32 where they fit) and indptr, but skips the DIA
+    format that call goes through: about 37 us against 134 us at the
+    769 rows of a benchmark rotor.
+    """
+    values = np.asarray(values)
+    n = len(values)
+    index = np.int32 if n < 2 ** 31 else np.int64
+    cols = np.flatnonzero(values).astype(index)
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(values != 0, out=indptr[1:])
+    return LinearOperator(sp.csr_array((values[cols], cols, indptr), shape=(n, n)))
 
 
 def _check_dims(x: Operator, y: Operator):
@@ -171,7 +156,7 @@ def compose(x: Operator, y: Operator) -> Operator:
     if xb is not None and ya is not None:
         t = xb @ ya.conj(copy=False)
         b = t if b is None else b + t
-    return _wrap(a, b)
+    return MixedOperator(a, b)
 
 
 def _combine(x: Operator, y: Operator, sign: float) -> Operator:
@@ -194,8 +179,8 @@ def _combine(x: Operator, y: Operator, sign: float) -> Operator:
             return v if sign > 0 else -v
         return u + v if sign > 0 else u - v
 
-    return _wrap(merge(x.linear_matrix, y.linear_matrix),
-                 merge(x.antilinear_matrix, y.antilinear_matrix))
+    return MixedOperator(merge(x.linear_matrix, y.linear_matrix),
+                         merge(x.antilinear_matrix, y.antilinear_matrix))
 
 
 def add(x: Operator, y: Operator) -> Operator:
@@ -208,7 +193,7 @@ def subtract(x: Operator, y: Operator) -> Operator:
 
 def scale(x: Operator, c: float) -> Operator:
     xa, xb = x.linear_matrix, x.antilinear_matrix
-    return _wrap(None if xa is None else c * xa, None if xb is None else c * xb)
+    return MixedOperator(None if xa is None else c * xa, None if xb is None else c * xb)
 
 
 def commutator(x: Operator, y: Operator) -> Operator:
@@ -250,7 +235,7 @@ def _stencil(n: int, lower, diag, upper, periodic: bool) -> sp.csr_array:
     return sp.csr_array((vals.ravel()[1:-1], cols.ravel()[1:-1], indptr), shape=(n, n))
 
 
-def second_derivative(grid: Grid1D) -> LinearOperator:
+def second_derivative(grid: Grid1D) -> Operator:
     """Three-point stencil (f_{j-1} - 2 f_j + f_{j+1}) / h^2.
 
     Dirichlet drops the out-of-range neighbors (wavefunction pinned to
@@ -261,19 +246,19 @@ def second_derivative(grid: Grid1D) -> LinearOperator:
                                    grid.boundary == PERIODIC))
 
 
-def momentum(grid: Grid1D) -> LinearOperator:
+def momentum(grid: Grid1D) -> Operator:
     """p = -i D1 with the central difference (f_{j+1} - f_{j-1}) / 2h."""
     inv2h = 1.0 / (2.0 * grid.spacing)
     return LinearOperator(_stencil(grid.n_points, 1j * inv2h, None, -1j * inv2h,
                                    grid.boundary == PERIODIC))
 
 
-def parity_operator(grid: Grid1D) -> LinearOperator:
+def parity_operator(grid: Grid1D) -> Operator:
     """Permutation matrix realizing x -> -x; squares to the identity exactly."""
-    return LinearOperator.from_permutation(parity_permutation(grid))
+    return from_permutation(parity_permutation(grid))
 
 
-def hamiltonian(grid: Grid1D, potential) -> LinearOperator:
+def hamiltonian(grid: Grid1D, potential) -> Operator:
     """H = -1/2 second_derivative + diag(V(x_j)); real symmetric.
 
     potential is either its samples V(x_j), one per grid point, or a
@@ -293,7 +278,7 @@ def hamiltonian(grid: Grid1D, potential) -> LinearOperator:
                                    grid.boundary == PERIODIC))
 
 
-def delta_well_hamiltonian(grid: Grid1D, lam: float) -> LinearOperator:
+def delta_well_hamiltonian(grid: Grid1D, lam: float) -> Operator:
     """Free Hamiltonian minus lam/h at the single x = 0 grid point."""
     if lam < 0:
         raise ParameterError(f"delta-well coupling must be non-negative, got {lam!r}")
@@ -319,10 +304,13 @@ _LABELS = {False: ("Q_eq3", "q_eq4", "qdag_eq4"), True: ("Q_eq7", "q_rotor", "qd
 
 @dataclass(frozen=True)
 class Supercharge:
-    """A supercharge together with its adjoint action and provenance label."""
+    """One charge of a charge set, with its provenance label.
+
+    nilpotent_by_design marks the charges of a nilpotent pair, whose
+    squares criterion 5 checks against zero.
+    """
 
     action: Operator
-    adjoint_action: Operator
     label: str
     nilpotent_by_design: bool
 
@@ -330,8 +318,8 @@ class Supercharge:
         return self.action.apply(v)
 
 
-def supercharge_Q(g: Operator, s: Operator, mu: float) -> Supercharge:
-    """Q = G S / sqrt(2 mu); the adjoint S G / sqrt(2 mu) equals -Q.
+def supercharge_Q(g: Operator, s: Operator, mu: float) -> tuple[Supercharge, Supercharge]:
+    """Q = G S / sqrt(2 mu) and its adjoint S G / sqrt(2 mu) = -Q, labelled <label>_adjoint.
 
     g is the symmetry generator and s an involution anticommuting with
     it, linear or antilinear. A Q whose adjoint is not -Q is refused with
@@ -346,8 +334,8 @@ def supercharge_Q(g: Operator, s: Operator, mu: float) -> Supercharge:
         raise NumericalContractError(
             f"{label}: expected the adjoint to equal the negated charge "
             f"(relative residual {resid / size:.2e})")
-    return Supercharge(action=action, adjoint_action=scale(action, -1.0), label=label,
-                       nilpotent_by_design=False)
+    return (Supercharge(action, label, nilpotent_by_design=False),
+            Supercharge(scale(action, -1.0), label + "_adjoint", nilpotent_by_design=False))
 
 
 def supercharge_q_pair(g: Operator, s: Operator,
@@ -360,14 +348,9 @@ def supercharge_q_pair(g: Operator, s: Operator,
     _check_dims(g, s)
     pref = 1.0 / np.sqrt(4.0 * mu)
     gs = compose(g, s)
-    q_act = scale(add(g, gs), pref)
-    qdag_act = scale(subtract(g, gs), pref)
     _, q_label, qdag_label = _LABELS[s.antilinear_matrix is not None]
-    q = Supercharge(action=q_act, adjoint_action=qdag_act, label=q_label,
-                    nilpotent_by_design=True)
-    qdag = Supercharge(action=qdag_act, adjoint_action=q_act, label=qdag_label,
-                       nilpotent_by_design=True)
-    return q, qdag
+    return (Supercharge(scale(add(g, gs), pref), q_label, nilpotent_by_design=True),
+            Supercharge(scale(subtract(g, gs), pref), qdag_label, nilpotent_by_design=True))
 
 
 def rotor_basis_operators(m_max: int, inertia: float):
@@ -375,17 +358,17 @@ def rotor_basis_operators(m_max: int, inertia: float):
 
     m_max and inertia are taken as a PlanarRotor validates them. L_z and H
     are diagonal in this basis and are built straight in CSR
-    (LinearOperator.from_diagonal), so the m = 0 entry of each is left out.
+    (from_diagonal), so the m = 0 entry of each is left out.
     """
     m = np.arange(-m_max, m_max + 1, dtype=float)
-    lz = LinearOperator.from_diagonal(m)
-    h = LinearOperator.from_diagonal(m ** 2 / (2.0 * inertia))
+    lz = from_diagonal(m)
+    h = from_diagonal(m ** 2 / (2.0 * inertia))
     reversal = np.arange(len(m))[::-1].copy()  # exp(i m phi) -> exp(-i m phi)
-    t = AntilinearOperator(LinearOperator.from_permutation(reversal))
+    t = AntilinearOperator(from_permutation(reversal))
     return lz, t, h
 
 
-def momentum_squared_hamiltonian(p: LinearOperator, mass: float) -> LinearOperator:
+def momentum_squared_hamiltonian(p: Operator, mass: float) -> Operator:
     """H = p^2 / 2m built from the same discrete momentum as the charges.
 
     The algebra identities H = {Q, Qdag}/2 and Q^2 = -H hold at machine

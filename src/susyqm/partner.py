@@ -18,7 +18,7 @@ import numpy as np
 from . import operators as ops
 from .engine import Spectrum, model_operators, numeric_spectrum
 from .errors import ParameterError, require_positive
-from .grid import DIRICHLET, Grid1D
+from .grid import DIRICHLET, MAX_POINTS, Grid1D
 from .models import AnalyticState, ParticleInBox, SecSquaredPartner
 
 WALL_MASK_CELLS = 3  # V_minus residuals are not meaningful within 3h of a wall
@@ -138,13 +138,14 @@ def box_to_free_scan(lengths, points_per_unit_length: float, *,
 
     Per length: the box ground energy E1 (which scales as pi^2/2L^2),
     the gap to E2, and how many of the lowest partner levels match the
-    box levels shifted by one index within pair_rel_tol.
+    box levels shifted by one index within pair_rel_tol. Every length's
+    point count is checked, up to grid.MAX_POINTS, before the first solve.
     """
     lengths = [float(v) for v in lengths]
     if len(lengths) < 2 or any(b <= a for a, b in zip(lengths, lengths[1:])):
         raise ParameterError("need at least two strictly increasing lengths")
     require_positive("points_per_length", points_per_unit_length)
-    rows = []
+    counts = []
     for length in lengths:
         points = length * points_per_unit_length
         if not 0 < points < np.inf:
@@ -156,10 +157,17 @@ def box_to_free_scan(lengths, points_per_unit_length: float, *,
             raise ParameterError(
                 f"length {length!r} is too small for a grid: its half width rounds to zero")
         n_points = max(3, int(round(points)) - 1)
+        if n_points > MAX_POINTS:
+            raise ParameterError(
+                f"length {length:g} at {points_per_unit_length:g} points per unit length "
+                f"gives more than the {MAX_POINTS} points a grid may have")
         if n_levels + 1 > n_points:
             raise ParameterError(
                 f"length {length!r} gets {n_points} grid points, fewer than the "
                 f"{n_levels + 1} box levels a scan of {n_levels} levels needs")
+        counts.append(n_points)
+    rows = []
+    for length, n_points in zip(lengths, counts):
         h_box, par, _ = model_operators(ParticleInBox(length), n_points)
         h_partner = model_operators(SecSquaredPartner(length), n_points)[0]  # on the same grid
         box = numeric_spectrum(h_box, par, n_levels + 1, vectors=False)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from susyqm import engine, operators as ops
+from susyqm import engine, operators as ops, partner
 from susyqm.cli import UNITS, _csv_rows, _report_json, build_parser, fmt, main
 from susyqm.errors import NumericalContractError, ParameterError, PotentialEvaluationError
 from susyqm.grid import MAX_POINTS, build_grid
@@ -319,6 +320,22 @@ def test_a_negative_scan_length_is_refused_as_its_grid_refuses_it(tmp_path, caps
     assert code == 2
     assert capsys.readouterr().err == (
         "configuration error: points_per_length must be positive and finite, got -200.0\n")
+
+
+def test_a_scan_refuses_an_oversized_length_before_its_first_solve(monkeypatch, tmp_path,
+                                                                  capsys):
+    solved = []
+    solve = partner.numeric_spectrum
+    monkeypatch.setattr(partner, "numeric_spectrum",
+                        lambda *a, **kw: solved.append(a) or solve(*a, **kw))
+    code = main(["scan", "--L-values", "1,1e300", "--points-per-length", "10", "--levels", "2",
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == (f"configuration error: length 1e+300 at 10 points per unit length gives "
+                   f"more than the {MAX_POINTS} points a grid may have\n")
+    assert max(map(len, re.findall(r"\d+", err))) <= 12
+    assert not solved  # not even the length-1 box before it
 
 
 def test_scan_underresolved_grid_fails_numerically(tmp_path, capsys):

@@ -69,13 +69,13 @@ def test_free_periodic_zero_simple_positive_doubly_degenerate(free_setup):
 
 def test_rotor_spectrum_exact():
     _, t, h = ops.rotor_basis_operators(3, 1.0)
-    spec = numeric_spectrum(h, t.linear_part, 7)
+    spec = numeric_spectrum(h, ops.LinearOperator(t.antilinear_matrix), 7)
     np.testing.assert_allclose(spec.eigenvalues, [0, .5, .5, 2, 2, 4.5, 4.5], atol=1e-14)
 
 
 def test_numeric_spectrum_rejects_non_hermitian():
     bad = ops.LinearOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    ident = ops.LinearOperator.from_permutation([0, 1])
+    ident = ops.from_permutation([0, 1])
     with pytest.raises(NumericalContractError):
         numeric_spectrum(bad, ident, 2)
 
@@ -167,20 +167,20 @@ def _double_well(grid):
 def test_exact_size_requests_return_the_lowest_levels(monkeypatch, name, n_levels):
     if name == "rotor":  # a diagonal H: sorted diagonals and unit vectors, no solve
         _, t, h = ops.rotor_basis_operators(8, 1.0)
-        parity = t.linear_part
+        parity = ops.LinearOperator(t.antilinear_matrix)
     elif name == "split_triples":
         # triply degenerate levels coupled only by off-diagonals far below
         # bisection's split threshold: inverse iteration on the unsplit block
         # would return vectors that are neither orthogonal nor eigenvectors
         h = _tridiag(np.repeat(np.arange(1.0, 11.0), 3),
                      np.where(np.arange(29) % 3, 1e-300, 1e-20))
-        parity = ops.LinearOperator.from_permutation(np.arange(30))
+        parity = ops.from_permutation(np.arange(30))
     elif name == "deep_odd":
         # the middle pair's coupling cancels its diagonal in the even block and
         # doubles it in the odd one, so the lowest level lies in the odd sector,
         # which is first asked for none, far below the even block's whole range
         h = _tridiag([0.0, 0.0, -500.0, -500.0, 0.0, 0.0], [0.1, 0.1, 500.0, 0.1, 0.1])
-        parity = ops.LinearOperator.from_permutation(np.arange(6)[::-1])
+        parity = ops.from_permutation(np.arange(6)[::-1])
     elif name in ("box", "double_well"):
         grid = build_grid(2.0, 201, "dirichlet")
         h = _double_well(grid) if name == "double_well" else ops.hamiltonian(grid, lambda x: 0.0)
@@ -196,7 +196,7 @@ def test_exact_size_requests_return_the_lowest_levels(monkeypatch, name, n_level
         coupling = np.r_[np.full(33, -0.5), 0.0, np.full(5, -0.5)]
         h = _tridiag(chain, coupling)
         perm = np.arange(40) if name == "all_fixed" else np.r_[np.arange(34), np.arange(39, 33, -1)]
-        parity = ops.LinearOperator.from_permutation(perm)
+        parity = ops.from_permutation(perm)
     calls = _spy_solves(monkeypatch)
     asked = _spy_krylov(monkeypatch)
     spec = numeric_spectrum(h, parity, n_levels)
@@ -252,7 +252,7 @@ def _unfold_reference(sector, u, out, cols):
 def test_gather_unfold_matches_the_two_branch_reference(monkeypatch, name, whole):
     if name == "rotor":  # diagonal blocks: unit vectors in CSC form
         _, t, h = ops.rotor_basis_operators(100, 1.0)
-        parity = t.linear_part
+        parity = ops.LinearOperator(t.antilinear_matrix)
     else:
         boundary, n = {"dirichlet_odd": ("dirichlet", 201), "dirichlet_even": ("dirichlet", 200),
                        "periodic": ("periodic", 200)}[name]
@@ -291,6 +291,45 @@ def _traced_peak(run):
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("dim,admitted", [(8193, True), (11585, True), (11586, False),
+                                          (16385, False)])
+def test_whole_block_solves_stop_at_a_fixed_ceiling(monkeypatch, dim, admitted):
+    # 16 * dim^2 bytes against 2^31: 8193 rows (16384 points) in, 16385 rows
+    # (32768 points) out, and the ceiling between 11585 and 11586 rows
+    calls = []
+    monkeypatch.setattr(engine, "eigh_tridiagonal",
+                        lambda d, e, **kw: calls.append(kw) or (d, np.zeros((len(d), 1))))
+    sector = engine._Sector(sign=1.0, reps=np.arange(dim), perm=np.arange(dim),
+                            diag=np.zeros(dim), offdiag=np.ones(dim - 1))
+    if admitted:
+        engine._lowest_levels(sector, dim, vectors=True)
+        assert calls == [{}]
+    else:
+        with pytest.raises(ParameterError, match=f"whole parity block of {dim} rows"):
+            engine._lowest_levels(sector, dim, vectors=True)
+        assert not calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--model", "free", "--charge", "q", "--points", "32768"],
+    ["spectrum", "--model", "box", "--points", "32769", "--levels", "32769"],
+])
+def test_a_whole_block_over_the_ceiling_is_refused_in_one_line_before_its_solve(
+        monkeypatch, tmp_path, capsys, argv):
+    def refuse(*args, **kwargs):  # a solve here would allocate the 4.3 GB
+        raise AssertionError("the block was solved")
+
+    monkeypatch.setattr(engine, "eigh_tridiagonal", refuse)
+    code, peak = _traced_peak(lambda: main([*argv, "--out", str(tmp_path / "x")]))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "configuration error: a whole parity block of 16385 rows needs about 4.3 GB of "
+        "eigenvectors and solver workspace, above the whole-block limit of 2.1 GB; "
+        "ask for fewer levels or points\n")
+    # what was built before the refusal, under 1% of the 4.3 GB refused
+    assert peak < 2 ** 25
+
+
 def test_a_whole_eigenvector_read_peaks_near_its_output_with_the_same_bits():
     grid = build_grid(np.pi, 2048, "periodic")
     spec = numeric_spectrum(ops.hamiltonian(grid, lambda x: 0.0), ops.parity_operator(grid),
@@ -326,10 +365,14 @@ def test_rotor_spectrum_at_m_max_50000_is_exact_in_linear_memory(monkeypatch, tm
 def test_rotor_check_at_m_max_50000_passes_in_linear_memory(monkeypatch, tmp_path):
     calls = _spy_solves(monkeypatch)
     asked = _spy_krylov(monkeypatch)
+    # diagonal blocks never reach _lowest_levels, so its whole-block ceiling never applies
+    reached = []
+    lowest = engine._lowest_levels
+    monkeypatch.setattr(engine, "_lowest_levels", lambda *a: reached.append(a) or lowest(*a))
     out = tmp_path / "check.json"
     assert main(["check", "--model", "rotor", "--charge", "q", "--m-max", "50000",
                  "--out", str(out)]) == 0
-    assert not calls and not asked
+    assert not calls and not asked and not reached
     report = json.loads(out.read_text())
     assert report["all_applicable_pass"]
     assert report["pair_invariance_residual"] == 0.0
@@ -343,15 +386,14 @@ def test_unit_vector_leakage_is_summed_off_the_partner_row():
     # a charge leaking 1e-9 of each image to the neighbouring m: image^2 - coef^2
     # would cancel to rounding (about 1e-8 after the square root), not 1e-9
     lz, t, h = ops.rotor_basis_operators(40, 1.0)
-    spec = numeric_spectrum(h, t.linear_part, h.dimension)
+    spec = numeric_spectrum(h, ops.LinearOperator(t.antilinear_matrix), h.dimension)
     assert sp.issparse(spec.sectors[1].vectors)
     shift = sp.diags_array([np.ones(80), np.ones(80)], offsets=[-1, 1], format="csr")
     # Lz is odd under m -> -m and the shift even, so their product is odd
     action = ops.LinearOperator(lz.linear_matrix + 1e-9 * (lz.linear_matrix @ shift))
-    charge = ops.Supercharge(action=action, adjoint_action=action, label="C",
-                             nilpotent_by_design=False)
+    charge = ops.Supercharge(action, "C", nilpotent_by_design=False)
     pairing = detect_pairing(spec)
-    leak = engine._pair_invariance(spec, pairing, charge)
+    leak = engine._pair_invariance(spec, pairing, (charge, charge))
     expected = _pair_invariance_loop(spec, pairing, [action])
     assert 1e-10 < expected < 1e-8
     assert leak == pytest.approx(expected, rel=1e-6)
@@ -367,7 +409,7 @@ def _krylov_block(name):
         h, perm = ops.delta_well_hamiltonian(grid, 2.0), parity_permutation(grid)
     elif name == "diagonal":  # the rotor's H
         _, t, h = ops.rotor_basis_operators(40, 1.0)
-        perm = t.linear_part.linear_matrix.indices
+        perm = t.antilinear_matrix.indices
     elif name == "split":  # triples coupled far below any split threshold
         h = _tridiag(np.repeat(np.arange(1.0, 11.0), 3),
                      np.where(np.arange(29) % 3, 1e-300, 1e-20))
@@ -646,13 +688,13 @@ def test_reading_a_vector_no_solve_made_is_refused(monkeypatch, source):
     else:
         spec = _analytic_spectrum([0.0, 1.0, 1.0], ["even", "even", "odd"])
     grid = build_grid(np.pi, 8, "periodic")
-    charge = ops.supercharge_Q(ops.momentum(grid), ops.parity_operator(grid), 1.0)
+    charges = ops.supercharge_Q(ops.momentum(grid), ops.parity_operator(grid), 1.0)
     labels = spec.parity_labels
     pairing = engine.PairingMap(pairs=[(labels.index("even"), labels.index("odd"), 0.0)],
                                 unpaired=[])
     for read in (lambda: spec.eigenvectors, lambda: spec.vector(0),
-                 lambda: ground_state_check(spec, charge),
-                 lambda: engine._pair_invariance(spec, pairing, charge)):
+                 lambda: ground_state_check(spec, charges),
+                 lambda: engine._pair_invariance(spec, pairing, charges)):
         with pytest.raises(ParameterError, match="no eigenvectors"):
             read()
 
@@ -775,7 +817,7 @@ def test_the_diagonal_path_meets_the_exact_discrete_levels(monkeypatch, vectors)
     grid = build_grid(4.71, 4096, "periodic")
     m = np.arange(grid.n_points)
     half_angle = np.minimum(m, grid.n_points - m) * (np.pi / grid.n_points)
-    h = ops.LinearOperator.from_diagonal(2.0 * np.sin(half_angle) ** 2 / grid.spacing ** 2)
+    h = ops.from_diagonal(2.0 * np.sin(half_angle) ** 2 / grid.spacing ** 2)
     calls = _spy_solves(monkeypatch)
     asked = _spy_krylov(monkeypatch)
     spec = numeric_spectrum(h, ops.parity_operator(grid), grid.n_points, vectors=vectors)
@@ -847,7 +889,7 @@ def test_odd_potential_is_refused(boundary, n):
 def test_non_involution_parity_is_refused():
     grid = build_grid(1.0, 5, "dirichlet")
     h = ops.hamiltonian(grid, lambda x: 0.0)
-    cycle = ops.LinearOperator.from_permutation([1, 2, 3, 4, 0])
+    cycle = ops.from_permutation([1, 2, 3, 4, 0])
     with pytest.raises(ParameterError, match="involution"):
         numeric_spectrum(h, cycle, 2)
 
@@ -857,7 +899,7 @@ def test_non_tridiagonal_sector_is_refused():
     d2 = np.diag(np.full(6, 2.0)) + np.diag(np.ones(4), 2) + np.diag(np.ones(4), -2)
     h = ops.LinearOperator(d2)
     with pytest.raises(ParameterError, match="not tridiagonal"):
-        numeric_spectrum(h, ops.LinearOperator.from_permutation(np.arange(6)[::-1]), 2)
+        numeric_spectrum(h, ops.from_permutation(np.arange(6)[::-1]), 2)
 
 
 def _box_hamiltonian_and_parity():
@@ -920,13 +962,13 @@ def test_lopsided_sectors_regrow_their_request(perm):
     # the lowest k levels lie far more than ceil(k/2) + 1 deep in the even sector
     d = np.r_[np.arange(34.0), np.full(6, 100.0)]
     h = _tridiag(d, np.zeros(39))
-    spec = numeric_spectrum(h, ops.LinearOperator.from_permutation(perm), 20)
+    spec = numeric_spectrum(h, ops.from_permutation(perm), 20)
     np.testing.assert_array_equal(spec.eigenvalues, np.arange(20.0))
     assert spec.parity_labels == ["even"] * 20
     # with a coupling the blocks stay tridiagonal and the levels still match
     grid = build_grid(1.0, 40, "dirichlet")
     h = ops.hamiltonian(grid, lambda x: 0.0)
-    spec = numeric_spectrum(h, ops.LinearOperator.from_permutation(np.arange(40)), 12)
+    spec = numeric_spectrum(h, ops.from_permutation(np.arange(40)), 12)
     np.testing.assert_allclose(spec.eigenvalues, np.linalg.eigvalsh(h.to_dense())[:12],
                                rtol=1e-12)
 
@@ -1069,7 +1111,7 @@ def _analytic_spectrum(energies, parities):
 
 def test_rotor_pairing():
     _, t, h = ops.rotor_basis_operators(4, 1.0)
-    spec = numeric_spectrum(h, t.linear_part, 9)
+    spec = numeric_spectrum(h, ops.LinearOperator(t.antilinear_matrix), 9)
     pm = detect_pairing(spec)
     assert len(pm.pairs) == 4
     assert pm.unpaired == [0]
@@ -1217,8 +1259,8 @@ def test_vectorized_pairing_matches_per_level_loop(clusters, pair_tol, data):
 
 def test_free_Q_algebra(free_setup):
     _, p, par, _, h_alg = free_setup
-    q = ops.supercharge_Q(p, par, 1.0)
-    res = algebra_residuals(h_alg, q)
+    charges = ops.supercharge_Q(p, par, 1.0)
+    res = algebra_residuals(h_alg, charges)
     assert res.comm_HQ <= 1e-12
     assert res.comm_HQdag <= 1e-12
     assert res.anticomm_minus_H <= 1e-12
@@ -1256,8 +1298,8 @@ def test_algebra_residuals_compose_each_charge_square_once(monkeypatch, free_set
 
 def test_rotor_Q_algebra(rotor_setup):
     lz, t, h = rotor_setup
-    q = ops.supercharge_Q(lz, t, 1.0)
-    res = algebra_residuals(h, q)
+    q, qdag = ops.supercharge_Q(lz, t, 1.0)
+    res = algebra_residuals(h, (q, qdag))
     assert res.comm_HQ == 0.0
     assert res.anticomm_minus_H <= 1e-15  # only the 1/2 scaling rounds
     # -Q.Q = H exactly on the basis (up to signed zeros)
@@ -1302,7 +1344,7 @@ def _closure_residual_of_the_doubled_square(h, square):
         g = np.array([[np.sum(np.abs(hm.data) ** 2), np.conj(tr_h)], [tr_h, n]])
         rhs = np.array([hm.conj().multiply(a).sum(), a.diagonal().sum()])
         coef = np.linalg.solve(g, rhs)
-        eye = ops.LinearOperator.from_diagonal(np.ones(n)).linear_matrix
+        eye = ops.from_diagonal(np.ones(n)).linear_matrix
         resid = a - coef[0] * hm - coef[1] * eye
         resid_sq += float(np.sum(np.abs(resid.data) ** 2))
     return float(np.sqrt(resid_sq) / ops.frobenius_norm(h))
@@ -1321,7 +1363,7 @@ def test_closure_residual_doubles_the_projection_of_the_square_bit_for_bit(model
         g, mu = ops.momentum(grid), 1.0
         h = ops.momentum_squared_hamiltonian(g, mu)
     charges = ops.supercharge_Q(g, s, mu) if charge == "Q" else ops.supercharge_q_pair(g, s, mu)
-    (_, c), (_, cdag) = engine._charges_of(charges)
+    c, cdag = (x.action for x in charges)
     # a square with a linear part off span{H, 1} and an antilinear part, so that
     # every term of the residual is nonzero
     rng = np.random.default_rng(13)
@@ -1361,9 +1403,9 @@ def test_norm1_matches_the_sparse_column_sum_bit_for_bit(make):
 
 def test_free_ground_state(free_setup):
     grid, p, par, h_spec, _ = free_setup
-    q = ops.supercharge_Q(p, par, 1.0)
+    charges = ops.supercharge_Q(p, par, 1.0)
     spec = numeric_spectrum(h_spec, par, 8)
-    rec = ground_state_check(spec, q)
+    rec = ground_state_check(spec, charges)
     assert rec.degeneracy_count == 1
     assert abs(rec.energy) < 1e-10
     assert max(rec.annihilation_residuals.values()) < 1e-10
@@ -1375,8 +1417,8 @@ def test_delta_well_ground_with_zero_point_reset():
     par = ops.parity_operator(grid)
     spec = numeric_spectrum(h, par, 4)
     p = ops.momentum(grid)
-    q = ops.supercharge_Q(p, par, 1.0)
-    rec = ground_state_check(spec, q, energy_shift=float(spec.eigenvalues[0]))
+    charges = ops.supercharge_Q(p, par, 1.0)
+    rec = ground_state_check(spec, charges, energy_shift=float(spec.eigenvalues[0]))
     assert rec.raw_energy == pytest.approx(-0.5, abs=1e-2)
     assert rec.energy == 0.0
     assert rec.degeneracy_count == 1
@@ -1384,9 +1426,9 @@ def test_delta_well_ground_with_zero_point_reset():
 
 def test_rotor_ground_state(rotor_setup):
     lz, t, h = rotor_setup
-    q = ops.supercharge_Q(lz, t, 1.0)
-    spec = numeric_spectrum(h, t.linear_part, 7)
-    rec = ground_state_check(spec, q)
+    charges = ops.supercharge_Q(lz, t, 1.0)
+    spec = numeric_spectrum(h, ops.LinearOperator(t.antilinear_matrix), 7)
+    rec = ground_state_check(spec, charges)
     assert rec.degeneracy_count == 1 and rec.energy == 0.0
     assert max(rec.annihilation_residuals.values()) == 0.0
 
@@ -1397,7 +1439,7 @@ def test_ground_cluster_ends_at_the_solver_accuracy_not_the_top_level():
     lz, t, _ = ops.rotor_basis_operators(4, 1.0)
     h = ops.LinearOperator(sp.diags_array([1e9, 2.0, 1.0, 0.5, 0.0, 0.5, 1.0, 2.0, 1e9],
                                           format="csr"))
-    spec = numeric_spectrum(h, t.linear_part, 9)
+    spec = numeric_spectrum(h, ops.LinearOperator(t.antilinear_matrix), 9)
     np.testing.assert_array_equal(spec.eigenvalues, [0, .5, .5, 1, 1, 2, 2, 1e9, 1e9])
     rec = ground_state_check(spec, ops.supercharge_Q(lz, t, 1.0))
     assert rec.degeneracy_count == 1 and rec.energy == 0.0
@@ -1577,9 +1619,8 @@ def _random_even_system(model, charge, rng):
         e = np.zeros(40) if model == "rotor_diagonal" else rng.uniform(-1.0, 1.0, 40)
         # couplings symmetric under m -> -m keep h even and its blocks tridiagonal
         h = _tridiag(rng.uniform(0.0, 50.0, 41)[m], np.r_[e, e[::-1]])
-        parity = s.linear_part
-    q, qdag = ((ops.supercharge_Q(g, s, mu), None) if charge == "Q"
-               else ops.supercharge_q_pair(g, s, mu))
+        parity = ops.LinearOperator(s.antilinear_matrix)
+    q, qdag = (ops.supercharge_Q if charge == "Q" else ops.supercharge_q_pair)(g, s, mu)
     return numeric_spectrum(h, parity, h.dimension), q, qdag
 
 
@@ -1591,9 +1632,9 @@ def test_batched_pair_invariance_matches_per_vector_loop(charge):
     for model in ("free", "rotor", "rotor_diagonal"):
         spec, q, qdag = _random_even_system(model, charge, rng)
         assert sp.issparse(spec.sectors[0].vectors) == (model == "rotor_diagonal")
-        actions = [q.action, q.adjoint_action if qdag is None else qdag.action]
+        actions = [q.action, qdag.action]
         # the one-column unfold of the ground state, before any full unfold
-        charges = q if qdag is None else (q, qdag)
+        charges = (q, qdag)
         ground = ground_state_check(spec, charges)
         even = rng.permutation([i for i, s in enumerate(spec.parity_labels) if s == "even"])
         odd = rng.permutation([i for i, s in enumerate(spec.parity_labels) if s == "odd"])
@@ -1634,14 +1675,13 @@ def test_check_never_unfolds_the_spectrum(monkeypatch, model, charge):
 
 def test_charge_that_is_not_parity_odd_is_refused(rotor_setup):
     lz, t, h = rotor_setup
-    spec = numeric_spectrum(h, t.linear_part, h.dimension)
+    spec = numeric_spectrum(h, ops.LinearOperator(t.antilinear_matrix), h.dimension)
     pairing = detect_pairing(spec)
     # even; and a sum whose parts are not odd, though A + B is
     for action in (h, ops.MixedOperator(lz.linear_matrix - h.linear_matrix, h.linear_matrix)):
-        charge = ops.Supercharge(action=action, adjoint_action=action, label="C",
-                                 nilpotent_by_design=False)
+        charge = ops.Supercharge(action, "C", nilpotent_by_design=False)
         with pytest.raises(ParameterError, match="odd under parity"):
-            engine._pair_invariance(spec, pairing, charge)
+            engine._pair_invariance(spec, pairing, (charge, charge))
 
 
 def _sector_basis(sector):
@@ -1654,7 +1694,7 @@ def test_a_mixed_charge_whose_parts_share_entries_folds_as_their_sum(system):
     # the rotor's reversal has one fixed point, a periodic grid's reflection two
     if system == "rotor":
         _, t, h = ops.rotor_basis_operators(6, 1.0)
-        parity = t.linear_part
+        parity = ops.LinearOperator(t.antilinear_matrix)
     else:
         grid = build_grid(np.pi, 14, "periodic")
         h, parity = ops.hamiltonian(grid, lambda x: 0.0), ops.parity_operator(grid)
@@ -1697,15 +1737,16 @@ def test_fold_charge_reads_each_part_once_and_folds_once(monkeypatch, free_setup
     calls = []
     _spy(monkeypatch, engine, "_entries", calls)
     _spy(monkeypatch, engine, "_fold", calls)
-    for (g, s, hm, parity), parts in (((lz, t, h, t.linear_part), {"Q": 1, "q": 2}),
+    reversal = ops.LinearOperator(t.antilinear_matrix)
+    for (g, s, hm, parity), parts in (((lz, t, h, reversal), {"Q": 1, "q": 2}),
                                       ((p, par, h_spec, par), {"Q": 1, "q": 1})):
         even, odd = numeric_spectrum(hm, parity, hm.dimension).sectors
         for charge, count in parts.items():
             charges = (ops.supercharge_Q(g, s, 1.0) if charge == "Q"
                        else ops.supercharge_q_pair(g, s, 1.0))
-            for _, action in engine._charges_of(charges):
+            for c in charges:
                 calls.clear()
-                engine._fold_charge(action, even, odd)
+                engine._fold_charge(c.action, even, odd)
                 assert calls == ["_entries"] * count + ["_fold"], charge
 
 
@@ -1719,6 +1760,37 @@ def test_charge_labels_name_the_papers_equations(model, charge, labels):
     # parity (linear) gives eqs. 3 and 4, time reversal (antilinear) eq. 7 and the rotor pair
     report = build_check(model, charge, n_points=64)
     assert list(report.ground.annihilation_residuals) == labels
+
+
+@pytest.mark.parametrize("charge", ["Q", "q"])
+@pytest.mark.parametrize("model", [FreeParticle(2 * np.pi), PlanarRotor(1.0, 8)],
+                         ids=["free", "rotor"])
+def test_every_catalog_charge_set_is_a_labelled_pair(monkeypatch, model, charge):
+    # build_check's charge set, as its constructor returns it, then with the
+    # nilpotent_by_design flag of the first or the second charge flipped
+    name = "supercharge_Q" if charge == "Q" else "supercharge_q_pair"
+    make = getattr(ops, name)
+    built, flip = [], []
+
+    def spy(*args):
+        charges = tuple(dataclasses.replace(c, nilpotent_by_design=not c.nilpotent_by_design)
+                        if i in flip else c for i, c in enumerate(make(*args)))
+        built.append(charges)
+        return charges
+
+    monkeypatch.setattr(ops, name, spy)
+    report = build_check(model, charge, n_points=64)
+    (charges,) = built
+    assert type(charges) is tuple and len(charges) == 2
+    assert all(isinstance(c, ops.Supercharge) for c in charges)
+    assert [c.label for c in charges] == list(report.ground.annihilation_residuals)
+    assert [c.nilpotent_by_design for c in charges] == [charge == "q"] * 2
+    # the first charge's flag decides criterion 5; the second's is never read
+    for flipped, nilpotent in (([0], charge != "q"), ([1], charge == "q")):
+        flip[:] = flipped
+        verdict = build_check(model, charge, n_points=64).verdicts[5]
+        assert verdict.by_design_failure == (not nilpotent)
+        assert verdict.satisfied == (nilpotent and charge == "q")
 
 
 def test_model_operators_build_each_catalog_model():
@@ -1735,12 +1807,12 @@ def test_model_operators_build_each_catalog_model():
         assert built == grid
         np.testing.assert_array_equal(h.to_dense(), hamiltonian(grid).to_dense())
         np.testing.assert_array_equal(parity.to_dense(), ops.parity_operator(grid).to_dense())
-    # the rotor's basis has no grid, and its parity is the time reversal's linear part
+    # the rotor's basis has no grid, and its parity is the time reversal's matrix
     _, t, h_rotor = ops.rotor_basis_operators(4, 0.5)
     h, parity, grid = engine.model_operators(PlanarRotor(0.5, 4), None)
     assert grid is None
     np.testing.assert_array_equal(h.to_dense(), h_rotor.to_dense())
-    np.testing.assert_array_equal(parity.to_dense(), t.linear_part.to_dense())
+    np.testing.assert_array_equal(parity.to_dense(), t.antilinear_matrix.toarray())
     with pytest.raises(ParameterError, match="unsupported model"):
         engine.model_operators("box", 63)
 
@@ -1765,9 +1837,9 @@ def test_pair_invariance_without_pairs_is_zero_and_reads_no_vector():
     # a spectrum of energies alone refuses every vector read: none is made
     spec = _analytic_spectrum([0.0, 1.0, 2.0], ["even", "even", "odd"])
     grid = build_grid(np.pi, 8, "periodic")
-    charge = ops.supercharge_Q(ops.momentum(grid), ops.parity_operator(grid), 1.0)
+    charges = ops.supercharge_Q(ops.momentum(grid), ops.parity_operator(grid), 1.0)
     pairing = engine.PairingMap(pairs=[], unpaired=[0, 1, 2])
-    assert engine._pair_invariance(spec, pairing, charge) == 0.0
+    assert engine._pair_invariance(spec, pairing, charges) == 0.0
 
 
 def test_build_check_refuses_dirichlet_models():
