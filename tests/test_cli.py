@@ -332,7 +332,7 @@ def test_a_scan_refuses_an_oversized_length_before_its_first_solve(monkeypatch, 
                  "--out", str(tmp_path / "s.csv")])
     assert code == 2
     err = capsys.readouterr().err
-    assert err == (f"configuration error: length 1e+300 at 10 points per unit length gives "
+    assert err == ("configuration error: length 1e+300 at 10 points per unit length gives "
                    f"more than the {MAX_POINTS} points a grid may have\n")
     assert max(map(len, re.findall(r"\d+", err))) <= 12
     assert not solved  # not even the length-1 box before it
