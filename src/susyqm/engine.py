@@ -14,7 +14,9 @@ bundle:
 Spectra come from one path: every Hamiltonian here commutes with an
 exact parity permutation (x -> -x on the grid, m -> -m on the rotor
 basis), so numeric_spectrum folds it into an even and an odd block, both
-tridiagonal for the three-point stencil and diagonal for the rotor.
+tridiagonal for the three-point stencil and diagonal for the rotor:
+sliced from its three diagonals when it is banded under the reversal
+j -> n - 1 - j (Dirichlet grids and the rotor), else from its entries.
 When both are diagonal they need no eigensolve: their levels are their
 sorted diagonals and their vectors unit vectors, kept as one row index
 per level. Other blocks are solved by divide and conquer (stevd) when
@@ -161,7 +163,12 @@ def numeric_spectrum(h: ops.Operator, parity: ops.Operator,
     (P h P == h). Then h folds into an even and an odd block over the
     representatives j <= pi(j); for the three-point stencil on Dirichlet
     and periodic grids both blocks are tridiagonal, and for the rotor's
-    diagonal h both are diagonal. The parity label of every level is the
+    diagonal h both are diagonal. Two folds give the same blocks bit for
+    bit (_sectors): an h within one diagonal of the main one under the
+    grid reversal pi(j) = n - 1 - j, as every Dirichlet stencil and the
+    rotor's h are, is sliced from its three diagonals in O(n); any other,
+    such as the periodic stencil with its corner entries, is folded from
+    its entries in O(nnz). The parity label of every level is the
     block it came from, and every eigenvector is real and satisfies
     v[pi] == +/-v exactly. The Spectrum keeps both blocks, each built
     with the eigenvectors of its levels, from which criterion 3 is
@@ -308,16 +315,36 @@ def _involution(parity: ops.Operator, n: int) -> np.ndarray:
 
 
 def _sectors(h: ops.Operator, perm: np.ndarray) -> tuple[_Sector, _Sector]:
-    """Even and odd tridiagonal blocks of h, folded from its CSR arrays in O(nnz)."""
+    """Even and odd tridiagonal blocks of h, by one of two folds that give the same bits.
+
+    The band fold (_band_blocks) takes h straight from its three
+    diagonals by slicing, in O(n). It runs when h is float64 or
+    complex128, every stored entry lies within one diagonal of the main
+    one (ops.is_banded), and the parity is the grid reversal
+    pi(j) = n - 1 - j: every Dirichlet stencil and the rotor's diagonal
+    h. P h P == h is then two comparisons of a diagonal with its
+    reverse. Every other h, such as the periodic stencil with its corner
+    entries, or any other involution, takes the entry fold (_fold), as
+    every charge does: O(nnz), with the evenness read off a sort of the
+    mapped entries (_commutes). Both refuse, in this order and in the
+    same words, an h that is not complex-linear, has a non-finite entry,
+    is not real, is not even, whose entries' squares overflow or vanish,
+    or that is not Hermitian to 1e-8 of its scale.
+    """
     a = h.linear_matrix
     if a is None or h.antilinear_matrix is not None:
         raise ParameterError("numeric_spectrum needs a complex-linear Hamiltonian")
-    rows, cols, vals = _entries(a, "Hamiltonian")
-    if np.iscomplexobj(vals):
-        if np.any(vals.imag):
-            raise ParameterError("numeric_spectrum needs a real Hamiltonian")
-        vals = vals.real
-    if not _commutes(perm, rows, cols, vals):
+    a = _canonical(a)
+    band = _banded_under_reversal(a, perm)
+    if band:
+        vals = _real_hamiltonian(_values(a, "Hamiltonian")[0])
+        d, u, l = (a.diagonal(k).real for k in (0, 1, -1))
+        even = np.array_equal(d, d[::-1]) and np.array_equal(u, l[::-1])
+    else:
+        rows, cols, vals = _entries(a, "Hamiltonian")
+        vals = _real_hamiltonian(vals)
+        even = _commutes(perm, rows, cols, vals)
+    if not even:
         raise ParameterError(
             "the Hamiltonian is not bit-exactly even under parity (P H P != H); "
             "the parity-sector eigensolve needs a reflection-symmetric potential")
@@ -327,8 +354,11 @@ def _sectors(h: ops.Operator, perm: np.ndarray) -> tuple[_Sector, _Sector]:
         raise ParameterError(
             "the Hamiltonian's entries are out of range: their squares overflow or "
             "vanish in double precision")
-    blocks = _fold(perm, rows, cols, vals, 1.0)
-    del rows, cols, vals  # the fold keeps only their rows on representatives
+    if band:
+        blocks = _band_blocks(d, u, l)
+    else:
+        blocks = (_tridiagonals(*block) for block in _fold(perm, rows, cols, vals, 1.0))
+        del rows, cols, vals  # the fold keeps only their rows on representatives
     # each block's entries are dropped before the fold builds the next
     sectors, asym_sq = zip(*(_sector(sign, perm, *next(blocks)) for sign in (1.0, -1.0)))
     # the fold is orthogonal, so the blocks' asymmetry is that of h itself
@@ -338,23 +368,81 @@ def _sectors(h: ops.Operator, perm: np.ndarray) -> tuple[_Sector, _Sector]:
     return sectors
 
 
-def _entries(m: sp.csr_array, name: str):
-    """(row, column, value) of a CSR matrix's nonzero entries, in canonical order.
-
-    Explicit zeros couple nothing and are dropped; a non-finite entry is
-    refused.
-    """
+def _canonical(m: sp.csr_array) -> sp.csr_array:
+    """m itself if its indices are sorted and unique, else a copy with duplicates summed."""
     if not m.has_canonical_format:
         m = m.copy()
         m.sum_duplicates()
-    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-    cols, vals = m.indices, m.data
+    return m
+
+
+def _values(m: sp.csr_array, name: str):
+    """The nonzero values of a canonical CSR matrix in storage order, and the mask that kept them.
+
+    Explicit zeros couple nothing and are dropped (the mask is None when
+    there are none); a non-finite value is refused.
+    """
+    vals, keep = m.data, None
     if not np.all(vals):
         keep = vals != 0
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        vals = vals[keep]
     if not np.all(np.isfinite(vals)):
         raise ParameterError(f"the {name} has a non-finite entry")
+    return vals, keep
+
+
+def _entries(m: sp.csr_array, name: str):
+    """(row, column, value) of a CSR matrix's nonzero entries, in canonical order (_values)."""
+    m = _canonical(m)
+    vals, keep = _values(m, name)
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    cols = m.indices
+    if keep is not None:
+        rows, cols = rows[keep], cols[keep]
     return rows, cols, vals
+
+
+def _real_hamiltonian(vals: np.ndarray) -> np.ndarray:
+    """The Hamiltonian's values as real numbers; an imaginary part is refused."""
+    if np.iscomplexobj(vals):
+        if np.any(vals.imag):
+            raise ParameterError("numeric_spectrum needs a real Hamiltonian")
+        vals = vals.real
+    return vals
+
+
+def _banded_under_reversal(a: sp.csr_array, perm: np.ndarray) -> bool:
+    """Whether _sectors folds the canonical CSR matrix a by its diagonals: see there."""
+    return (a.dtype in (np.float64, np.complex128) and ops.is_banded(a)
+            and np.array_equal(perm, np.arange(len(perm))[::-1]))
+
+
+def _band_blocks(d: np.ndarray, u: np.ndarray, l: np.ndarray):
+    """The even, then the odd block of a banded h even under the grid reversal, from its diagonals.
+
+    d, u and l are h's main, upper and lower diagonals, u[i] = h[i, i + 1]
+    and l[i] = h[i + 1, i]. The representatives j <= n - 1 - j are the
+    first rows, so each block is h's top left corner but at the centre:
+    at odd n, the fixed point c = (n - 1) / 2 couples to c - 1 by
+    sqrt(2) h[c - 1, c] in the even block and is absent from the odd one;
+    at even n, the mirror pair c - 1, c = n / 2 adds +h[c - 1, c] to the
+    even block's last diagonal entry and -h[c - 1, c] to the odd one's.
+    Each entry is the sum or product that _fold and _tridiagonals would
+    form from h's entries, so the blocks are the same bit for bit. Each
+    block comes as (reps, diag, upper, lower), as from _tridiagonals.
+    """
+    half = len(d) // 2
+    if len(d) % 2:
+        upper, lower = u[:half].copy(), l[:half].copy()
+        upper[half - 1:] *= _SQRT2
+        lower[half - 1:] *= _SQRT2
+        yield np.arange(half + 1, dtype=np.intp), d[:half + 1].copy(), upper, lower
+        yield np.arange(half, dtype=np.intp), d[:half].copy(), u[:half - 1], l[:half - 1]
+        return
+    for sign in (1.0, -1.0):
+        diag = d[:half].copy()
+        diag[-1] += sign * u[half - 1]
+        yield np.arange(half, dtype=np.intp), diag, u[:half - 1], l[:half - 1]
 
 
 def _fold(perm: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
@@ -428,9 +516,11 @@ def _commutes(perm: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.nda
     return np.array_equal(mapped[order], key)
 
 
-def _sector(sign: float, perm: np.ndarray, reps: np.ndarray,
-            rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> tuple[_Sector, float]:
-    """A sector and ||block - block^T||_F^2, from its folded entries (row, column, value)."""
+def _tridiagonals(reps: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
+    """(reps, diag, upper, lower) of a folded block, from its entries (row, column, value).
+
+    Duplicates are summed; a block wider than tridiagonal is refused.
+    """
     dim = len(reps)
     step = cols - rows
     if np.any(np.abs(step) > 1):
@@ -440,6 +530,12 @@ def _sector(sign: float, perm: np.ndarray, reps: np.ndarray,
     diag = np.bincount(rows[step == 0], weights=vals[step == 0], minlength=dim)
     upper = np.bincount(rows[step == 1], weights=vals[step == 1], minlength=max(dim - 1, 0))
     lower = np.bincount(cols[step == -1], weights=vals[step == -1], minlength=max(dim - 1, 0))
+    return reps, diag, upper, lower
+
+
+def _sector(sign: float, perm: np.ndarray, reps: np.ndarray, diag: np.ndarray,
+            upper: np.ndarray, lower: np.ndarray) -> tuple[_Sector, float]:
+    """A sector and ||block - block^T||_F^2, from the block's three diagonals."""
     return (_Sector(sign=sign, reps=reps, perm=perm, diag=diag, offdiag=(upper + lower) / 2.0),
             2.0 * float(np.dot(upper - lower, upper - lower)))
 
@@ -756,14 +852,15 @@ def _lanczos(d: np.ndarray, e: np.ndarray, sigma: float, factors, k: int, tol: f
     rng = np.random.default_rng(_START_SEED + 1)
     basis = np.empty(max(cap * dim, _BASIS_RESERVE))[:cap * dim].reshape(cap, dim)
     alpha, beta = np.zeros(cap), np.zeros(cap)
-    q = start / np.linalg.norm(start)
+    scaled = np.empty(dim)  # alpha q and beta q_prev, one at a time
+    np.divide(start, np.linalg.norm(start), out=basis[0])
     for m in range(1, cap + 1):
-        basis[m - 1] = q
+        q = basis[m - 1]
         w = lapack.dpttrs(*factors, q)[0]
         alpha[m - 1] = q @ w
-        w -= alpha[m - 1] * q
+        w -= np.multiply(alpha[m - 1], q, out=scaled)
         if m > 1:
-            w -= beta[m - 2] * basis[m - 2]
+            w -= np.multiply(beta[m - 2], basis[m - 2], out=scaled)
         b = _orthogonalize(basis[:m], w)
         beta[m - 1] = b
         if m >= k:
@@ -784,7 +881,7 @@ def _lanczos(d: np.ndarray, e: np.ndarray, sigma: float, factors, k: int, tol: f
             w = rng.standard_normal(dim)
             b = _orthogonalize(basis[:m], w)
             beta[m - 1] = 0.0
-        q = w / b
+        np.divide(w, b, out=basis[m])
 
 
 def _orthogonalize(basis: np.ndarray, w: np.ndarray) -> float:

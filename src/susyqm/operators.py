@@ -61,15 +61,14 @@ class MixedOperator:
     def storage(self) -> str:
         """"tridiag" for a linear, real symmetric tridiagonal operator, else "csr".
 
-        O(nnz): every nonzero must lie within one diagonal of the main one,
-        with equal sub- and super-diagonals.
+        Every stored entry must lie within one diagonal of the main one
+        (is_banded), with equal sub- and super-diagonals.
         """
         a = self.linear_matrix
         if a is None or self.antilinear_matrix is not None or np.any(np.imag(a.data)):
             return "csr"
-        rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
-        banded = not np.any(np.abs(a.indices - rows) > 1)
-        return "tridiag" if banded and np.array_equal(a.diagonal(1), a.diagonal(-1)) else "csr"
+        tridiagonal = is_banded(a) and np.array_equal(a.diagonal(1), a.diagonal(-1))
+        return "tridiag" if tridiagonal else "csr"
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v)
@@ -94,6 +93,20 @@ class MixedOperator:
 
 
 Operator = MixedOperator
+
+
+def is_banded(m: sp.csr_array) -> bool:
+    """Whether every stored entry of the CSR matrix m lies within one diagonal of the main one.
+
+    On sorted indices it reads only indptr and each row's first and last
+    column: O(n), not O(nnz).
+    """
+    if not m.has_sorted_indices:
+        m = m.sorted_indices()
+    start, stop = m.indptr[:-1], m.indptr[1:]
+    rows = np.flatnonzero(stop > start)
+    return bool(np.all(m.indices[start[rows]] >= rows - 1)
+                and np.all(m.indices[stop[rows] - 1] <= rows + 1))
 
 
 def LinearOperator(matrix) -> Operator:

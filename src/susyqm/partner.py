@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as ops
-from .engine import Spectrum, model_operators, numeric_spectrum
+from .engine import Spectrum, numeric_spectrum
 from .errors import ParameterError, require_positive
-from .grid import DIRICHLET, MAX_POINTS, Grid1D
-from .models import AnalyticState, ParticleInBox, SecSquaredPartner
+from .grid import DIRICHLET, MAX_POINTS, Grid1D, build_grid
+from .models import AnalyticState, sec_squared_potential
 
 WALL_MASK_CELLS = 3  # V_minus residuals are not meaningful within 3h of a wall
 
@@ -168,8 +168,11 @@ def box_to_free_scan(lengths, points_per_unit_length: float, *,
         counts.append(n_points)
     rows = []
     for length, n_points in zip(lengths, counts):
-        h_box, par, _ = model_operators(ParticleInBox(length), n_points)
-        h_partner = model_operators(SecSquaredPartner(length), n_points)[0]  # on the same grid
+        # the box and its partner on one grid and parity, as model_operators builds each
+        grid = build_grid(length / 2.0, n_points, DIRICHLET)
+        par = ops.parity_operator(grid)
+        h_box = ops.hamiltonian(grid, lambda x: 0.0)
+        h_partner = ops.hamiltonian(grid, sec_squared_potential(length))
         box = numeric_spectrum(h_box, par, n_levels + 1, vectors=False)
         part = numeric_spectrum(h_partner, par, n_levels, vectors=False)
         deviations = _pair_deviations(box, part, n_levels)

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 import susyqm.operators as ops
-from susyqm import engine
+from susyqm import engine, partner
 from susyqm.cli import main
 from susyqm.engine import (Spectrum, algebra_residuals, build_check,
                            detect_pairing, eq5_action_table, ground_state_check,
@@ -952,6 +952,201 @@ def test_a_complex_hamiltonian_with_real_entries_and_explicit_zeros_folds_as_its
     assert padded.nnz == m.nnz + 198
     with_zeros = numeric_spectrum(ops.LinearOperator(padded), parity, 8)
     np.testing.assert_array_equal(with_zeros.eigenvalues, expected.eigenvalues)
+
+
+def _entry_fold(monkeypatch, h, perm):
+    """The sectors of h by the entry fold, the reference that the band fold must match."""
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_banded_under_reversal", lambda a, perm: False)
+        return engine._sectors(h, perm)
+
+
+def _fold_calls(monkeypatch):
+    """A list that records each "_band_blocks" and "_fold" call, in order."""
+    calls = []
+    for name in ("_band_blocks", "_fold"):
+        _spy(monkeypatch, engine, name, calls)
+    return calls
+
+
+def _hamiltonians_of(monkeypatch, call):
+    """The (h, parity) of every numeric_spectrum call that call() makes through partner."""
+    seen = []
+    solve = partner.numeric_spectrum
+    monkeypatch.setattr(partner, "numeric_spectrum",
+                        lambda h, parity, *a, **kw: seen.append((h, parity)) or
+                        solve(h, parity, *a, **kw))
+    call()
+    monkeypatch.undo()
+    return seen
+
+
+def _scan_lengths():
+    # the benchmark's scan: five doublings at 1000 points per unit length from pi,
+    # 3141 to 50264 points
+    return [np.pi * 2 ** k for k in range(5)]
+
+
+def _band_csr(d, u, l, dtype=float):
+    """The CSR matrix with diagonals l, d, u, every place of the band stored, zeros too."""
+    n = len(d)
+    rows = np.repeat(np.arange(n), 3)
+    cols = rows + np.tile([-1, 0, 1], n)
+    vals = np.column_stack([np.r_[0.0, l], d, np.r_[u, 0.0]]).ravel()
+    inside = (cols >= 0) & (cols < n)
+    m = sp.csr_array((vals[inside].astype(dtype), (rows[inside], cols[inside])), shape=(n, n))
+    assert m.nnz == 3 * n - 2 and m.has_canonical_format
+    return m
+
+
+def _random_band_hamiltonians(n):
+    """Real symmetric banded H even under the reversal, with explicit zeros, as float and
+    as complex with zero imaginary parts. d[0] is nonzero, so that every block has a
+    diagonal entry: the entry fold's bincount of no entries at all gives int64 zeros."""
+    rng = np.random.default_rng(n)
+    found = []
+    for _ in range(8):
+        d = rng.integers(-3, 4, n) * rng.choice([1.0, 0.1, 1e-3]) + rng.standard_normal(n)
+        d = np.where(rng.random(n) < 0.3, 0.0, d)
+        d[0] = 1.5
+        d = (d + d[::-1]) / 2.0
+        u = np.where(rng.random(n - 1) < 0.3, 0.0, rng.standard_normal(n - 1))
+        u = u + u[::-1]  # a palindrome: l = u is then both u reversed and u itself
+        found += [ops.LinearOperator(_band_csr(d, u, u, dtype)) for dtype in (float, complex)]
+    return found
+
+
+_MODELS = {"box": lambda size: ParticleInBox(3.0), "sec2": lambda size: SecSquaredPartner(3.0),
+           "delta": lambda size: DeltaWell(2.0, 40.0), "free": lambda size: FreeParticle(3.0),
+           "rotor": lambda size: PlanarRotor(0.7, size)}
+
+
+def _model_case(case):
+    """(h, parity) of the catalog model named "<model>-<points, or m_max for the rotor>"."""
+    name, size = case.split("-")
+    n_points = None if name == "rotor" else int(size)
+    return engine.model_operators(_MODELS[name](int(size)), n_points)[:2]
+
+
+def _band_fold_cases(monkeypatch, case):
+    if case in ("scan", "partner"):
+        ground = box_levels(3.0, 1)[0]
+        call = ((lambda: box_to_free_scan(_scan_lengths(), 1000.0, n_levels=4)) if case == "scan"
+                else lambda: partner_potential(ground, ground.energy,
+                                               build_grid(1.5, 100001, "dirichlet")))
+        return _hamiltonians_of(monkeypatch, call)
+    if case.startswith("random"):
+        n = int(case.split("-")[1])
+        return [(h, ops.from_permutation(np.arange(n)[::-1])) for h in _random_band_hamiltonians(n)]
+    return [_model_case(case)]
+
+
+@pytest.mark.parametrize("case", [
+    "box-100001", "box-100000", "sec2-100001", "sec2-100000", "delta-100001",
+    "scan", "partner", "rotor-1", "rotor-384",
+    "random-3", "random-4", "random-5", "random-8", "random-11", "random-12",
+])
+def test_the_band_fold_matches_the_entry_fold_bit_for_bit(monkeypatch, case):
+    hamiltonians = _band_fold_cases(monkeypatch, case)
+    # the box and the partner at each of the scan's five lengths; V_plus and V_minus
+    assert len(hamiltonians) == {"scan": 10, "partner": 2}.get(case, len(hamiltonians))
+    for h, parity in hamiltonians:
+        perm = engine._involution(parity, h.dimension)
+        calls = _fold_calls(monkeypatch)
+        got = engine._sectors(h, perm)
+        assert calls == ["_band_blocks"]
+        monkeypatch.undo()
+        want = _entry_fold(monkeypatch, h, perm)
+        for g, w in zip(got, want):
+            assert g.sign == w.sign and g.perm is w.perm
+            for name in ("diag", "offdiag", "reps"):
+                x, y = getattr(g, name), getattr(w, name)
+                assert (x.dtype, x.shape) == (y.dtype, y.shape), name
+                assert x.tobytes() == y.tobytes(), name
+
+
+@pytest.mark.parametrize("case,path", [
+    ("box-101", "band"), ("box-100", "band"), ("sec2-101", "band"), ("delta-101", "band"),
+    ("rotor-1", "band"), ("rotor-384", "band"), ("free-64", "entries"), ("free-100", "entries"),
+    ("box-identity", "entries"),
+])
+def test_each_hamiltonian_takes_its_fold(monkeypatch, case, path):
+    if case == "box-identity":  # even under any involution; the identity is not the reversal
+        h, parity = _model_case("box-101")[0], ops.from_permutation(np.arange(101))
+    else:
+        h, parity = _model_case(case)
+    calls = _fold_calls(monkeypatch)
+    numeric_spectrum(h, parity, 2, vectors=False)
+    assert calls == (["_band_blocks"] if path == "band" else ["_fold"])
+
+
+@pytest.mark.parametrize("case", ["scan", "partner"])
+def test_the_scan_and_the_partner_fold_every_hamiltonian_by_its_band(monkeypatch, case):
+    calls = _fold_calls(monkeypatch)
+    if case == "scan":
+        box_to_free_scan(_scan_lengths(), 1000.0, n_levels=4)
+    else:
+        ground = box_levels(3.0, 1)[0]
+        partner_potential(ground, ground.energy, build_grid(1.5, 2001, "dirichlet"))
+    # the box and the partner at each of the scan's five lengths; V_plus and V_minus
+    assert calls == ["_band_blocks"] * (10 if case == "scan" else 2)
+
+
+def _refusal_input(case, system, n):
+    """A Hamiltonian with the fault case on n points, and its parity."""
+    grid = build_grid(1.0, n, system)
+    h, parity = ops.hamiltonian(grid, lambda x: 0.0), ops.parity_operator(grid)
+    m = h.linear_matrix
+    if case == "antilinear":
+        return ops.AntilinearOperator(h), parity
+    if case in ("imaginary_entry", "non_finite_entry"):
+        return ops.LinearOperator(_with_entry(m, 1.0 + 1e-3j if case == "imaginary_entry"
+                                              else np.inf)), parity
+    if case == "not_even":
+        return ops.hamiltonian(grid, lambda x: x), parity
+    if case == "non_finite_and_not_even":  # the first refusal in the order wins
+        return ops.LinearOperator(_with_entry(ops.hamiltonian(grid, lambda x: x).linear_matrix,
+                                              np.nan)), parity
+    if case in ("overflowing", "vanishing"):
+        return ops.LinearOperator(m * (1e200 if case == "overflowing" else 1e-200)), parity
+    assert case == "non_hermitian"
+    # not Hermitian, yet even: H[0, 1] and its mirror image both doubled, H[1, 0] kept
+    perm = parity.linear_matrix.indices
+    bump = sp.csr_array(([m[0, 1], m[0, 1]], ([0, perm[0]], [1, perm[1]])), shape=m.shape)
+    return ops.LinearOperator(m + bump), parity
+
+
+@pytest.mark.parametrize("case,error,message", [
+    ("antilinear", ParameterError, "numeric_spectrum needs a complex-linear Hamiltonian"),
+    ("non_finite_entry", ParameterError, "the Hamiltonian has a non-finite entry"),
+    ("imaginary_entry", ParameterError, "numeric_spectrum needs a real Hamiltonian"),
+    ("not_even", ParameterError,
+     "the Hamiltonian is not bit-exactly even under parity (P H P != H); "
+     "the parity-sector eigensolve needs a reflection-symmetric potential"),
+    ("non_finite_and_not_even", ParameterError, "the Hamiltonian has a non-finite entry"),
+    ("overflowing", ParameterError,
+     "the Hamiltonian's entries are out of range: their squares overflow or "
+     "vanish in double precision"),
+    ("vanishing", ParameterError,
+     "the Hamiltonian's entries are out of range: their squares overflow or "
+     "vanish in double precision"),
+    ("non_hermitian", NumericalContractError, "numeric_spectrum requires a Hermitian matrix"),
+])
+@pytest.mark.parametrize("system,n,fold", [("dirichlet", 101, "_band_blocks"),
+                                           ("dirichlet", 100, "_band_blocks"),
+                                           ("periodic", 100, "_fold")])
+def test_both_folds_refuse_a_hamiltonian_alike(monkeypatch, case, error, message, system, n,
+                                               fold):
+    h, parity = _refusal_input(case, system, n)
+    with pytest.raises(Exception) as refused:
+        numeric_spectrum(h, parity, 4)
+    assert type(refused.value) is error
+    assert str(refused.value) == message
+    # the same Hamiltonian without its fault takes the fold named
+    calls = _fold_calls(monkeypatch)
+    grid = build_grid(1.0, n, system)
+    numeric_spectrum(ops.hamiltonian(grid, lambda x: 0.0), ops.parity_operator(grid), 4)
+    assert calls == [fold]
 
 
 @pytest.mark.parametrize("perm", [

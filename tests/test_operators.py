@@ -478,3 +478,32 @@ def test_q_pair_algebra_at_two_to_the_sixteen_points():
     worst = max(res.comm_HQ, res.comm_HQdag, res.anticomm_minus_H,
                 res.nilpotency_q, res.nilpotency_qdag, res.closure)
     assert worst <= MACHINE_TOL
+
+
+@pytest.mark.parametrize("entries,banded", [
+    ([(0, 0), (0, 1), (1, 0), (2, 2)], True),
+    ([(1, 1)], True),                     # empty first and last rows
+    ([(0, 2)], False),                    # two places right of the diagonal
+    ([(3, 0), (3, 3)], False),            # three places left, in a row's first entry
+    ([(0, 0), (0, 1), (0, 3)], False),    # in a row's last entry
+])
+def test_the_band_test_reads_each_rows_first_and_last_column(entries, banded):
+    rows, cols = np.array(entries).T
+    m = sp.csr_array((np.ones(len(rows)), (rows, cols)), shape=(4, 4))
+    assert ops.is_banded(m) is banded
+    # the same entries, each row's columns stored in descending order
+    order = np.lexsort((-m.indices, np.repeat(np.arange(4), np.diff(m.indptr))))
+    unsorted = sp.csr_array((m.data[order], m.indices[order], m.indptr), shape=(4, 4))
+    assert ops.is_banded(unsorted) is banded
+
+
+@pytest.mark.parametrize("operator,storage", [
+    (lambda: ops.hamiltonian(build_grid(1.0, 101, "dirichlet"), lambda x: x ** 2), "tridiag"),
+    (lambda: ops.rotor_basis_operators(4, 1.0)[2], "tridiag"),
+    (lambda: ops.hamiltonian(build_grid(1.0, 100, "periodic"), lambda x: 0.0), "csr"),
+    (lambda: ops.momentum(build_grid(1.0, 101, "dirichlet")), "csr"),
+    (lambda: ops.rotor_basis_operators(4, 1.0)[1], "csr"),
+    (lambda: ops.LinearOperator(np.array([[1.0, 2.0], [3.0, 1.0]])), "csr"),
+])
+def test_storage_names_a_real_symmetric_band(operator, storage):
+    assert operator().storage == storage

@@ -10,7 +10,8 @@ from susyqm.errors import ParameterError
 from susyqm.grid import build_grid
 from susyqm.models import (AnalyticState, box_energy, box_levels,
                            delta_well_bound_state, sec_squared_potential)
-from susyqm import partner
+from susyqm import engine, partner
+from susyqm import operators as ops
 from susyqm.partner import box_to_free_scan, partner_potential, superpotential
 
 
@@ -220,6 +221,19 @@ def test_scan_refuses_a_first_length_in_its_own_words_before_any_grid(monkeypatc
     def refuse(*args, **kwargs):
         raise AssertionError("the scan built a grid before refusing a length")
 
-    monkeypatch.setattr(partner, "model_operators", refuse)
+    monkeypatch.setattr(partner, "build_grid", refuse)
     with pytest.raises(ParameterError, match=re.escape(message)):
         box_to_free_scan(lengths, per_length, n_levels=2)
+
+
+def test_a_scan_builds_each_lengths_grid_and_parity_once(monkeypatch):
+    built = []
+    for module, name in ((partner, "build_grid"), (engine, "build_grid"),
+                         (ops, "parity_operator")):
+        make = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, make=make, name=name, **kw:
+                            built.append(name) or make(*a, **kw))
+    rows = box_to_free_scan([3.0, 6.0, 12.0], 50.0, n_levels=3)
+    # the box and its sec^2 partner share both, length by length
+    assert built == ["build_grid", "parity_operator"] * 3
+    assert [row.n_points for row in rows] == [149, 299, 599]
