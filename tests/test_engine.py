@@ -1080,18 +1080,6 @@ def test_each_hamiltonian_takes_its_fold(monkeypatch, case, path):
     assert calls == (["_band_blocks"] if path == "band" else ["_fold"])
 
 
-@pytest.mark.parametrize("case", ["scan", "partner"])
-def test_the_scan_and_the_partner_fold_every_hamiltonian_by_its_band(monkeypatch, case):
-    calls = _fold_calls(monkeypatch)
-    if case == "scan":
-        box_to_free_scan(_scan_lengths(), 1000.0, n_levels=4)
-    else:
-        ground = box_levels(3.0, 1)[0]
-        partner_potential(ground, ground.energy, build_grid(1.5, 2001, "dirichlet"))
-    # the box and the partner at each of the scan's five lengths; V_plus and V_minus
-    assert calls == ["_band_blocks"] * (10 if case == "scan" else 2)
-
-
 def _refusal_input(case, system, n):
     """A Hamiltonian with the fault case on n points, and its parity."""
     grid = build_grid(1.0, n, system)
