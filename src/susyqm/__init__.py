@@ -5,7 +5,19 @@ for the free particle, particle in a box with its sec^2 partner, the
 attractive delta well, and the planar rotor, and machine-checks the
 SUSY criteria: unique zero-energy ground state, paired excited spectrum,
 and the mixed commutator/anticommutator algebra.
+
+Importing the package sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1 where they are unset, before numpy is imported: BLAS
+threads reorder sums, and a report's last digits with them. A value set
+beforehand wins, a process that imported numpy first keeps the thread
+count numpy started with, and child processes inherit the variables.
 """
+
+import os
+
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_variable, "1")
+del _variable
 
 from .engine import (AlgebraResiduals, PairingMap, Spectrum, SusyReport,
                      algebra_residuals, build_check, detect_pairing,

@@ -164,11 +164,11 @@ def numeric_spectrum(h: ops.Operator, parity: ops.Operator,
     representatives j <= pi(j); for the three-point stencil on Dirichlet
     and periodic grids both blocks are tridiagonal, and for the rotor's
     diagonal h both are diagonal. Two folds give the same blocks bit for
-    bit (_sectors): an h within one diagonal of the main one under the
-    grid reversal pi(j) = n - 1 - j, as every Dirichlet stencil and the
-    rotor's h are, is sliced from its three diagonals in O(n); any other,
-    such as the periodic stencil with its corner entries, is folded from
-    its entries in O(nnz). The parity label of every level is the
+    bit (_sectors): an h whose three diagonals hold its every nonzero
+    entry, under the grid reversal pi(j) = n - 1 - j, as every Dirichlet
+    stencil and the rotor's h are, is sliced from them in O(n); any
+    other, such as the periodic stencil with its corner entries, is
+    folded from its entries in O(nnz). The parity label of every level is the
     block it came from, and every eigenvector is real and satisfies
     v[pi] == +/-v exactly. The Spectrum keeps both blocks, each built
     with the eigenvectors of its levels, from which criterion 3 is
@@ -317,32 +317,39 @@ def _involution(parity: ops.Operator, n: int) -> np.ndarray:
 def _sectors(h: ops.Operator, perm: np.ndarray) -> tuple[_Sector, _Sector]:
     """Even and odd tridiagonal blocks of h, by one of two folds that give the same bits.
 
-    The band fold (_band_blocks) takes h straight from its three
-    diagonals by slicing, in O(n). It runs when h is float64 or
-    complex128, every stored entry lies within one diagonal of the main
-    one (ops.is_banded), and the parity is the grid reversal
-    pi(j) = n - 1 - j: every Dirichlet stencil and the rotor's diagonal
-    h. P h P == h is then two comparisons of a diagonal with its
-    reverse. Every other h, such as the periodic stencil with its corner
-    entries, or any other involution, takes the entry fold (_fold), as
-    every charge does: O(nnz), with the evenness read off a sort of the
-    mapped entries (_commutes). Both refuse, in this order and in the
-    same words, an h that is not complex-linear, has a non-finite entry,
-    is not real, is not even, whose entries' squares overflow or vanish,
-    or that is not Hermitian to 1e-8 of its scale.
+    It first refuses, in this order, an h that is not complex-linear,
+    has a non-finite entry or is not real, read off its data. The band
+    fold (_band_blocks) then takes h straight from its three diagonals by
+    slicing, in O(n). It runs when h is float64 (or complex128 with zero
+    imaginary parts), the parity is the grid reversal pi(j) = n - 1 - j
+    and the three diagonals hold every nonzero entry (ops.band_diagonals):
+    every Dirichlet stencil and the rotor's diagonal h. P h P == h is then
+    two comparisons of a diagonal with its reverse. Every other h, such as
+    the periodic stencil with its corner entries, or any other involution,
+    takes the entry fold (_fold), as every charge does: O(nnz), with the
+    evenness read off a sort of the mapped entries (_commutes). On either
+    an explicit zero couples nothing. Both then refuse, in this order and
+    in the same words, an h that is not even, whose entries' squares
+    overflow or vanish, or that is not Hermitian to 1e-8 of its scale.
     """
     a = h.linear_matrix
     if a is None or h.antilinear_matrix is not None:
         raise ParameterError("numeric_spectrum needs a complex-linear Hamiltonian")
-    a = _canonical(a)
-    band = _banded_under_reversal(a, perm)
+    a = ops.canonical(a)
+    if not np.all(np.isfinite(a.data)):
+        raise ParameterError("the Hamiltonian has a non-finite entry")
+    if np.iscomplexobj(a.data):
+        if np.any(a.data.imag):
+            raise ParameterError("numeric_spectrum needs a real Hamiltonian")
+        a = a.real
+    band = (a.dtype == np.float64 and np.array_equal(perm, np.arange(len(perm))[::-1])
+            and ops.band_diagonals(a))
     if band:
-        vals = _real_hamiltonian(_values(a, "Hamiltonian")[0])
-        d, u, l = (a.diagonal(k).real for k in (0, 1, -1))
+        d, u, l = band
+        vals = a.data
         even = np.array_equal(d, d[::-1]) and np.array_equal(u, l[::-1])
     else:
         rows, cols, vals = _entries(a, "Hamiltonian")
-        vals = _real_hamiltonian(vals)
         even = _commutes(perm, rows, cols, vals)
     if not even:
         raise ParameterError(
@@ -350,7 +357,7 @@ def _sectors(h: ops.Operator, perm: np.ndarray) -> tuple[_Sector, _Sector]:
             "the parity-sector eigensolve needs a reflection-symmetric potential")
     with np.errstate(over="ignore"):
         scale = np.sqrt(np.dot(vals, vals))
-    if len(vals) and not 0 < scale < np.inf:
+    if np.any(vals) and not 0 < scale < np.inf:
         raise ParameterError(
             "the Hamiltonian's entries are out of range: their squares overflow or "
             "vanish in double precision")
@@ -368,53 +375,21 @@ def _sectors(h: ops.Operator, perm: np.ndarray) -> tuple[_Sector, _Sector]:
     return sectors
 
 
-def _canonical(m: sp.csr_array) -> sp.csr_array:
-    """m itself if its indices are sorted and unique, else a copy with duplicates summed."""
-    if not m.has_canonical_format:
-        m = m.copy()
-        m.sum_duplicates()
-    return m
+def _entries(m: sp.csr_array, name: str):
+    """(row, column, value) of a CSR matrix's nonzero entries, in canonical order.
 
-
-def _values(m: sp.csr_array, name: str):
-    """The nonzero values of a canonical CSR matrix in storage order, and the mask that kept them.
-
-    Explicit zeros couple nothing and are dropped (the mask is None when
-    there are none); a non-finite value is refused.
+    Explicit zeros couple nothing and are dropped; a non-finite entry is
+    refused.
     """
-    vals, keep = m.data, None
+    m = ops.canonical(m)
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    cols, vals = m.indices, m.data
     if not np.all(vals):
         keep = vals != 0
-        vals = vals[keep]
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
     if not np.all(np.isfinite(vals)):
         raise ParameterError(f"the {name} has a non-finite entry")
-    return vals, keep
-
-
-def _entries(m: sp.csr_array, name: str):
-    """(row, column, value) of a CSR matrix's nonzero entries, in canonical order (_values)."""
-    m = _canonical(m)
-    vals, keep = _values(m, name)
-    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-    cols = m.indices
-    if keep is not None:
-        rows, cols = rows[keep], cols[keep]
     return rows, cols, vals
-
-
-def _real_hamiltonian(vals: np.ndarray) -> np.ndarray:
-    """The Hamiltonian's values as real numbers; an imaginary part is refused."""
-    if np.iscomplexobj(vals):
-        if np.any(vals.imag):
-            raise ParameterError("numeric_spectrum needs a real Hamiltonian")
-        vals = vals.real
-    return vals
-
-
-def _banded_under_reversal(a: sp.csr_array, perm: np.ndarray) -> bool:
-    """Whether _sectors folds the canonical CSR matrix a by its diagonals: see there."""
-    return (a.dtype in (np.float64, np.complex128) and ops.is_banded(a)
-            and np.array_equal(perm, np.arange(len(perm))[::-1]))
 
 
 def _band_blocks(d: np.ndarray, u: np.ndarray, l: np.ndarray):

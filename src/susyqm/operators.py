@@ -61,14 +61,14 @@ class MixedOperator:
     def storage(self) -> str:
         """"tridiag" for a linear, real symmetric tridiagonal operator, else "csr".
 
-        Every stored entry must lie within one diagonal of the main one
-        (is_banded), with equal sub- and super-diagonals.
+        Its three diagonals must hold every nonzero entry (band_diagonals),
+        with equal sub- and super-diagonals.
         """
         a = self.linear_matrix
         if a is None or self.antilinear_matrix is not None or np.any(np.imag(a.data)):
             return "csr"
-        tridiagonal = is_banded(a) and np.array_equal(a.diagonal(1), a.diagonal(-1))
-        return "tridiag" if tridiagonal else "csr"
+        band = band_diagonals(a)
+        return "tridiag" if band is not None and np.array_equal(band[1], band[2]) else "csr"
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v)
@@ -95,18 +95,26 @@ class MixedOperator:
 Operator = MixedOperator
 
 
-def is_banded(m: sp.csr_array) -> bool:
-    """Whether every stored entry of the CSR matrix m lies within one diagonal of the main one.
+def canonical(m: sp.csr_array) -> sp.csr_array:
+    """m itself if its indices are sorted and unique, else a copy with duplicates summed."""
+    if not m.has_canonical_format:
+        m = m.copy()
+        m.sum_duplicates()
+    return m
 
-    On sorted indices it reads only indptr and each row's first and last
-    column: O(n), not O(nnz).
+
+def band_diagonals(m: sp.csr_array):
+    """The main, upper and lower diagonals of the CSR matrix m if they hold its every nonzero entry.
+
+    None otherwise. The test is a count, with duplicates summed first: the
+    three diagonals must hold as many nonzero values as m's data, so an
+    explicit zero, on the band or off it, counts for nothing.
     """
-    if not m.has_sorted_indices:
-        m = m.sorted_indices()
-    start, stop = m.indptr[:-1], m.indptr[1:]
-    rows = np.flatnonzero(stop > start)
-    return bool(np.all(m.indices[start[rows]] >= rows - 1)
-                and np.all(m.indices[stop[rows] - 1] <= rows + 1))
+    m = canonical(m)
+    diagonals = tuple(m.diagonal(k) for k in (0, 1, -1))
+    if sum(map(np.count_nonzero, diagonals)) != np.count_nonzero(m.data):
+        return None
+    return diagonals
 
 
 def LinearOperator(matrix) -> Operator:

@@ -138,13 +138,16 @@ def box_to_free_scan(lengths, points_per_unit_length: float, *,
 
     Per length: the box ground energy E1 (which scales as pi^2/2L^2),
     the gap to E2, and how many of the lowest partner levels match the
-    box levels shifted by one index within pair_rel_tol. Every length's
-    point count is checked, up to grid.MAX_POINTS, before the first solve.
+    box levels shifted by one index within pair_rel_tol. The level count,
+    at least 1, and every length's point count, up to grid.MAX_POINTS, are
+    checked before the first grid is built.
     """
     lengths = [float(v) for v in lengths]
     if len(lengths) < 2 or any(b <= a for a, b in zip(lengths, lengths[1:])):
         raise ParameterError("need at least two strictly increasing lengths")
     require_positive("points_per_length", points_per_unit_length)
+    if n_levels < 1:
+        raise ParameterError(f"a scan needs at least 1 level, got {n_levels}")
     counts = []
     for length in lengths:
         points = length * points_per_unit_length

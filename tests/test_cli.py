@@ -338,6 +338,22 @@ def test_a_scan_refuses_an_oversized_length_before_its_first_solve(monkeypatch, 
     assert not solved  # not even the length-1 box before it
 
 
+@pytest.mark.parametrize("levels", ["-1", "0"])
+def test_a_scan_refuses_a_level_count_below_one_before_any_solve(monkeypatch, tmp_path, capsys,
+                                                                  levels):
+    solved = []
+    solve = partner.numeric_spectrum
+    monkeypatch.setattr(partner, "numeric_spectrum",
+                        lambda *a, **kw: solved.append(a) or solve(*a, **kw))
+    code = main(["scan", "--L-values", "3,6", "--levels", levels,
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: a scan needs at least 1 level, got {levels}\n")
+    assert not solved  # not even the first length's box
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_scan_underresolved_grid_fails_numerically(tmp_path, capsys):
     code = main(["scan", "--L-values", "4,8", "--points-per-length", "3",
                  "--levels", "2", "--out", str(tmp_path / "s.csv")])
@@ -624,6 +640,35 @@ def _fresh_python(code: str) -> str:
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120).stdout
+
+
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("argv", [
+    ["partner", "--model", "box", "--L", "3.14", "--points", "20001"],
+    ["check", "--model", "free", "--charge", "Q", "--L", "9.42", "--points", "4096"],
+], ids=["partner", "check"])
+def test_a_report_keeps_its_bytes_with_the_blas_thread_variables_unset(argv):
+    # at these sizes two OpenBLAS threads change the reports' last digits; with
+    # the variables unset the package pins one thread before numpy loads. Each
+    # run is held to at most two CPUs, so an unpinned OpenBLAS starts at most two.
+    code = f"""
+import os, runpy, sys
+if hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
+sys.argv = ["susyqm", *{argv!r}]
+runpy.run_module("susyqm.cli", run_name="__main__", alter_sys=True)
+"""
+    unset = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
+    unset["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
+    runs = [subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           timeout=300)
+            for env in (unset, dict(unset, **dict.fromkeys(_BLAS_THREADS, "1")))]
+    assert runs[0].returncode == runs[1].returncode == 0, runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout and runs[0].stderr == runs[1].stderr
+    assert len(runs[0].stdout) > 1000
 
 
 def test_lapack_is_loaded_only_by_a_solve_that_needs_it(tmp_path):

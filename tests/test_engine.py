@@ -943,21 +943,26 @@ def test_a_complex_hamiltonian_with_real_entries_and_explicit_zeros_folds_as_its
     # complex entries whose imaginary parts are all zero are taken as real
     as_complex = numeric_spectrum(ops.LinearOperator(h.linear_matrix.astype(complex)), parity, 8)
     np.testing.assert_array_equal(as_complex.eigenvalues, expected.eigenvalues)
-    # explicit zeros two places off the diagonal couple nothing: dropped, they
-    # do not make the blocks look wider than tridiagonal
-    m = h.linear_matrix.tocoo()
-    far = np.arange(99)
-    rows, cols = np.r_[m.row, far, far + 2], np.r_[m.col, far + 2, far]
-    padded = sp.csr_array((np.r_[m.data, np.zeros(198)], (rows, cols)), shape=m.shape)
-    assert padded.nnz == m.nnz + 198
-    with_zeros = numeric_spectrum(ops.LinearOperator(padded), parity, 8)
+    # explicit zeros two places off the diagonal couple nothing: they do not
+    # make the blocks look wider than tridiagonal
+    with_zeros = numeric_spectrum(_padded_with_zeros(h), parity, 8)
     np.testing.assert_array_equal(with_zeros.eigenvalues, expected.eigenvalues)
+
+
+def _padded_with_zeros(h):
+    """h with an explicit zero stored at every place two off the diagonal."""
+    m = h.linear_matrix.tocoo()
+    far = np.arange(m.shape[0] - 2)
+    rows, cols = np.r_[m.row, far, far + 2], np.r_[m.col, far + 2, far]
+    padded = sp.csr_array((np.r_[m.data, np.zeros(2 * len(far))], (rows, cols)), shape=m.shape)
+    assert padded.nnz == m.nnz + 2 * len(far)
+    return ops.LinearOperator(padded)
 
 
 def _entry_fold(monkeypatch, h, perm):
     """The sectors of h by the entry fold, the reference that the band fold must match."""
     with monkeypatch.context() as m:
-        m.setattr(engine, "_banded_under_reversal", lambda a, perm: False)
+        m.setattr(ops, "band_diagonals", lambda a: None)
         return engine._sectors(h, perm)
 
 
@@ -1035,6 +1040,9 @@ def _band_fold_cases(monkeypatch, case):
                 else lambda: partner_potential(ground, ground.energy,
                                                build_grid(1.5, 100001, "dirichlet")))
         return _hamiltonians_of(monkeypatch, call)
+    if case == "box-zeros":
+        h, parity = _model_case("box-100001")
+        return [(_padded_with_zeros(h), parity)]
     if case.startswith("random"):
         n = int(case.split("-")[1])
         return [(h, ops.from_permutation(np.arange(n)[::-1])) for h in _random_band_hamiltonians(n)]
@@ -1042,7 +1050,7 @@ def _band_fold_cases(monkeypatch, case):
 
 
 @pytest.mark.parametrize("case", [
-    "box-100001", "box-100000", "sec2-100001", "sec2-100000", "delta-100001",
+    "box-100001", "box-100000", "sec2-100001", "sec2-100000", "delta-100001", "box-zeros",
     "scan", "partner", "rotor-1", "rotor-384",
     "random-3", "random-4", "random-5", "random-8", "random-11", "random-12",
 ])

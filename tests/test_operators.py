@@ -481,20 +481,30 @@ def test_q_pair_algebra_at_two_to_the_sixteen_points():
 
 
 @pytest.mark.parametrize("entries,banded", [
-    ([(0, 0), (0, 1), (1, 0), (2, 2)], True),
-    ([(1, 1)], True),                     # empty first and last rows
-    ([(0, 2)], False),                    # two places right of the diagonal
-    ([(3, 0), (3, 3)], False),            # three places left, in a row's first entry
-    ([(0, 0), (0, 1), (0, 3)], False),    # in a row's last entry
+    ([(0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (2, 2, 1.0)], True),
+    ([(1, 1, 1.0)], True),                             # empty first and last rows
+    ([(0, 2, 1.0)], False),                            # two places right of the diagonal
+    ([(3, 0, 1.0), (3, 3, 1.0)], False),               # three places left, first in its row
+    ([(0, 0, 1.0), (0, 1, 1.0), (0, 3, 1.0)], False),  # last in its row
+    ([(0, 3, 1.0), (0, 3, -1.0), (1, 1, 1.0)], True),  # duplicates off the band that sum to 0
+    ([(1, 1, 0.5), (1, 1, 0.5), (2, 0, 1.0)], False),  # duplicates on it, one entry off it
+    ([(0, 2, 0.0), (3, 0, 0.0), (2, 3, 1.0)], True),   # explicit zeros off the band
 ])
-def test_the_band_test_reads_each_rows_first_and_last_column(entries, banded):
-    rows, cols = np.array(entries).T
-    m = sp.csr_array((np.ones(len(rows)), (rows, cols)), shape=(4, 4))
-    assert ops.is_banded(m) is banded
-    # the same entries, each row's columns stored in descending order
-    order = np.lexsort((-m.indices, np.repeat(np.arange(4), np.diff(m.indptr))))
-    unsorted = sp.csr_array((m.data[order], m.indices[order], m.indptr), shape=(4, 4))
-    assert ops.is_banded(unsorted) is banded
+def test_band_diagonals_are_returned_when_they_hold_every_nonzero_entry(entries, banded):
+    rows, cols, vals = np.array(entries).T
+    rows, cols = rows.astype(int), cols.astype(int)
+    dense = np.zeros((4, 4))
+    np.add.at(dense, (rows, cols), vals)
+    # the entries as given, duplicates and zeros kept, each row's columns descending
+    order = np.lexsort((-cols, rows))
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=4))]
+    for m in (sp.csr_array((vals[order], cols[order], indptr), shape=(4, 4)),
+              sp.csr_array((vals, (rows, cols)), shape=(4, 4))):
+        got = ops.band_diagonals(m)
+        assert (got is not None) is banded
+        if banded:
+            for diagonal, k in zip(got, (0, 1, -1)):
+                np.testing.assert_array_equal(diagonal, np.diagonal(dense, k))
 
 
 @pytest.mark.parametrize("operator,storage", [
@@ -504,6 +514,10 @@ def test_the_band_test_reads_each_rows_first_and_last_column(entries, banded):
     (lambda: ops.momentum(build_grid(1.0, 101, "dirichlet")), "csr"),
     (lambda: ops.rotor_basis_operators(4, 1.0)[1], "csr"),
     (lambda: ops.LinearOperator(np.array([[1.0, 2.0], [3.0, 1.0]])), "csr"),
+    # explicit zeros two places off the diagonal store nothing that couples
+    (lambda: ops.LinearOperator(sp.csr_array((np.r_[2.0, 1.0, 0.0, 1.0, 2.0, 1.0, 0.0, 1.0, 2.0],
+                                              [0, 1, 2, 0, 1, 2, 0, 1, 2], [0, 3, 6, 9]))),
+     "tridiag"),
 ])
 def test_storage_names_a_real_symmetric_band(operator, storage):
     assert operator().storage == storage
