@@ -327,10 +327,13 @@ def _sectors(h: ops.Operator, perm: np.ndarray) -> tuple[_Sector, _Sector]:
     two comparisons of a diagonal with its reverse. Every other h, such as
     the periodic stencil with its corner entries, or any other involution,
     takes the entry fold (_fold), as every charge does: O(nnz), with the
-    evenness read off a sort of the mapped entries (_commutes). On either
-    an explicit zero couples nothing. Both then refuse, in this order and
-    in the same words, an h that is not even, whose entries' squares
-    overflow or vanish, or that is not Hermitian to 1e-8 of its scale.
+    evenness read off a sort of the mapped entries (_commutes); its blocks
+    are read back through ops.band_diagonals too (_tridiagonals), and one
+    that is not tridiagonal is refused. On either an explicit zero, or a
+    block sum that cancels, couples nothing. Both then refuse, in this
+    order and in the same words, an h that is not even, whose entries'
+    squares overflow or vanish, or that is not Hermitian to 1e-8 of its
+    scale.
     """
     a = h.linear_matrix
     if a is None or h.antilinear_matrix is not None:
@@ -492,20 +495,19 @@ def _commutes(perm: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.nda
 
 
 def _tridiagonals(reps: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
-    """(reps, diag, upper, lower) of a folded block, from its entries (row, column, value).
+    """(reps, diag, upper, lower) of a folded block of h, from its entries (row, column, value).
 
-    Duplicates are summed; a block wider than tridiagonal is refused.
+    scipy lays the entries out in CSR, duplicates summed, and
+    ops.band_diagonals reads the three diagonals back; a block with a
+    nonzero entry off them is refused.
     """
     dim = len(reps)
-    step = cols - rows
-    if np.any(np.abs(step) > 1):
+    band = ops.band_diagonals(sp.csr_array((vals, (rows, cols)), shape=(dim, dim)))
+    if band is None:
         raise ParameterError(
             "a parity block of the Hamiltonian is not tridiagonal; the sector "
             "eigensolve needs a three-point stencil or a diagonal Hamiltonian")
-    diag = np.bincount(rows[step == 0], weights=vals[step == 0], minlength=dim)
-    upper = np.bincount(rows[step == 1], weights=vals[step == 1], minlength=max(dim - 1, 0))
-    lower = np.bincount(cols[step == -1], weights=vals[step == -1], minlength=max(dim - 1, 0))
-    return reps, diag, upper, lower
+    return reps, *band
 
 
 def _sector(sign: float, perm: np.ndarray, reps: np.ndarray, diag: np.ndarray,
@@ -682,11 +684,15 @@ def _krylov_levels(sector: _Sector, k: int, vectors: bool):
     off-diagonal <= 0 without changing the eigenvalues; its vectors are D
     times those of T. _lower_shift finds sigma below the lowest level and
     factors D T D - sigma = L D' L^T once (pttrf), and _lanczos runs on
-    (D T D - sigma)^-1, applied by pttrs in O(dim). Each returned energy is
-    the Rayleigh quotient in T of its returned vector, whose residual is
-    at most _residual_bound; without vectors, each is a Ritz value within
-    half that bound of an eigenvalue, and the vectors are None. A solve
-    can still skip a level that its start vector barely holds;
+    (D T D - sigma)^-1, applied by pttrs in O(dim). All of it runs on
+    T / 2^p, ||T||_1 / 2^p in [1/2, 1), and the energies are multiplied
+    back; both are exact, so the bits are those of a solve on T wherever
+    that stays in range (on T, Rayleigh quotients overflowed or vanished
+    for boxes of length 1e-40 and 1e40 at 4001 points). Each returned
+    energy is the Rayleigh quotient in T of its returned vector, whose
+    residual is at most _residual_bound; without vectors, each is a Ritz
+    value within half that bound of an eigenvalue, and the vectors are
+    None. A solve can still skip a level that its start vector barely holds;
     numeric_spectrum's count finds that and asks again for more levels.
 
     None if the basis reaches _basis_cap(k) vectors before the k levels
@@ -701,8 +707,9 @@ def _krylov_levels(sector: _Sector, k: int, vectors: bool):
     residual bound.
     """
     _load_lapack()
-    d = sector.diag
-    e = -np.abs(sector.offdiag)
+    p = np.frexp(_tridiag_norm1(sector.diag, sector.offdiag))[1]
+    d = np.ldexp(sector.diag, -p)
+    e = -np.abs(np.ldexp(sector.offdiag, -p))
     # D[i + 1] is D[i], negated where offdiag[i] > 0: D[i] offdiag[i] D[i + 1] = -|offdiag[i]|
     flip = np.cumprod(np.r_[1.0, np.where(sector.offdiag > 0, -1.0, 1.0)])
     norm = _tridiag_norm1(d, e)
@@ -710,12 +717,14 @@ def _krylov_levels(sector: _Sector, k: int, vectors: bool):
     # the block image of the constant function: a positive vector near the ground state
     fixed = sector.perm[sector.reps] == sector.reps
     sigma, *factors = _lower_shift(d, e, np.where(fixed, 1.0, _SQRT2), start, norm)
-    found = _lanczos(d, e, sigma, factors, k, _residual_bound(sector), start, vectors)
-    if found is None or not vectors:
-        return found
+    found = _lanczos(d, e, sigma, factors, k, np.ldexp(_residual_bound(sector), -p), start,
+                     vectors)
+    if found is None:
+        return None
     vals, vecs = found
-    vecs *= flip[:, None]
-    return vals, vecs
+    if vectors:
+        vecs *= flip[:, None]
+    return np.ldexp(vals, p), vecs
 
 
 def _lower_shift(d: np.ndarray, e: np.ndarray, x: np.ndarray, start: np.ndarray,
@@ -814,8 +823,9 @@ def _lanczos(d: np.ndarray, e: np.ndarray, sigma: float, factors, k: int, tol: f
     projected tridiagonal matrix and beta the last coupling, applying A
     once more to a Ritz vector y gives A y, whose residual in T for the
     energy sigma + 1/theta is at most |beta s_m| / theta^2. Once that is
-    below tol / 2 for the k largest theta, each such energy lies within
-    tol / 2 of an eigenvalue of T. Without vectors those k energies are
+    below tol / 2 for the k largest theta, all positive as A is, each such
+    energy lies within tol / 2 of an eigenvalue of T; a theta <= 0 is
+    rounding, and is never inverted. Without vectors those k energies are
     returned, with None. Otherwise the k Ritz vectors are refined by that
     application and a Rayleigh-Ritz projection of T (_refine), and the
     pairs are returned if every true residual ||T y - rho y|| is at most
@@ -842,7 +852,7 @@ def _lanczos(d: np.ndarray, e: np.ndarray, sigma: float, factors, k: int, tol: f
             # (the wrapper wants at least one off-diagonal, unread when m = 1)
             theta, s = lapack.dstev(alpha[:m], beta[:max(m - 1, 1)], compute_v=1)[:2]
             theta, s = theta[::-1][:k], s[:, ::-1][:, :k]
-            if np.all(np.abs(b * s[-1]) <= 0.5 * tol * theta ** 2):
+            if np.all(theta > 0) and np.all(np.abs(b * s[-1]) <= 0.5 * tol * theta ** 2):
                 if not vectors:
                     # theta descends, so these ascend
                     return sigma + 1.0 / theta, None
@@ -1304,7 +1314,8 @@ def _fold_charge(action: ops.Operator, even: _Sector, odd: _Sector):
     real CSR matrices of its nonzero real and its nonzero imaginary
     entries, whose products are the real and the imaginary part of its
     action: the momentum charges fold to purely imaginary blocks and the
-    rotor's to real ones, so each of their lists holds one matrix.
+    rotor's to real ones, so each of their lists holds one matrix, laid
+    out by scipy as _tridiagonals lays out a Hamiltonian block.
     """
     perm = even.perm
     parts = [_entries(part, "charge")
@@ -1315,33 +1326,9 @@ def _fold_charge(action: ops.Operator, even: _Sector, odd: _Sector):
             "criterion 3 needs it to carry each parity sector onto the other")
     folded = _fold(perm, *(np.concatenate(arrays) for arrays in zip(*parts)), -1.0)
     shapes = [(odd.dim, even.dim), (even.dim, odd.dim)]
-    return [[_summed_csr(shape, r[keep], c[keep], v[keep])
+    return [[sp.csr_array((v[keep], (r[keep], c[keep])), shape=shape)
              for v in (vals.real, vals.imag) if np.any(keep := v != 0)]
             for shape, (_, r, c, vals) in zip(shapes, folded)]
-
-
-def _summed_csr(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray,
-                vals: np.ndarray) -> sp.csr_array:
-    """The CSR matrix of entries (rows, cols, vals), duplicates summed, laid out directly.
-
-    One stable sort of the keys row * n_cols + col, one np.add.reduceat
-    over each run of equal keys and indptr by bincount: the canonical
-    arrays that sp.csr_array((vals, (rows, cols))) builds through COO,
-    equal to them entry for entry where no place has more than two
-    entries (a fold's), whose sum is the same in either order; where a
-    charge's two parts share a place, up to four entries are summed. A
-    cancelling sum stays as an explicit zero, as there.
-    """
-    key = rows.astype(np.int64)
-    key *= shape[1]
-    key += cols
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.flatnonzero(np.diff(key, prepend=-1))
-    at = order[first]
-    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[at], minlength=shape[0]), out=indptr[1:])
-    return sp.csr_array((np.add.reduceat(vals[order], first), cols[at], indptr), shape=shape)
 
 
 def _leaks(block, u: np.ndarray | sp.csc_array, partner: np.ndarray | sp.csc_array,

@@ -108,7 +108,9 @@ def band_diagonals(m: sp.csr_array):
 
     None otherwise. The test is a count, with duplicates summed first: the
     three diagonals must hold as many nonzero values as m's data, so an
-    explicit zero, on the band or off it, counts for nothing.
+    explicit zero, on the band or off it, counts for nothing. It is the
+    one tridiagonal test: MixedOperator.storage, the engine's choice of
+    the band fold, and the shape of each block of its entry fold.
     """
     m = canonical(m)
     diagonals = tuple(m.diagonal(k) for k in (0, 1, -1))

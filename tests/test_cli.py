@@ -437,6 +437,20 @@ def test_overflowing_rotor_inertia_is_refused_without_warnings(tmp_path, capsys)
     assert "overflows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    *[["spectrum", "--model", "box", "--points", "4001", "--levels", "33", "--L", length]
+      for length in ("1e-60", "1e-40", "1e40", "1e60")],
+    ["spectrum", "--model", "delta", "--L", "2.645377822988262e-61", "--levels", "4"],
+])
+def test_a_spectrum_at_an_extreme_length_is_solved_without_warnings(tmp_path, capsys, argv):
+    # shift-invert Lanczos once overflowed or divided by zero at these scales of H
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*argv, "--out", str(tmp_path / "s.csv")])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("length,points", [("1", "2048"), ("0.5", "1024")])
 def test_free_ground_energy_within_solver_accuracy_passes(tmp_path, length, points):
     # E0 is about 0.2 eps ||H||_1 here: 3.6e-10 and 3.0e-10, above the fixed 1e-10

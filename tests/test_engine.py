@@ -2,6 +2,7 @@ import dataclasses
 import json
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -721,6 +722,22 @@ def _assert_near_oracle(spec, grid, h, factor):
     np.testing.assert_allclose(spec.eigenvalues, exact, rtol=0, atol=bound)
 
 
+@pytest.mark.parametrize("length", [1e-60, 1e-40, 1e40, 1e60])
+@pytest.mark.parametrize("vectors", [False, True])
+def test_lanczos_meets_the_exact_levels_at_any_scale_of_h(monkeypatch, length, vectors):
+    # ||H||_1 is about 1e128 at length 1e-60 and 1e-112 at 1e60; Lanczos solves
+    # each truncated block scaled by a power of two, so the scale does not matter
+    grid = build_grid(length, 4001, "dirichlet")
+    h = ops.hamiltonian(grid, lambda x: 0.0)
+    asked, calls = _spy_krylov(monkeypatch), _spy_solves(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = numeric_spectrum(h, ops.parity_operator(grid), 33, vectors=vectors)
+    # Lanczos solved both blocks: eigh_tridiagonal only counted
+    assert asked and all(c.get("select") == "v" for c in calls)
+    _assert_near_oracle(spec, grid, h, _TRUNCATED_EPS_FACTOR)
+
+
 # sin of the angle between a computed and an exact eigenvector, at most
 # c * eps * ||H||_1 / gap; see _assert_near_exact_vectors
 _VECTOR_EPS_FACTOR = 1.0
@@ -902,6 +919,45 @@ def test_non_tridiagonal_sector_is_refused():
         numeric_spectrum(h, ops.from_permutation(np.arange(6)[::-1]), 2)
 
 
+def _cancelling_hamiltonian(perm, pairs, n):
+    """2 I plus, for each (a, b) in pairs, entries 1 at (a, b) and -1 at (a, perm[b]), with
+    their mirror images under perm and the transposes of all: even, symmetric, and
+    wider than tridiagonal, with every even-block sum at (a, b) cancelling to zero."""
+    rows, cols, vals = [], [], []
+    for a, b in pairs:
+        for r, c, v in ((a, b, 1.0), (a, perm[b], -1.0)):
+            for rr, cc in ((r, c), (perm[r], perm[c])):
+                rows += [rr, cc]
+                cols += [cc, rr]
+                vals += [v, v]
+    m = sp.csr_array((vals, (rows, cols)), shape=(n, n)) + 2.0 * sp.eye_array(n, format="csr")
+    return ops.LinearOperator(m.tocsr())
+
+
+def test_a_block_that_cancels_to_tridiagonal_is_read_by_its_nonzero_entries():
+    # under the reversal on 6 points, entry (0, 2) of the even block is H[0, 2] + H[0, 3] = 0,
+    # but the odd block's H[0, 2] - H[0, 3] = 2 sits two places off its diagonal. H is also
+    # made non-Hermitian (H[0, 1] and its mirror image doubled): the refusal of the odd block
+    # comes first
+    perm = np.arange(6)[::-1]
+    h = _cancelling_hamiltonian(perm, [(0, 2)], 6)
+    m = h.linear_matrix + sp.csr_array(([1.0, 1.0], ([0, 5], [1, 4])), shape=(6, 6))
+    with pytest.raises(Exception) as refused:
+        numeric_spectrum(ops.LinearOperator(m), ops.from_permutation(perm), 2)
+    assert type(refused.value) is ParameterError
+    assert str(refused.value) == (
+        "a parity block of the Hamiltonian is not tridiagonal; the sector eigensolve "
+        "needs a three-point stencil or a diagonal Hamiltonian")
+    # under 0 <-> 3, 2 <-> 4 with 1 fixed, the odd sector has no row for 1, so its entry
+    # for (0, 2) lands beside the diagonal; the even block's cancelling sum couples
+    # nothing, so both blocks are tridiagonal and h is solved
+    perm = np.array([3, 1, 4, 0, 2])
+    h = _cancelling_hamiltonian(perm, [(0, 4)], 5)
+    spec = numeric_spectrum(h, ops.from_permutation(perm), 5)
+    np.testing.assert_allclose(spec.eigenvalues, np.linalg.eigvalsh(h.to_dense()),
+                               rtol=0, atol=1e-14)
+
+
 def _box_hamiltonian_and_parity():
     grid = build_grid(1.0, 101, "dirichlet")
     return ops.hamiltonian(grid, lambda x: 0.0), ops.parity_operator(grid)
@@ -960,10 +1016,18 @@ def _padded_with_zeros(h):
 
 
 def _entry_fold(monkeypatch, h, perm):
-    """The sectors of h by the entry fold, the reference that the band fold must match."""
+    """The sectors of h by the entry fold, the reference that the band fold must match.
+
+    band_diagonals finds no band in h itself, which sends h to the entry fold;
+    the fold's blocks, each smaller than h, are still read back through it.
+    """
+    band = ops.band_diagonals
     with monkeypatch.context() as m:
-        m.setattr(ops, "band_diagonals", lambda a: None)
-        return engine._sectors(h, perm)
+        m.setattr(ops, "band_diagonals", lambda a: None if a.shape[0] == len(perm) else band(a))
+        calls = _fold_calls(m)
+        sectors = engine._sectors(h, perm)
+    assert calls == ["_fold"]
+    return sectors
 
 
 def _fold_calls(monkeypatch):
@@ -1006,14 +1070,12 @@ def _band_csr(d, u, l, dtype=float):
 
 def _random_band_hamiltonians(n):
     """Real symmetric banded H even under the reversal, with explicit zeros, as float and
-    as complex with zero imaginary parts. d[0] is nonzero, so that every block has a
-    diagonal entry: the entry fold's bincount of no entries at all gives int64 zeros."""
+    as complex with zero imaginary parts."""
     rng = np.random.default_rng(n)
     found = []
     for _ in range(8):
         d = rng.integers(-3, 4, n) * rng.choice([1.0, 0.1, 1e-3]) + rng.standard_normal(n)
         d = np.where(rng.random(n) < 0.3, 0.0, d)
-        d[0] = 1.5
         d = (d + d[::-1]) / 2.0
         u = np.where(rng.random(n - 1) < 0.3, 0.0, rng.standard_normal(n - 1))
         u = u + u[::-1]  # a palindrome: l = u is then both u reversed and u itself
