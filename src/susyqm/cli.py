@@ -26,7 +26,7 @@ import numpy as np
 
 from .engine import (CONVERGENCE_TOL, MACHINE_TOL, PAIR_TOL, build_check,
                      commensurate_wavenumbers, detect_pairing, eq5_action_table,
-                     model_operators, numeric_spectrum)
+                     model_operators, numeric_spectrum, zero_tolerance)
 from .errors import NumericalContractError, ParameterError, SusyqmError
 from .grid import DIRICHLET, PERIODIC, build_grid
 from .models import (DeltaWell, FreeParticle, ParticleInBox, PlanarRotor,
@@ -180,9 +180,9 @@ def cmd_spectrum(args) -> int:
         flags[i] = flags[j] = f"pair{pid}"
     for i in pairing.unpaired:
         flags[i] = "unpaired"
-    # "bound" means genuinely negative, not a zero mode rounded below zero
-    bound_cut = -1e-9 * max(1.0, float(np.max(np.abs(spec.eigenvalues))))
-    for i in np.flatnonzero(spec.eigenvalues < bound_cut):
+    # "bound" means negative beyond the solver's accuracy, not a zero mode rounded below zero
+    cut = -zero_tolerance(h) if spec.eigenvalues[0] < 0 else 0.0
+    for i in np.flatnonzero(spec.eigenvalues < cut):
         flags[i] = (flags[i] + ";" if flags[i] else "") + "bound"
     _write(args.out, _csv_header(header, ["n", "energy", "parity", "flag"])
            + _csv_rows(np.arange(len(spec)), spec.eigenvalues, spec.parity_labels, flags))

@@ -1085,7 +1085,7 @@ def ground_state_check(spectrum: Spectrum, charges, energy_shift: float = 0.0,
 
     The lowest cluster ends at the first gap above tol, the eigensolver's
     absolute accuracy: build_check passes criterion 1's zero tolerance,
-    max(ZERO_TOL, 4 eps ||H||_1). A tolerance relative to the top level
+    zero_tolerance(H). A tolerance relative to the top level
     would tie the ground's degeneracy to the top of the spectrum: 1e-8 *
     max |E| merged 27 rotor levels at m_max 50000 (max |E| = 1.25e9).
     """
@@ -1131,10 +1131,11 @@ def eq5_action_table(grid: Grid1D, k_list, *,
     Every wavenumber is validated before any work. The waves are then
     sampled a block of wavenumbers at a time (_eq5_block), as columns
     gathered from one table of cos and sin(2 pi r / n) by the integer
-    phase of each point. The pair is linear, so each charge acts on a
-    block through the real and the imaginary part of its CSR matrix, on
-    its structure with zeros dropped: real sparse products only, several
-    times faster than complex ones. The temporaries stay O(n * block).
+    phase of each point. Built from the purely imaginary momentum and the
+    real parity permutation, each charge is i times a real matrix, so it
+    acts on a block as the imaginary part of its CSR matrix: real sparse
+    products, several times faster than complex ones. The temporaries stay
+    O(n * block).
     """
     if grid.boundary != PERIODIC:
         raise ParameterError("the action table is defined on periodic grids")
@@ -1143,14 +1144,9 @@ def eq5_action_table(grid: Grid1D, k_list, *,
     modes = np.array([_whole_mode(k, grid.length) % n for k in ks], dtype=np.int64)
     ks = np.array(ks)
     kd = np.sin(ks * grid.spacing) / grid.spacing if substitute_dispersion else ks
-    q, qdag = [], []
-    for charge, split in zip(ops.supercharge_q_pair(ops.momentum(grid),
-                                                    ops.parity_operator(grid), 1.0), (q, qdag)):
-        m = charge.action.linear_matrix
-        # copies: .real and .imag share their data with the charge
-        split += [m.real.copy(), m.imag.copy()]
-        for part in split:
-            part.eliminate_zeros()
+    # copied once: every product would copy .imag's strided view of the complex data
+    q, qdag = (charge.action.linear_matrix.imag.copy() for charge in
+               ops.supercharge_q_pair(ops.momentum(grid), ops.parity_operator(grid), 1.0))
     # sample by modular phase: k*x_j = 2 pi * mode * (j - n/2) / n up to whole
     # turns, so reducing the integer phase keeps every argument below 2 pi
     # and the samples accurate to machine epsilon even near Nyquist
@@ -1176,9 +1172,10 @@ def eq5_action_table(grid: Grid1D, k_list, *,
 def _eq5_block(n: int) -> int:
     """Wavenumbers per block of the action table, for n grid points.
 
-    Each temporary holds n * block values. In sweeps of 8 to 256 columns,
-    32 was among the fastest at 1024 and 4096 points, and 16 at 8192 and
-    16384.
+    Each temporary holds n * block values, kept near 2^17 within 16 to 32
+    columns. This bounds memory, not time: 32 columns ran as fast or faster
+    from 6000 to 32768 points but held 1.7 times the temporaries. The width
+    groups a column's sums, so it can change a row's last digits.
     """
     return max(16, min(32, 2 ** 17 // n))
 
@@ -1203,16 +1200,12 @@ def _column_sq(v: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", v, v)
 
 
-def _action_deviation(parts, v: np.ndarray, target: np.ndarray | None = None) -> np.ndarray:
-    """Column norms of C v - i * target, for a charge C given by its real parts on real v."""
-    real, imag = parts
+def _action_deviation(imag, v: np.ndarray, target: np.ndarray | None = None) -> np.ndarray:
+    """Column norms of C v - i * target on real v, for a charge C = i * imag."""
     w = imag @ v
     if target is not None:
         w -= target
-    sq = _column_sq(w)
-    if real.nnz:
-        sq += _column_sq(real @ v)
-    return np.sqrt(sq)
+    return np.sqrt(_column_sq(w))
 
 
 def commensurate_wavenumbers(grid: Grid1D) -> np.ndarray:
@@ -1370,9 +1363,6 @@ def _leaks(block, u: np.ndarray | sp.csc_array, partner: np.ndarray | sp.csc_arr
     return image, leak
 
 
-_ZERO_TOL_EPS_FACTOR = 4.0
-
-
 def _norm1(h: ops.Operator) -> float:
     """||h||_1, the largest absolute column sum, in O(nnz).
 
@@ -1385,6 +1375,18 @@ def _norm1(h: ops.Operator) -> float:
     return float(np.max(np.bincount(m.indices, np.abs(m.data), minlength=m.shape[1])))
 
 
+def zero_tolerance(h: ops.Operator) -> float:
+    """max(ZERO_TOL, 4 eps ||h||_1): criterion 1's zero, and minus the spectrum's bound cut.
+
+    The eigensolver's absolute accuracy is about eps * ||h||_1, which on
+    the free particle (2 / spacing^2) grows as n^2. Over 325 free-particle
+    spectra (n from 64 to 4096, L from 0.05 to 20) |E0| / (eps * ||h||_1)
+    measured at most 0.87 (median 0.22), a margin of 4.6 under the factor
+    4. The fixed ZERO_TOL still decides at the sizes of the acceptance tests.
+    """
+    return max(ZERO_TOL, 4.0 * float(_EPS) * _norm1(h))
+
+
 def build_check(model: ModelSpec, charge: str, *, n_points: int = 512,
                 zero_point_reset: bool = False, machine_tol: float = MACHINE_TOL,
                 pair_tol: float = PAIR_TOL) -> SusyReport:
@@ -1393,14 +1395,6 @@ def build_check(model: ModelSpec, charge: str, *, n_points: int = 512,
     Dirichlet-grid models (box, sec^2 partner, delta well) are refused:
     their verdicts are spectral-only and live in the spectrum/partner
     commands instead.
-
-    Criterion 1 takes |E0| as zero up to max(ZERO_TOL, c * eps * ||H||_1)
-    with c = _ZERO_TOL_EPS_FACTOR = 4: the eigensolver's absolute accuracy
-    is about eps * ||H||_1 (numeric_spectrum), and on the free particle
-    ||H||_1 = 2/h^2 grows as n^2. Over 325 free-particle spectra (n from
-    64 to 4096, L from 0.05 to 20) |E0| / (eps * ||H||_1) measured at most
-    0.87 (median 0.22), so c = 4 leaves a margin of 4.6; the fixed
-    ZERO_TOL still decides at the sizes of the acceptance tests.
     """
     if charge not in ("Q", "q"):
         raise ParameterError(f"charge must be 'Q' or 'q', got {charge!r}")
@@ -1423,7 +1417,7 @@ def build_check(model: ModelSpec, charge: str, *, n_points: int = 512,
 
     charges = (ops.supercharge_Q if charge == "Q" else ops.supercharge_q_pair)(g, s, mu)
     spectrum = numeric_spectrum(h_spec, parity, h_spec.dimension)
-    zero_tol = max(ZERO_TOL, _ZERO_TOL_EPS_FACTOR * float(_EPS) * _norm1(h_spec))
+    zero_tol = zero_tolerance(h_spec)
     shift = float(spectrum.eigenvalues[0]) if zero_point_reset else 0.0
     ground = ground_state_check(spectrum, charges, energy_shift=shift, tol=zero_tol)
     pairing = detect_pairing(spectrum, pair_tol)

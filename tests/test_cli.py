@@ -18,7 +18,7 @@ from susyqm import engine, operators as ops, partner
 from susyqm.cli import UNITS, _csv_rows, _report_json, build_parser, fmt, main
 from susyqm.errors import NumericalContractError, ParameterError, PotentialEvaluationError
 from susyqm.grid import MAX_POINTS, build_grid
-from susyqm.models import FreeParticle, PlanarRotor
+from susyqm.models import DeltaWell, FreeParticle, PlanarRotor
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -62,6 +62,39 @@ def test_spectrum_delta_bound_flag(tmp_path):
     first = [l for l in text.splitlines() if not l.startswith("#")][1]
     assert "bound" in first.split(",")[3]
     assert float(first.split(",")[1]) == pytest.approx(-0.5, abs=1e-2)
+    # the free particle's zero-energy base state, rounded below zero by less
+    # than the solver's accuracy (about eps * ||H||_1), is not bound
+    for length in ("3.141592653589793", "0.01"):
+        code, text = run(tmp_path, "spectrum", "--model", "free", "--L", length,
+                         "--points", "100000", "--levels", "3")
+        assert code == 0
+        first = [l for l in text.splitlines() if not l.startswith("#")][1].split(",")
+        assert float(first[1]) < 0
+        assert first[3] == "unpaired"
+
+
+def test_a_sector_whose_window_floor_lies_above_the_cut_counts_no_level(monkeypatch, tmp_path):
+    # the even ground (about -3.2e5) lies below the odd block's window floor
+    # (about -4.2e3), so the odd block's count returns 0 before any bisection
+    count, below_floor = engine._count_at_or_below, []
+
+    def spy(sector, x):
+        floor = -2.0 * engine._tridiag_norm1(sector.diag, sector.offdiag) - 1.0
+        found = count(sector, x)
+        below_floor.append((x <= floor, found))
+        return found
+
+    monkeypatch.setattr(engine, "_count_at_or_below", spy)
+    code, text = run(tmp_path, "spectrum", "--model", "delta", "--lambda", "1e4",
+                     "--points", "101", "--levels", "1")
+    assert code == 0
+    assert (True, 0) in below_floor
+    rows = [l.split(",") for l in text.splitlines() if not l.startswith("#")][1:]
+    assert len(rows) == 1 and rows[0][3] == "unpaired;bound"
+    h = engine.model_operators(DeltaWell(1e4, np.pi), 101)[0]
+    lowest = np.linalg.eigvalsh(h.to_dense())[0]
+    assert float(rows[0][1]) == pytest.approx(lowest, rel=0,
+                                              abs=4 * np.finfo(float).eps * engine._norm1(h))
 
 
 def test_spectrum_rotor(tmp_path):

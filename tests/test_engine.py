@@ -1800,6 +1800,20 @@ def test_action_table_allocates_nothing_of_size_n_squared():
     assert peak < n * (n // 2) * 8 / 4
 
 
+@pytest.mark.parametrize("n", [4, 14, 1024, 20000])
+@pytest.mark.parametrize("length", [1e-5, 2 * np.pi, 1e5])
+def test_every_action_table_charge_is_i_times_a_real_matrix(n, length):
+    # eq5_action_table applies each charge as the imaginary part of its CSR
+    # matrix alone, dropping no zero: that is the whole charge, with no idle
+    # entry, only if it is linear, its real part is zero and it stores no zero
+    grid = build_grid(length, n, "periodic")
+    for charge in ops.supercharge_q_pair(ops.momentum(grid), ops.parity_operator(grid), 1.0):
+        assert charge.action.antilinear_matrix is None
+        m = charge.action.linear_matrix
+        assert m.nnz > 0 and not np.any(m.data.real)
+        assert np.all(m.data.imag)
+
+
 def test_action_table_validates_every_wavenumber_first(monkeypatch):
     grid = build_grid(np.pi, 64, "periodic")
 
@@ -2093,6 +2107,17 @@ def test_pair_invariance_without_pairs_is_zero_and_reads_no_vector():
     charges = ops.supercharge_Q(ops.momentum(grid), ops.parity_operator(grid), 1.0)
     pairing = engine.PairingMap(pairs=[], unpaired=[0, 1, 2])
     assert engine._pair_invariance(spec, pairing, charges) == 0.0
+
+
+def test_pair_invariance_refuses_a_charge_with_a_non_finite_entry():
+    grid = build_grid(np.pi, 64, "periodic")
+    parity = ops.parity_operator(grid)
+    spec = numeric_spectrum(ops.hamiltonian(grid, lambda x: 0.0), parity, grid.n_points)
+    q, qdag = ops.supercharge_q_pair(ops.momentum(grid), parity, 1.0)
+    bad = dataclasses.replace(q, action=ops.LinearOperator(_with_entry(q.action.linear_matrix,
+                                                                          np.inf)))
+    with pytest.raises(ParameterError, match="^the charge has a non-finite entry$"):
+        engine._pair_invariance(spec, detect_pairing(spec), (bad, qdag))
 
 
 def test_build_check_refuses_dirichlet_models():
